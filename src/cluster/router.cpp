@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "net/json.hpp"
-#include "net/load_driver.hpp"
+#include "net/scan_codec.hpp"
 #include "util/contracts.hpp"
 
 namespace wiloc::cluster {

@@ -81,6 +81,14 @@ void ArrivalTable::drop(roadnet::TripId trip) {
   if (tracked_.erase(trip) > 0) dirty_ = true;
 }
 
+std::vector<roadnet::TripId> ArrivalTable::trips_on(
+    roadnet::RouteId route) const {
+  std::vector<roadnet::TripId> trips;
+  for (const auto& [trip, t] : tracked_)
+    if (t.route->id() == route) trips.push_back(trip);
+  return trips;
+}
+
 bool ArrivalTable::remaining_changed(const roadnet::BusRoute& route,
                                      double offset,
                                      std::uint64_t seen) const {
@@ -114,7 +122,7 @@ std::shared_ptr<const TripArrivals> ArrivalTable::compute(
 }
 
 void ArrivalTable::refresh(SimTime now, const PositionFn& position_of) {
-  if (!params_.enabled || !store_->finalized()) return;
+  if (!store_->finalized()) return;
   const std::uint64_t epoch = store_->epoch();
 
   bool changed = dirty_;
@@ -166,11 +174,9 @@ void ArrivalTable::publish(SimTime now, std::uint64_t epoch) {
       const std::uint64_t key =
           ArrivalSnapshot::route_stop_key(t.current->route, s);
       auto [it, inserted] = snap->route_best.emplace(key, t.current);
-      if (inserted) continue;
-      const SimTime mine = t.current->arrival[s];
-      const SimTime theirs = it->second->arrival[s];
-      if (mine < theirs ||
-          (mine == theirs && t.current->trip < it->second->trip))
+      if (!inserted && arrives_before(t.current->arrival[s], trip,
+                                      it->second->arrival[s],
+                                      it->second->trip))
         it->second = t.current;
     }
   }

@@ -37,9 +37,6 @@
 namespace wiloc::core {
 
 struct ArrivalTableParams {
-  /// When false the control side never materializes or publishes, and
-  /// every read takes the locked slow path (A/B lever for benches).
-  bool enabled = true;
   /// Minimum wall-clock spacing between refreshes. 0 (the default, and
   /// what the tests rely on) refreshes on every publish, so snapshots
   /// track ingest synchronously. Serving deployments set tens of
@@ -66,6 +63,14 @@ std::string encode_arrival_json(roadnet::TripId trip, std::size_t stop,
 
 /// The /v1/traffic-map response body (segments sorted by edge id).
 std::string encode_traffic_map_json(const TrafficMap& map);
+
+/// The route-level arrival rule, shared by the snapshot's route-best
+/// index and the server's slow-path query so both pick the same trip:
+/// the soonest arrival wins, ties go to the lower trip id.
+inline bool arrives_before(SimTime a, roadnet::TripId a_trip, SimTime b,
+                           roadnet::TripId b_trip) {
+  return a < b || (a == b && a_trip < b_trip);
+}
 
 /// Immutable per-trip slice of the table: one answer per stop, both as
 /// the predicted arrival time and as pre-encoded response bytes.
@@ -137,6 +142,8 @@ class ArrivalTable {
   void drop(roadnet::TripId trip);
   /// True when a track/drop awaits the next refresh.
   bool dirty() const { return dirty_; }
+  /// The tracked (active) trips on one route, in no particular order.
+  std::vector<roadnet::TripId> trips_on(roadnet::RouteId route) const;
 
   using PositionFn =
       std::function<std::optional<double>(roadnet::TripId)>;

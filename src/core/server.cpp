@@ -221,12 +221,12 @@ std::uint64_t WiLocatorServer::apply_snapshot_body(BinReader& r) {
   return watermark;
 }
 
-void WiLocatorServer::do_checkpoint() const {
+void WiLocatorServer::do_checkpoint() {
   const std::vector<std::byte> body = snapshot_body();
   persist_->write_checkpoint(body, last_event_time_);
 }
 
-void WiLocatorServer::maybe_checkpoint() const {
+void WiLocatorServer::maybe_checkpoint() {
   if (!inline_checkpoints_) return;  // a background checkpointer owns it
   if (persist_ == nullptr || !has_event_) return;
   if (!persist_->should_checkpoint(last_event_time_)) return;
@@ -256,7 +256,7 @@ void WiLocatorServer::commit_prepared(PreparedCheckpoint&& prepared) {
   prepared = {};
 }
 
-void WiLocatorServer::note_event(SimTime t) const {
+void WiLocatorServer::note_event(SimTime t) {
   // Callers are serialized (service lock), so the read-modify-write is
   // race-free; the release store pairs with the acquire load in
   // last_event_time() on the reporter thread.
@@ -273,7 +273,7 @@ void WiLocatorServer::checkpoint() {
   do_checkpoint();
 }
 
-void WiLocatorServer::save_snapshot(const std::string& path) const {
+void WiLocatorServer::save_snapshot(const std::string& path) {
   publish_pending();
   journal::write_snapshot_file(path, StatePersistence::kSnapshotMagic,
                                StatePersistence::kSnapshotVersion,
@@ -389,7 +389,7 @@ void WiLocatorServer::drain() {
   publish_pending();
 }
 
-void WiLocatorServer::publish_pending() const {
+void WiLocatorServer::publish_pending() {
   for (const TravelObservation& obs : engine_->take_ready_observations()) {
     const bool added = store_.add_recent(obs);
     if (obs_published_ != nullptr) obs_published_->inc();
@@ -405,7 +405,7 @@ void WiLocatorServer::publish_pending() const {
     reporter_->maybe_report(last_event_time_);
 }
 
-void WiLocatorServer::maybe_refresh_arrivals() const {
+void WiLocatorServer::maybe_refresh_arrivals() {
   if (!has_event_ || !store_.finalized()) return;
   if (ingest_activity_ == refreshed_activity_ &&
       store_.epoch() == refreshed_epoch_ && !arrival_table_.dirty())
@@ -424,9 +424,9 @@ void WiLocatorServer::maybe_refresh_arrivals() const {
   });
 }
 
-void WiLocatorServer::flush_arrivals() const {
+void WiLocatorServer::flush_arrivals() {
   arrival_refresh_wall_ = -1.0e300;
-  maybe_refresh_arrivals();
+  publish_pending();
 }
 
 void WiLocatorServer::flush_trip(roadnet::TripId trip) {
@@ -452,14 +452,28 @@ std::optional<SimTime> WiLocatorServer::eta(roadnet::TripId trip,
                                             SimTime now) const {
   const auto offset = engine_->position(trip);  // throws on unknown trip
   if (!offset.has_value()) return std::nullopt;
-  publish_pending();
   const roadnet::BusRoute& route =
       *runtime_for(engine_->route_of(trip)).route;
   return predictor_.predict_arrival(route, *offset, now, stop_index);
 }
 
+std::optional<WiLocatorServer::RouteArrival> WiLocatorServer::route_eta(
+    roadnet::RouteId route_id, std::size_t stop_index, SimTime now) const {
+  const roadnet::BusRoute& route = *runtime_for(route_id).route;
+  std::optional<RouteArrival> best;
+  for (const roadnet::TripId trip : arrival_table_.trips_on(route_id)) {
+    const auto offset = engine_->position(trip);
+    if (!offset.has_value()) continue;
+    const SimTime at =
+        predictor_.predict_arrival(route, *offset, now, stop_index);
+    if (!best.has_value() ||
+        arrives_before(at, trip, best->arrival, best->trip))
+      best = RouteArrival{trip, at};
+  }
+  return best;
+}
+
 TrafficMap WiLocatorServer::traffic_map(SimTime now) const {
-  publish_pending();
   return traffic_builder_.build(all_edges_, now);
 }
 

@@ -135,9 +135,27 @@ class WiLocatorServer {
   /// Current route offset of a trip, if tracking has a fix.
   std::optional<double> position(roadnet::TripId trip) const;
 
+  // Queries read learned state as the last mutator published it; they
+  // never publish themselves (in threaded mode, call drain() first to
+  // see every submitted scan).
+
   /// Predicted arrival time at the stop (Eq. 9). nullopt without a fix.
   std::optional<SimTime> eta(roadnet::TripId trip, std::size_t stop_index,
                              SimTime now) const;
+
+  /// A route-level answer: which active trip reaches the stop first.
+  struct RouteArrival {
+    roadnet::TripId trip{};
+    SimTime arrival = 0.0;
+  };
+
+  /// Eq. 9 over every active trip of the route that has a fix, picked
+  /// by arrives_before() — the rule the snapshot's route-best index
+  /// uses. nullopt when no active trip has a fix; throws NotFound on
+  /// an unknown route.
+  std::optional<RouteArrival> route_eta(roadnet::RouteId route,
+                                        std::size_t stop_index,
+                                        SimTime now) const;
 
   /// Traffic map over every edge used by any registered route.
   TrafficMap traffic_map(SimTime now) const;
@@ -146,16 +164,16 @@ class WiLocatorServer {
   /// pre-encoded arrival + traffic-map answers, refreshed by the
   /// control side whenever learned state or positions move. Lock-free
   /// (one atomic load) — safe from any thread, nullptr before the
-  /// first post-finalize refresh or when ServerConfig::arrival is
-  /// disabled.
+  /// first post-finalize refresh.
   std::shared_ptr<const ArrivalSnapshot> arrival_snapshot() const {
     return arrival_table_.snapshot();
   }
 
-  /// Forces any pending arrival refresh through, ignoring the
-  /// coalescing window. The service's checkpoint poll calls this so
-  /// snapshot staleness stays bounded even when ingest goes quiet.
-  void flush_arrivals() const;
+  /// Publishes pending observations and forces any pending arrival
+  /// refresh through, ignoring the coalescing window. The service's
+  /// checkpoint poll calls this so the staleness of both the store and
+  /// the snapshot stays bounded even when ingest goes quiet.
+  void flush_arrivals();
 
   /// Anomaly windows detected on the trip's trajectory so far.
   std::vector<Anomaly> anomalies(roadnet::TripId trip) const;
@@ -242,7 +260,8 @@ class WiLocatorServer {
   /// Serializes the full learned state (store + traffic-map cache) to an
   /// arbitrary snapshot file — works with persistence disabled (e.g. to
   /// ship a warmed-up state to another server).
-  void save_snapshot(const std::string& path) const;
+  /// Publishes pending observations first.
+  void save_snapshot(const std::string& path);
 
   /// Restores state written by save_snapshot / checkpoint. Returns false
   /// when the file is missing; throws DecodeError when it is corrupt.
@@ -285,10 +304,7 @@ class WiLocatorServer {
     publish_pending();
     return store_;
   }
-  const TravelTimeStore& store() const {
-    publish_pending();
-    return store_;
-  }
+  const TravelTimeStore& store() const { return store_; }
   const ArrivalPredictor& predictor() const { return predictor_; }
   const roadnet::BusRoute& route(roadnet::RouteId id) const;
   const IngestEngine& engine() const { return *engine_; }
@@ -306,10 +322,10 @@ class WiLocatorServer {
   const RouteRuntime& runtime_for(roadnet::RouteId route) const;
   /// Moves order-finalized segment observations from the engine into the
   /// recent store (serial submission order). Cheap when nothing is
-  /// pending. const because read-side queries trigger it lazily. This is
-  /// also where journaling and interval checkpoints happen — always on
-  /// the calling (control) thread, never on the engine's shard workers.
-  void publish_pending() const;
+  /// pending. Only mutators call it. This is also where journaling and
+  /// interval checkpoints happen — always on the calling (control)
+  /// thread, never on the engine's shard workers.
+  void publish_pending();
   /// Resolves the prediction-side metric handles (both constructors).
   void init_obs();
   /// Computes the all-routes edge union and hands it to the arrival
@@ -324,14 +340,14 @@ class WiLocatorServer {
   /// Inverse of snapshot_body(); returns the embedded journal watermark.
   std::uint64_t apply_snapshot_body(BinReader& r);
   /// Writes a checkpoint from the current state (persistence enabled).
-  void do_checkpoint() const;
+  void do_checkpoint();
   /// Interval/size-triggered checkpoint; cheap no-op when not due.
-  void maybe_checkpoint() const;
+  void maybe_checkpoint();
   /// Advances the shutdown/reporting clock to the given event time.
-  void note_event(SimTime t) const;
+  void note_event(SimTime t);
   /// Refreshes the materialized arrival table when ingest activity or
   /// the store epoch moved since the last refresh (cheap no-op else).
-  void maybe_refresh_arrivals() const;
+  void maybe_refresh_arrivals();
 
   ServerConfig config_;
   std::unordered_map<roadnet::RouteId, RouteRuntime> routes_;
@@ -340,22 +356,22 @@ class WiLocatorServer {
   obs::Registry registry_;
   obs::Tracer tracer_;
   std::unique_ptr<IngestEngine> engine_;
-  mutable TravelTimeStore store_;
+  TravelTimeStore store_;
   ArrivalPredictor predictor_;
   TrafficMapBuilder traffic_builder_;
-  mutable ArrivalTable arrival_table_;
+  ArrivalTable arrival_table_;
   /// Union of every registered route's edges, sorted + deduped once
   /// (the traffic-map domain; routes are fixed at construction).
   std::vector<roadnet::EdgeId> all_edges_;
   /// Bumped by every ingest-side call that can move a position, so
   /// maybe_refresh_arrivals() skips the per-trip position poll when
   /// nothing could have changed.
-  mutable std::uint64_t ingest_activity_ = 0;
-  mutable std::uint64_t refreshed_activity_ = ~0ull;
-  mutable std::uint64_t refreshed_epoch_ = ~0ull;
+  std::uint64_t ingest_activity_ = 0;
+  std::uint64_t refreshed_activity_ = ~0ull;
+  std::uint64_t refreshed_epoch_ = ~0ull;
   /// Wall time of the last arrival refresh; gates the coalescing
   /// window (ArrivalTableParams::min_refresh_wall_s).
-  mutable double arrival_refresh_wall_ = -1.0e300;
+  double arrival_refresh_wall_ = -1.0e300;
   std::unique_ptr<StatePersistence> persist_;  ///< nullptr when disabled
   /// Exact identities of loaded history observations (cleared at
   /// finalize; rebuilt from raw history on restore).
@@ -367,8 +383,8 @@ class WiLocatorServer {
   // Written only by note_event() (callers already serialized by the
   // service lock); read lock-free by the reporter thread through
   // last_event_time(), hence atomic.
-  mutable std::atomic<SimTime> last_event_time_{0.0};
-  mutable std::atomic<bool> has_event_{false};
+  std::atomic<SimTime> last_event_time_{0.0};
+  std::atomic<bool> has_event_{false};
   obs::Counter* obs_published_ = nullptr;  ///< server.observations_published
   obs::Counter* history_dups_ = nullptr;   ///< server.history_duplicates
   obs::Counter* repl_applied_ = nullptr;   ///< server.replicated_applied

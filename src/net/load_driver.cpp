@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "net/http_client.hpp"
-#include "net/json.hpp"
 #include "util/contracts.hpp"
 
 namespace wiloc::net {
@@ -47,7 +46,6 @@ struct ConnResult {
   std::size_t deadline_504 = 0;
   std::size_t timeouts_408 = 0;
   std::size_t transport_errors = 0;
-  std::size_t degraded_reads = 0;
   std::size_t cache_hits = 0;
   std::size_t retries = 0;
   std::size_t good_responses = 0;
@@ -99,79 +97,6 @@ double LoadReport::arrival_miss_quantile_us(double q) const {
 
 double LoadReport::shed_quantile_us(double q) const {
   return sorted_quantile(shed_latency_us, q);
-}
-
-std::string encode_scan_batch(std::span<const core::ScanSubmission> batch) {
-  std::ostringstream out;
-  out << "{\"scans\":[";
-  bool first_scan = true;
-  for (const core::ScanSubmission& sub : batch) {
-    if (!first_scan) out << ',';
-    first_scan = false;
-    out << "{\"trip\":" << sub.trip.value() << ",\"t\":" << fmt(sub.scan.time)
-        << ",\"readings\":[";
-    bool first_reading = true;
-    for (const rf::ApReading& r : sub.scan.readings) {
-      if (!first_reading) out << ',';
-      first_reading = false;
-      out << '[' << r.ap.value() << ',' << fmt(r.rssi_dbm) << ']';
-    }
-    out << "]}";
-  }
-  out << "]}";
-  return out.str();
-}
-
-std::optional<std::vector<core::ScanSubmission>> decode_scan_batch(
-    const std::string& body, std::string* error) {
-  const auto fail = [error](std::string message)
-      -> std::optional<std::vector<core::ScanSubmission>> {
-    if (error != nullptr) *error = std::move(message);
-    return std::nullopt;
-  };
-  std::string parse_error;
-  const auto doc = parse_json(body, &parse_error);
-  if (!doc.has_value()) return fail("bad JSON: " + parse_error);
-  const JsonValue* scans = doc->get("scans");
-  const std::vector<JsonValue>* items =
-      scans != nullptr ? scans->as_array() : nullptr;
-  if (items == nullptr) return fail("missing \"scans\" array");
-
-  std::vector<core::ScanSubmission> batch;
-  batch.reserve(items->size());
-  for (const JsonValue& item : *items) {
-    const auto trip = item.get_number("trip");
-    const auto t = item.get_number("t");
-    const JsonValue* readings = item.get("readings");
-    const std::vector<JsonValue>* pairs =
-        readings != nullptr ? readings->as_array() : nullptr;
-    if (!trip.has_value() || !t.has_value() || pairs == nullptr)
-      return fail("scan needs trip, t and readings");
-    rf::WifiScan scan;
-    scan.time = *t;
-    scan.readings.reserve(pairs->size());
-    for (const JsonValue& pair : *pairs) {
-      const std::vector<JsonValue>* rd = pair.as_array();
-      if (rd == nullptr || rd->size() != 2)
-        return fail("reading must be [ap, rssi_dbm]");
-      const auto ap = (*rd)[0].as_number();
-      const auto rssi = (*rd)[1].as_number();
-      if (!ap.has_value() || !rssi.has_value())
-        return fail("reading must be [ap, rssi_dbm]");
-      scan.readings.push_back(
-          {rf::ApId(static_cast<std::uint32_t>(*ap)), *rssi});
-    }
-    // Normalize to the WifiScan invariant (strongest first, AP id
-    // tie-break) — clients need not pre-sort.
-    std::sort(scan.readings.begin(), scan.readings.end(),
-              [](const rf::ApReading& a, const rf::ApReading& b) {
-                if (a.rssi_dbm != b.rssi_dbm) return a.rssi_dbm > b.rssi_dbm;
-                return a.ap < b.ap;
-              });
-    batch.push_back({roadnet::TripId(static_cast<std::uint32_t>(*trip)),
-                     std::move(scan)});
-  }
-  return batch;
 }
 
 HttpLoadDriver::HttpLoadDriver(LoadDriverOptions options)
@@ -259,7 +184,6 @@ LoadReport HttpLoadDriver::run(std::span<const core::ScanSubmission> stream,
                                   std::chrono::steady_clock::now() - q0)
                                   .count();
             r.arrival_us.push_back(us);
-            if (arrival.headers.count("X-Degraded") != 0) ++r.degraded_reads;
             const bool hit = arrival.headers.count("X-Cache") != 0;
             if (hit) {
               ++r.cache_hits;
@@ -309,7 +233,6 @@ LoadReport HttpLoadDriver::run(std::span<const core::ScanSubmission> stream,
     report.deadline_504 += r.deadline_504;
     report.timeouts_408 += r.timeouts_408;
     report.transport_errors += r.transport_errors;
-    report.degraded_reads += r.degraded_reads;
     report.arrival_cache_hits += r.cache_hits;
     report.retries += r.retries;
     report.good_responses += r.good_responses;

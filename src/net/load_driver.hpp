@@ -18,6 +18,7 @@
 
 #include "core/ingest_engine.hpp"
 #include "net/http_client.hpp"
+#include "net/scan_codec.hpp"
 
 namespace wiloc::net {
 
@@ -64,7 +65,6 @@ struct LoadReport {
   std::size_t deadline_504 = 0;
   std::size_t timeouts_408 = 0;
   std::size_t transport_errors = 0;  ///< thrown wiloc::Error (torn/timed out)
-  std::size_t degraded_reads = 0;    ///< 200s served stale (X-Degraded)
   std::size_t arrival_cache_hits = 0;  ///< 200s from the snapshot path
   std::size_t retries = 0;           ///< client retry ladder activations
   std::size_t good_responses = 0;    ///< 200s + 404 probe misses
@@ -100,16 +100,5 @@ class HttpLoadDriver {
  private:
   LoadDriverOptions options_;
 };
-
-/// Renders one POST /v1/scans body for a slice of submissions.
-std::string encode_scan_batch(std::span<const core::ScanSubmission> batch);
-
-/// Inverse of encode_scan_batch: parses a POST /v1/scans body.
-/// Readings are normalized to the WifiScan invariant (strongest first).
-/// Returns nullopt and sets `error` on malformed input — the shared
-/// codec for WiLocatorService ingest and the cluster router's
-/// split-by-owner re-encoding.
-std::optional<std::vector<core::ScanSubmission>> decode_scan_batch(
-    const std::string& body, std::string* error);
 
 }  // namespace wiloc::net

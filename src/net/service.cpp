@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "net/json.hpp"
-#include "net/load_driver.hpp"
+#include "net/scan_codec.hpp"
 #include "util/binio.hpp"
 #include "util/contracts.hpp"
 #include "util/journal.hpp"
@@ -38,15 +35,20 @@ HttpResponse method_not_allowed(std::string_view allow) {
 /// reason in the body, so clients can tell backoff-able overload from
 /// real failure.
 HttpResponse unavailable_json(std::string_view message,
-                              std::string_view reason,
-                              double retry_after_s = 1.0) {
+                              std::string_view reason) {
   std::ostringstream out;
   out << "{\"error\":" << json_quote(message) << ",\"reason\":\"" << reason
       << "\"}";
   HttpResponse r = HttpResponse::json(503, out.str());
-  r.headers["Retry-After"] = std::to_string(
-      static_cast<long>(std::ceil(std::max(retry_after_s, 0.0))));
+  r.headers["Retry-After"] = "1";
   return r;
+}
+
+/// Forced degraded mode: a read the snapshot could not answer is shed
+/// rather than computed.
+HttpResponse shed_degraded() {
+  return unavailable_json("degraded mode: no snapshot answer for this query",
+                          "forced_degraded");
 }
 
 }  // namespace
@@ -62,12 +64,9 @@ WiLocatorService::WiLocatorService(core::WiLocatorServer& server,
   arrivals_served_ = &registry.counter("service.arrivals_served");
   checkpoint_commits_ = &registry.counter("service.checkpoints_committed");
   checkpoint_failures_ = &registry.counter("service.checkpoint_failures");
-  degraded_reads_ = &registry.counter("http.degraded_reads");
-  degraded_misses_ = &registry.counter("http.degraded_read_misses");
   cache_hits_ = &registry.counter("arrival_cache.hits");
   cache_misses_ = &registry.counter("arrival_cache.misses");
   read_slow_path_ = &registry.counter("http.read_slow_path");
-  degraded_evictions_ = &registry.counter("http.degraded_cache_evictions");
   repl_pages_served_ = &registry.counter("service.repl_pages_served");
   repl_records_served_ = &registry.counter("service.repl_records_served");
   ready_gauge_ = &registry.gauge("service.ready");
@@ -87,7 +86,7 @@ void WiLocatorService::start() {
       options_.http);
   http_->start();
 
-  if (options_.background_checkpoints && server_.persistence() != nullptr) {
+  if (server_.persistence() != nullptr) {
     server_.set_inline_checkpoints(false);
     checkpointer_ = std::thread([this] { checkpoint_loop(); });
   }
@@ -104,7 +103,7 @@ void WiLocatorService::stop() noexcept {
   // drain below.
   if (http_ != nullptr) http_->stop();
   try {
-    std::lock_guard<std::timed_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     server_.drain();
     server_.set_inline_checkpoints(true);
     const core::StatePersistence* persist = server_.persistence();
@@ -133,9 +132,11 @@ void WiLocatorService::checkpoint_loop() {
       // Prepare shares the handler mutex but is cheap: serialize state
       // in memory + rename the journal. The snapshot write below runs
       // off-lock, concurrent with ingest.
-      std::lock_guard<std::timed_mutex> lock(mu_);
-      // Publish any refresh the coalescing window deferred: when
-      // ingest goes quiet the snapshot still converges within a poll.
+      std::lock_guard<std::mutex> lock(mu_);
+      // Publish the observations the engine finished since the last
+      // ingest call, and any refresh the coalescing window deferred:
+      // when ingest goes quiet, store and snapshot converge within a
+      // poll (queries never publish).
       server_.flush_arrivals();
       if (server_.checkpoint_due()) prepared = server_.prepare_checkpoint();
     }
@@ -191,7 +192,7 @@ HttpResponse WiLocatorService::handle_scans(const HttpRequest& request) {
 
   core::BatchIngestResult result;
   {
-    std::lock_guard<std::timed_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     result = server_.ingest_batch(*batch);
   }
   if (scans_posted_ != nullptr) scans_posted_->inc(result.submitted);
@@ -215,11 +216,10 @@ HttpResponse WiLocatorService::handle_trips(const HttpRequest& request) {
   const bool ending =
       end != nullptr && end->as_bool().has_value() && *end->as_bool();
   std::ostringstream out;
-  std::lock_guard<std::timed_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (ending) {
     if (!server_.has_trip(trip)) return error_json(404, "unknown trip");
     server_.end_trip(trip);
-    trips_.erase(trip);
     out << "{\"trip\":" << trip.value() << ",\"active\":false}";
     return HttpResponse::json(200, out.str());
   }
@@ -229,7 +229,6 @@ HttpResponse WiLocatorService::handle_trips(const HttpRequest& request) {
   const roadnet::RouteId route(static_cast<std::uint32_t>(*route_num));
   if (server_.has_trip(trip)) return error_json(409, "trip already active");
   server_.begin_trip(trip, route);  // throws NotFound on unknown route
-  trips_[trip] = route;
   out << "{\"trip\":" << trip.value() << ",\"route\":" << route.value()
       << ",\"active\":true}";
   return HttpResponse::json(200, out.str());
@@ -246,20 +245,17 @@ HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
   if (!trip_num.has_value() && !route_num.has_value())
     return error_json(400, "need \"trip\" or \"route\"");
 
-  // Zero-lock fast path: the materialized snapshot, consulted before
-  // the degraded ladder (a fresh pre-encoded answer beats a stale one).
+  // Zero-lock fast path: the materialized snapshot.
   const bool pinned_now = request.param("now").has_value();
   if (auto fast = arrival_from_snapshot(trip_num, route_num, stop,
                                         pinned_now))
     return *std::move(fast);
   if (!pinned_now && read_slow_path_ != nullptr) read_slow_path_->inc();
-
   if (forced_degraded_.load(std::memory_order_acquire))
-    return degraded_read(request, "forced_degraded");
-  auto lock = try_read_lock();
-  if (!lock.owns_lock()) return degraded_read(request, "engine_saturated");
-  const double now = request.param_num("now").value_or(default_now());
+    return shed_degraded();
 
+  std::unique_lock<std::mutex> lock(mu_);
+  const double now = request.param_num("now").value_or(default_now());
   roadnet::TripId trip{};
   std::optional<SimTime> arrival;
   if (trip_num.has_value()) {
@@ -268,29 +264,19 @@ HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
     arrival = server_.eta(trip, stop, now);
     if (!arrival.has_value()) return error_json(404, "no position fix yet");
   } else {
-    // Route-level query (the rider-facing form): the soonest predicted
-    // arrival at the stop among the route's active trips.
-    const roadnet::RouteId route(static_cast<std::uint32_t>(*route_num));
-    server_.route(route);  // throws NotFound on unknown route
-    for (const auto& [candidate, candidate_route] : trips_) {
-      if (candidate_route != route) continue;
-      const auto eta = server_.eta(candidate, stop, now);
-      if (!eta.has_value() || *eta < now) continue;
-      if (!arrival.has_value() || *eta < *arrival) {
-        arrival = eta;
-        trip = candidate;
-      }
-    }
-    if (!arrival.has_value())
+    // Route-level query (the rider-facing form): throws NotFound on an
+    // unknown route.
+    const auto best = server_.route_eta(
+        roadnet::RouteId(static_cast<std::uint32_t>(*route_num)), stop, now);
+    if (!best.has_value())
       return error_json(404, "no active trip with a fix on this route");
+    trip = best->trip;
+    arrival = best->arrival;
   }
-
   lock.unlock();
   if (arrivals_served_ != nullptr) arrivals_served_->inc();
-  const std::string body = core::encode_arrival_json(trip, stop, now,
-                                                     *arrival);
-  remember_good(request, body);
-  return HttpResponse::json(200, body);
+  return HttpResponse::json(
+      200, core::encode_arrival_json(trip, stop, now, *arrival));
 }
 
 HttpResponse WiLocatorService::snapshot_reply(const std::string& body,
@@ -298,7 +284,7 @@ HttpResponse WiLocatorService::snapshot_reply(const std::string& body,
                                               double built_wall_s) {
   if (cache_hits_ != nullptr) cache_hits_->inc();
   if (snapshot_age_ != nullptr)
-    snapshot_age_->set(std::max(0.0, wall_s() - built_wall_s));
+    snapshot_age_->set(std::max(0.0, core::wall_clock_s() - built_wall_s));
   HttpResponse r = HttpResponse::json(200, body);
   r.headers["X-Cache"] = "hit";
   r.headers["X-Epoch"] = std::to_string(epoch);
@@ -345,7 +331,7 @@ HttpResponse WiLocatorService::handle_position(const HttpRequest& request) {
   const auto trip_num = request.param_num("trip");
   if (!trip_num.has_value()) return error_json(400, "missing \"trip\"");
   const roadnet::TripId trip(static_cast<std::uint32_t>(*trip_num));
-  std::lock_guard<std::timed_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (!server_.has_trip(trip)) return error_json(404, "unknown trip");
   const auto offset = server_.position(trip);
   if (!offset.has_value()) return error_json(404, "no position fix yet");
@@ -360,17 +346,14 @@ HttpResponse WiLocatorService::handle_traffic_map(const HttpRequest& request) {
   const bool pinned_now = request.param("now").has_value();
   if (auto fast = traffic_from_snapshot(pinned_now)) return *std::move(fast);
   if (!pinned_now && read_slow_path_ != nullptr) read_slow_path_->inc();
+  if (forced_degraded_.load(std::memory_order_acquire))
+    return shed_degraded();
   core::TrafficMap map;
   {
-    if (forced_degraded_.load(std::memory_order_acquire))
-      return degraded_read(request, "forced_degraded");
-    auto lock = try_read_lock();
-    if (!lock.owns_lock()) return degraded_read(request, "engine_saturated");
+    std::lock_guard<std::mutex> lock(mu_);
     map = server_.traffic_map(request.param_num("now").value_or(default_now()));
   }
-  const std::string body = core::encode_traffic_map_json(map);
-  remember_good(request, body);
-  return HttpResponse::json(200, body);
+  return HttpResponse::json(200, core::encode_traffic_map_json(map));
 }
 
 HttpResponse WiLocatorService::handle_metrics(const HttpRequest& request) {
@@ -408,7 +391,7 @@ HttpResponse WiLocatorService::handle_replication(const HttpRequest& request) {
     // Under the service mutex: serializes the file reads against
     // seal_journal() on the checkpoint prepare path (commit runs
     // off-lock but only ever *removes* a fully-snapshot-covered file).
-    std::lock_guard<std::timed_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     tail = persist->tail_segments(after, max_bytes);
     head_seq = persist->last_seq();
   }
@@ -434,7 +417,7 @@ HttpResponse WiLocatorService::handle_replication(const HttpRequest& request) {
 WiLocatorService::ReplicationApply WiLocatorService::apply_replication_frames(
     std::span<const std::byte> frames) {
   ReplicationApply result;
-  std::lock_guard<std::timed_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   journal::scan_frames(frames, [&](std::span<const std::byte> payload) {
     try {
       BinReader r(payload);
@@ -466,9 +449,7 @@ HttpResponse WiLocatorService::handle_readyz() const {
   std::ostringstream out;
   out << "{\"ready\":" << (up ? "true" : "false")
       << ",\"recovered\":" << (server_.recovered() ? "true" : "false")
-      << ",\"degraded\":" << (degraded() ? "true" : "false")
-      << ",\"degraded_reads\":"
-      << (degraded_reads_ != nullptr ? degraded_reads_->value() : 0);
+      << ",\"degraded\":" << (degraded() ? "true" : "false");
   {
     // Per-peer replication lag (cluster mode): orchestrators gate
     // traffic on convergence — records behind + seconds since caught up.
@@ -497,80 +478,6 @@ HttpResponse WiLocatorService::handle_readyz() const {
   out << "}";
   HttpResponse r = HttpResponse::json(up ? 200 : 503, out.str());
   if (!up) r.headers["Retry-After"] = "1";
-  return r;
-}
-
-std::unique_lock<std::timed_mutex> WiLocatorService::try_read_lock() {
-  std::unique_lock<std::timed_mutex> lock(mu_, std::defer_lock);
-  const double wait_s = options_.degraded_lock_wait_s;
-  if (wait_s <= 0.0) {
-    lock.lock();  // degraded reads disabled: block like a write
-    return lock;
-  }
-  if (!lock.try_lock())
-    (void)lock.try_lock_for(std::chrono::duration<double>(wait_s));
-  return lock;
-}
-
-double WiLocatorService::wall_s() const {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void WiLocatorService::remember_good(const HttpRequest& request,
-                                     const std::string& body) {
-  recently_degraded_.store(false, std::memory_order_release);
-  if (degraded_gauge_ != nullptr)
-    degraded_gauge_->set(degraded() ? 1.0 : 0.0);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  const auto it = read_cache_.find(request.target);
-  if (it != read_cache_.end()) {
-    it->second.body = body;
-    it->second.at_wall_s = wall_s();
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return;
-  }
-  const std::size_t cap = std::max<std::size_t>(1, options_.read_cache_entries);
-  while (read_cache_.size() >= cap) {
-    read_cache_.erase(lru_.back());
-    lru_.pop_back();
-    if (degraded_evictions_ != nullptr) degraded_evictions_->inc();
-  }
-  lru_.push_front(request.target);
-  read_cache_[request.target] = {body, wall_s(), lru_.begin()};
-}
-
-HttpResponse WiLocatorService::degraded_read(const HttpRequest& request,
-                                             std::string_view reason) {
-  recently_degraded_.store(true, std::memory_order_release);
-  if (degraded_gauge_ != nullptr) degraded_gauge_->set(1.0);
-  std::optional<std::pair<std::string, double>> cached;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    const auto it = read_cache_.find(request.target);
-    if (it != read_cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru);  // touch
-      cached = {it->second.body, it->second.at_wall_s};
-    }
-  }
-  if (!cached.has_value()) {
-    if (degraded_misses_ != nullptr) degraded_misses_->inc();
-    return unavailable_json("overloaded and no cached reply for this query",
-                            reason);
-  }
-  if (degraded_reads_ != nullptr) degraded_reads_->inc();
-  // Splice the staleness contract into the cached JSON object: the
-  // rider still gets an answer, tagged with how old it is and why.
-  std::string body = cached->first;
-  const std::size_t brace = body.rfind('}');
-  std::ostringstream tag;
-  tag << ",\"stale\":true,\"stale_age_s\":"
-      << num(std::max(0.0, wall_s() - cached->second)) << ",\"reason\":\""
-      << reason << "\"";
-  if (brace != std::string::npos) body.insert(brace, tag.str());
-  HttpResponse r = HttpResponse::json(200, std::move(body));
-  r.headers["X-Degraded"] = "stale";
   return r;
 }
 

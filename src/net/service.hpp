@@ -13,23 +13,19 @@
 //   GET  /healthz         liveness (process is serving)
 //   GET  /readyz          readiness (recovery replayed + warmup done)
 //
-// Rider read path (DESIGN.md §13): GET /v1/arrival and /v1/traffic-map
-// without an explicit `now` are served straight from the server's
-// materialized ArrivalSnapshot — pre-encoded bytes behind one atomic
-// load, zero mutex acquisitions (X-Cache: hit, X-Epoch: store epoch).
-// Requests that pin `now`, or that the snapshot cannot answer, take
-// the locked slow path (http.read_slow_path counts them).
-//
-// Degraded reads (DESIGN.md §12): every successful slow-path
-// /v1/arrival and /v1/traffic-map response is cached as the last-good
-// answer for its exact query (bounded LRU; oldest evicted). When the
-// learned-state lock cannot be acquired within a small budget (a
-// saturated or wedged writer), when the service is draining, or when
-// an operator forced degraded mode, reads consult the epoch snapshot
-// first (fresh, lock-free) and only then that last-good body — tagged
-// "stale":true with its age — instead of blocking the event loop.
-// Cache misses shed with 503 + Retry-After. /readyz reports the
-// degraded state so orchestration can see it.
+// Rider read path (DESIGN.md §12-13), one source per step:
+//   1. snapshot: GET /v1/arrival and /v1/traffic-map without an
+//      explicit `now` are served straight from the server's
+//      materialized ArrivalSnapshot — pre-encoded bytes behind one
+//      atomic load, zero mutex acquisitions (X-Cache: hit, X-Epoch).
+//   2. slow path: requests that pin `now`, or that the snapshot cannot
+//      answer, compute under the service mutex (http.read_slow_path
+//      counts the unpinned ones). Overload never reaches it: the HTTP
+//      front end's admission control sheds first.
+//   3. 503 + Retry-After: while an operator forces degraded mode, a
+//      read the snapshot cannot answer is shed (reason
+//      "forced_degraded") instead of touching learned state. /readyz
+//      reports the forced flag as "degraded".
 //
 // Threading (see DESIGN.md §11): the epoll loop thread is the
 // WiLocatorServer control thread; every handler that touches learned
@@ -44,14 +40,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/server.hpp"
@@ -76,23 +70,13 @@ struct ServiceOptions {
   HttpServerOptions http;
   /// Wall-clock cadence at which the checkpoint thread polls
   /// checkpoint_due() (the actual snapshot interval stays sim-time
-  /// driven by PersistenceConfig).
+  /// driven by PersistenceConfig). The thread runs whenever the server
+  /// has persistence; inline control-thread checkpoints are suppressed
+  /// while the service runs.
   double checkpoint_poll_s = 0.25;
-  /// Move checkpoint writes to the background thread (on by default
-  /// when the server has persistence; inline control-thread
-  /// checkpoints are suppressed while the service runs).
-  bool background_checkpoints = true;
   /// Flushed (final) during stop(), after the engine drain — e.g. the
   /// NDJSON obs::Reporter of the serve binary. May be null.
   obs::Reporter* reporter = nullptr;
-  /// How long a read handler waits for the learned-state lock before
-  /// falling back to the degraded (last-good cached) path. 0 disables
-  /// degraded reads: reads then block like writes do.
-  double degraded_lock_wait_s = 0.05;
-  /// Capacity of the last-good read LRU (keys are full request
-  /// targets); the least-recently-used entry is evicted beyond it
-  /// (http.degraded_cache_evictions counts evictions). Minimum 1.
-  std::size_t read_cache_entries = 4096;
   /// Page-size cap for GET /v1/replication/segments responses; a
   /// client-requested max_bytes is clamped to this.
   std::size_t replication_page_bytes = 1u << 20;
@@ -124,17 +108,14 @@ class WiLocatorService {
   }
   bool ready() const { return ready_.load(std::memory_order_acquire); }
 
-  /// Forces (or lifts) degraded-read mode: reads serve last-good cached
-  /// responses without touching the engine. Also entered automatically
-  /// while the learned-state lock is saturated and during drain.
+  /// Forces (or lifts) degraded-read mode: reads the snapshot cannot
+  /// answer are shed with 503 instead of touching learned state.
   void set_degraded(bool degraded = true) {
     forced_degraded_.store(degraded, std::memory_order_release);
+    if (degraded_gauge_ != nullptr) degraded_gauge_->set(degraded ? 1.0 : 0.0);
   }
-  /// True when the last read was served stale or degraded mode is
-  /// forced; cleared by the next fresh read.
   bool degraded() const {
-    return forced_degraded_.load(std::memory_order_acquire) ||
-           recently_degraded_.load(std::memory_order_acquire);
+    return forced_degraded_.load(std::memory_order_acquire);
   }
 
   std::uint16_t port() const {
@@ -207,28 +188,14 @@ class WiLocatorService {
   HttpResponse snapshot_reply(const std::string& body, std::uint64_t epoch,
                               double built_wall_s);
 
-  /// A read handler's lock attempt: acquired within the degraded-read
-  /// budget, or not (=> serve stale / shed).
-  std::unique_lock<std::timed_mutex> try_read_lock();
-  /// Serve the last-good cached body for this target (tagged stale), or
-  /// shed with 503 + Retry-After when there is none.
-  HttpResponse degraded_read(const HttpRequest& request,
-                             std::string_view reason);
-  void remember_good(const HttpRequest& request, const std::string& body);
-  double wall_s() const;
 
   core::WiLocatorServer& server_;
   ServiceOptions options_;
   std::unique_ptr<HttpServer> http_;
 
   /// Serializes every WiLocatorServer control-thread operation: HTTP
-  /// handlers (epoll thread) and the checkpoint prepare phase. Timed so
-  /// read handlers can bound how long they block behind a saturated
-  /// writer before degrading.
-  std::timed_mutex mu_;
-  /// Active trips begun through the API (for route-level arrival
-  /// queries). Guarded by mu_.
-  std::unordered_map<roadnet::TripId, roadnet::RouteId> trips_;
+  /// handlers (epoll thread) and the checkpoint prepare phase.
+  std::mutex mu_;
 
   /// Guards lag_provider_ (set once by the tailer, read per /readyz).
   mutable std::mutex lag_mu_;
@@ -237,19 +204,7 @@ class WiLocatorService {
   std::atomic<bool> ready_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> forced_degraded_{false};
-  std::atomic<bool> recently_degraded_{false};
   bool started_ = false;
-
-  /// Last-good read cache: full request target -> freshest 200 body,
-  /// LRU-bounded at ServiceOptions::read_cache_entries.
-  struct CachedReply {
-    std::string body;
-    double at_wall_s = 0.0;
-    std::list<std::string>::iterator lru;  ///< position in lru_
-  };
-  mutable std::mutex cache_mu_;
-  std::list<std::string> lru_;  ///< most-recently-used at the front
-  std::unordered_map<std::string, CachedReply> read_cache_;
 
   std::thread checkpointer_;
   std::mutex cv_mu_;
@@ -260,12 +215,9 @@ class WiLocatorService {
   obs::Counter* arrivals_served_ = nullptr;  ///< service.arrivals_served
   obs::Counter* checkpoint_commits_ = nullptr;
   obs::Counter* checkpoint_failures_ = nullptr;
-  obs::Counter* degraded_reads_ = nullptr;   ///< http.degraded_reads
-  obs::Counter* degraded_misses_ = nullptr;  ///< http.degraded_read_misses
   obs::Counter* cache_hits_ = nullptr;       ///< arrival_cache.hits
   obs::Counter* cache_misses_ = nullptr;     ///< arrival_cache.misses
   obs::Counter* read_slow_path_ = nullptr;   ///< http.read_slow_path
-  obs::Counter* degraded_evictions_ = nullptr;
   obs::Counter* repl_pages_served_ = nullptr;  ///< service.repl_pages_served
   obs::Counter* repl_records_served_ = nullptr;
   obs::Gauge* ready_gauge_ = nullptr;     ///< service.ready

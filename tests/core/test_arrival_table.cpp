@@ -258,16 +258,5 @@ TEST(ArrivalTable, WrappedSlotCoversCrossMidnightInvalidation) {
   EXPECT_GT(a2->arrival.back() - a2->now, a1->arrival.back() - a1->now);
 }
 
-TEST(ArrivalTable, DisabledTableNeverPublishes) {
-  TableFixture f;
-  ArrivalTableParams params;
-  params.enabled = false;
-  ArrivalTable off(f.store, *f.predictor, *f.traffic, params);
-  off.track(TripId(1), &f.city.route_a());
-  f.offsets[1] = 300.0;
-  off.refresh(at_day_time(3, hms(9)), f.position_fn());
-  EXPECT_EQ(off.snapshot(), nullptr);
-}
-
 }  // namespace
 }  // namespace wiloc::core

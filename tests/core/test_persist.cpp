@@ -431,6 +431,9 @@ TEST(ServerPersist, TrafficMapCacheSurvivesRestart) {
     auto server = f.make_server(f.config_with(tmp.path()));
     for (const auto& o : f.training_set(1)) server->load_history(o);
     server->finalize_history();
+    // Publish first: queries never publish, and a later refresh would
+    // rebuild the cached map at the event clock instead of `when`.
+    server->flush_arrivals();
     server->traffic_map(when);  // populates the cache
     server->checkpoint();
   }

@@ -1,13 +1,16 @@
 // The lock-free rider read path over HTTP (DESIGN.md §13): snapshot
 // fast-path hits with X-Cache/X-Epoch, byte parity with the pinned-now
-// slow path, epoch advancement as ingest changes remaining segments,
-// degraded-mode precedence (fresh snapshot before last-good bodies),
-// the bounded last-good LRU, and the zero-lock guarantee under a
-// concurrent ingest + read load (runs under TSan in CI via the Http*
-// regex).
+// slow path (trip- and route-level), epoch advancement as ingest
+// changes remaining segments, forced degraded mode (snapshot hit or
+// 503), route-level reads of trips begun on the server directly, and
+// the zero-lock guarantee under a concurrent ingest + read load (runs
+// under TSan in CI via the Http* regex).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +60,8 @@ struct ReadPathFixture {
     server.finalize_history();
   }
 
+  /// Scan reports of one sensed route-A trip departing at `day_time`
+  /// on day 5.
   std::vector<sim::ScanReport> live_reports(TripId id, double day_time) {
     Rng rng(77);
     const auto trip =
@@ -133,7 +138,6 @@ TEST(HttpReadPath, SnapshotServesRiderReadsWithoutLocks) {
   const auto snap = f.server.metrics_snapshot();
   EXPECT_GE(snap.counter("arrival_cache.hits"), 3u);
   EXPECT_EQ(snap.counter("http.read_slow_path"), 0u);
-  EXPECT_EQ(snap.counter("http.degraded_reads"), 0u);
   EXPECT_GE(snap.counter("arrival_cache.rebuilds"), 1u);
 }
 
@@ -141,12 +145,30 @@ TEST(HttpReadPath, PinnedNowSlowPathMatchesSnapshotBytes) {
   ReadPathFixture f;
   f.train();
   WiLocatorService service(f.server);
-  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
-                            .body = R"({"trip":5,"route":0})"})
-                .status,
-            200);
-  const auto reports = f.live_reports(TripId(5), hms(9));
-  post_scans(service, reports, 0, reports.size());
+  for (const char* body :
+       {R"({"trip":5,"route":0})", R"({"trip":6,"route":0})"})
+    ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                              .body = body})
+                  .status,
+              200);
+  // Trip 6 departs first, so it runs ahead of trip 5: stops both have
+  // passed tie at `now` (the lower id wins), the rest go to trip 6.
+  auto reports = f.live_reports(TripId(6), hms(9));
+  const auto behind = f.live_reports(TripId(5), hms(9) + 300.0);
+  ASSERT_FALSE(reports.empty());
+  ASSERT_FALSE(behind.empty());
+  ASSERT_LT(behind.front().scan.time, reports.back().scan.time);
+  const double cut = (behind.front().scan.time + reports.back().scan.time) / 2;
+  reports.insert(reports.end(), behind.begin(), behind.end());
+  std::stable_sort(reports.begin(), reports.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.scan.time < b.scan.time;
+                   });
+  std::size_t last = 0;
+  while (last < reports.size() && reports[last].scan.time <= cut) ++last;
+  // Both buses are en route at the cut and the final batch moves both,
+  // so the last refresh computed both trips' entries at one `now`.
+  post_scans(service, reports, 0, last);
 
   const HttpResponse hit = service.handle(arrival_get("trip", "5", "3"));
   ASSERT_EQ(hit.status, 200) << hit.body;
@@ -164,8 +186,55 @@ TEST(HttpReadPath, PinnedNowSlowPathMatchesSnapshotBytes) {
   ASSERT_EQ(slow.status, 200) << slow.body;
   EXPECT_EQ(slow.headers.count("X-Cache"), 0u);
   EXPECT_EQ(slow.body, hit.body);
+
+  // Route level: the slow path picks the same trip as the snapshot's
+  // route-best index, stop by stop, ties included.
+  const auto snap = f.server.arrival_snapshot();
+  ASSERT_NE(snap, nullptr);
+  const core::TripArrivals* ahead = snap->find(TripId(6));
+  const core::TripArrivals* trailing = snap->find(TripId(5));
+  ASSERT_NE(ahead, nullptr);
+  ASSERT_NE(trailing, nullptr);
+  ASSERT_EQ(ahead->now, trailing->now);
+  ASSERT_GT(ahead->offset, trailing->offset);
+  char snap_now[32];
+  std::snprintf(snap_now, sizeof(snap_now), "%.17g", ahead->now);
+  std::set<std::uint32_t> winners;
+  for (std::size_t stop = 0; stop < ahead->body.size(); ++stop) {
+    const core::TripArrivals* best = snap->best(roadnet::RouteId(0), stop);
+    ASSERT_NE(best, nullptr);
+    winners.insert(best->trip.value());
+    HttpRequest by_route = arrival_get("route", "0", std::to_string(stop));
+    by_route.query["now"] = snap_now;
+    const HttpResponse route_slow = service.handle(by_route);
+    ASSERT_EQ(route_slow.status, 200) << route_slow.body;
+    EXPECT_EQ(route_slow.body, best->body[stop]) << "stop " << stop;
+  }
+  EXPECT_EQ(winners, (std::set<std::uint32_t>{5, 6}));
   // A pinned `now` is a computation request, not a slow-path miss.
   EXPECT_EQ(f.server.metrics_snapshot().counter("http.read_slow_path"), 0u);
+}
+
+// A trip begun on the server before any service exists (as embedding
+// code and benches do) is still an active trip for route-level reads:
+// the service keeps no trip registry of its own.
+TEST(HttpReadPath, RouteLevelSlowPathSeesTripsBegunOnServer) {
+  ReadPathFixture f;
+  f.train();
+  f.server.begin_trip(TripId(5), roadnet::RouteId(0));
+  const auto reports = f.live_reports(TripId(5), hms(9));
+  ASSERT_FALSE(reports.empty());
+  WiLocatorService service(f.server);
+  post_scans(service, reports, 0, reports.size() / 2);
+
+  HttpRequest pinned = arrival_get("route", "0", "3");
+  pinned.query["now"] =
+      core::json_num(reports[reports.size() / 2 - 1].scan.time);
+  const HttpResponse by_route = service.handle(pinned);
+  ASSERT_EQ(by_route.status, 200) << by_route.body;
+  HttpRequest by_trip = arrival_get("trip", "5", "3");
+  by_trip.query["now"] = pinned.query["now"];
+  EXPECT_EQ(by_route.body, service.handle(by_trip).body);
 }
 
 TEST(HttpReadPath, EpochAdvancesWithRemainingSegmentEvidence) {
@@ -208,23 +277,37 @@ TEST(HttpReadPath, ForcedDegradedServesSnapshotBeforeLastGood) {
             200);
   const auto reports = f.live_reports(TripId(5), hms(9));
   post_scans(service, reports, 0, reports.size());
-
-  service.set_degraded(true);
-  // No-`now` reads keep getting the *fresh* materialized answer: the
-  // snapshot outranks the stale last-good cache in the degraded ladder.
-  const HttpResponse fresh = service.handle(arrival_get("trip", "5", "3"));
-  ASSERT_EQ(fresh.status, 200) << fresh.body;
-  EXPECT_EQ(fresh.headers.at("X-Cache"), "hit");
-  EXPECT_EQ(fresh.headers.count("X-Degraded"), 0u);
-  EXPECT_EQ(f.server.metrics_snapshot().counter("http.degraded_reads"), 0u);
-
-  // A pinned-`now` read cannot use the snapshot; with no last-good body
-  // for that exact target it sheds instead of touching the engine.
   HttpRequest pinned = arrival_get("trip", "5", "3");
   pinned.query["now"] = "123456";
-  const HttpResponse shed = service.handle(pinned);
-  EXPECT_EQ(shed.status, 503);
-  EXPECT_EQ(shed.headers.count("Retry-After"), 1u);
+  ASSERT_EQ(service.handle(pinned).status, 200);
+
+  service.set_degraded(true);
+  EXPECT_TRUE(service.degraded());
+  EXPECT_EQ(f.server.metrics_snapshot().gauge("service.degraded"), 1.0);
+  // No-`now` reads keep getting the fresh materialized answer.
+  for (const HttpRequest& req :
+       {arrival_get("trip", "5", "3"), arrival_get("route", "0", "3"),
+        HttpRequest{.method = "GET", .path = "/v1/traffic-map"}}) {
+    const HttpResponse fresh = service.handle(req);
+    ASSERT_EQ(fresh.status, 200) << fresh.body;
+    EXPECT_EQ(fresh.headers.at("X-Cache"), "hit");
+  }
+
+  // Reads the snapshot cannot answer shed instead of touching learned
+  // state — even one that succeeded a moment ago.
+  HttpRequest pinned_map{.method = "GET", .path = "/v1/traffic-map"};
+  pinned_map.query = {{"now", "123456"}};
+  for (const HttpRequest& req : {pinned, pinned_map}) {
+    const HttpResponse shed = service.handle(req);
+    EXPECT_EQ(shed.status, 503);
+    EXPECT_EQ(shed.headers.at("Retry-After"), "1");
+    EXPECT_NE(shed.body.find("\"reason\":\"forced_degraded\""),
+              std::string::npos);
+  }
+
+  service.set_degraded(false);
+  EXPECT_FALSE(service.degraded());
+  EXPECT_EQ(service.handle(pinned).status, 200);
 }
 
 TEST(HttpReadPath, CoalescedRefreshStaysPendingUntilFlushed) {
@@ -264,49 +347,6 @@ TEST(HttpReadPath, CoalescedRefreshStaysPendingUntilFlushed) {
   EXPECT_GT(flushed->find(TripId(5))->offset, first->find(TripId(5))->offset);
   const auto end = f.server.metrics_snapshot();
   EXPECT_EQ(end.counter("arrival_cache.rebuilds"), 2u);
-}
-
-TEST(HttpReadPath, LastGoodCacheIsLruBounded) {
-  ReadPathFixture f;
-  f.train();
-  ServiceOptions options;
-  options.read_cache_entries = 2;
-  WiLocatorService service(f.server, options);
-  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
-                            .body = R"({"trip":5,"route":0})"})
-                .status,
-            200);
-  const auto reports = f.live_reports(TripId(5), hms(9));
-  post_scans(service, reports, 0, reports.size());
-
-  // Three distinct pinned-`now` targets through the slow path: the
-  // two-entry LRU must evict the first.
-  const std::string now = std::to_string(reports.back().scan.time);
-  std::vector<HttpRequest> targets;
-  for (int stop = 1; stop <= 3; ++stop) {
-    HttpRequest req = arrival_get("trip", "5", std::to_string(stop));
-    req.query["now"] = now;
-    // The socket parser fills `target`; in-process requests must, too —
-    // it is the last-good cache key.
-    req.target =
-        "/v1/arrival?trip=5&stop=" + std::to_string(stop) + "&now=" + now;
-    targets.push_back(req);
-    ASSERT_EQ(service.handle(req).status, 200);
-  }
-  EXPECT_GE(f.server.metrics_snapshot().counter(
-                "http.degraded_cache_evictions"),
-            1u);
-
-  service.set_degraded(true);
-  // stop=1 was evicted: degraded read misses and sheds.
-  EXPECT_EQ(service.handle(targets[0]).status, 503);
-  // stop=3 is still cached: served stale-tagged.
-  const HttpResponse stale = service.handle(targets[2]);
-  ASSERT_EQ(stale.status, 200) << stale.body;
-  EXPECT_EQ(stale.headers.count("X-Degraded"), 1u);
-  const auto snap = f.server.metrics_snapshot();
-  EXPECT_GE(snap.counter("http.degraded_read_misses"), 1u);
-  EXPECT_GE(snap.counter("http.degraded_reads"), 1u);
 }
 
 TEST(HttpReadPath, ConcurrentIngestAndReadsStayLockFree) {
@@ -359,11 +399,9 @@ TEST(HttpReadPath, ConcurrentIngestAndReadsStayLockFree) {
   EXPECT_EQ(reads.load(), 2 * kReadsPerThread);
   EXPECT_EQ(failures.load(), 0u);
   // Every read was a snapshot hit: zero lock acquisitions, zero
-  // degraded fallbacks, zero slow-path trips on the rider path.
+  // slow-path trips on the rider path.
   EXPECT_EQ(hits.load(), reads.load());
-  const auto snap = f.server.metrics_snapshot();
-  EXPECT_EQ(snap.counter("http.degraded_reads"), 0u);
-  EXPECT_EQ(snap.counter("http.read_slow_path"), 0u);
+  EXPECT_EQ(f.server.metrics_snapshot().counter("http.read_slow_path"), 0u);
 }
 
 }  // namespace
