@@ -24,6 +24,24 @@ std::size_t ObservationKey::Hash::operator()(const ObservationKey& k) const {
                   k.travel_bits));
 }
 
+std::optional<JournalEntry> decode_journal_entry(
+    std::span<const std::byte> payload) {
+  try {
+    BinReader r(payload);
+    JournalEntry entry;
+    entry.seq = r.get_u64();
+    const std::uint8_t type = r.get_u8();
+    if (type != static_cast<std::uint8_t>(JournalRecord::history_obs) &&
+        type != static_cast<std::uint8_t>(JournalRecord::recent_obs))
+      return std::nullopt;
+    entry.type = static_cast<JournalRecord>(type);
+    entry.obs = decode_observation(r);
+    return entry;
+  } catch (const DecodeError&) {
+    return std::nullopt;
+  }
+}
+
 StatePersistence::StatePersistence(PersistenceConfig config)
     : config_(std::move(config)) {
   WILOC_EXPECTS(config_.enabled());
@@ -42,6 +60,8 @@ StatePersistence::StatePersistence(PersistenceConfig config)
 
 void StatePersistence::append(JournalRecord type,
                               const TravelObservation& obs) {
+  if (poisoned())
+    throw StateError("persist: manager poisoned by an earlier failure");
   BinWriter frame;
   frame.put_u64(++seq_);
   frame.put_u8(static_cast<std::uint8_t>(type));
@@ -63,38 +83,15 @@ void StatePersistence::append(JournalRecord type,
 }
 
 bool StatePersistence::should_checkpoint(SimTime now) const {
-  if (writer_->size_bytes() >= config_.journal_trigger_bytes) return true;
+  if (journal_bytes() >= config_.journal_trigger_bytes) return true;
   const std::lock_guard<std::mutex> lock(time_mu_);
   return last_checkpoint_time_.has_value() &&
          now - *last_checkpoint_time_ >= config_.snapshot_interval_s;
 }
 
-void StatePersistence::write_checkpoint(std::span<const std::byte> body,
-                                        SimTime now) {
-  try {
-    journal::write_snapshot_file(
-        snapshot_path(), kSnapshotMagic, kSnapshotVersion, body,
-        config_.fsync != journal::FsyncPolicy::never, config_.failure_hook);
-    // The snapshot covers everything journaled so far: compact. A crash
-    // between the rename above and this truncate leaves overlapping
-    // records, which replay dedups via the embedded watermark.
-    writer_->reset();
-    std::error_code ec;
-    std::filesystem::remove(sealed_journal_path(), ec);
-    // Every record up to seq_ now lives only in the snapshot: tailing
-    // peers below this watermark must resume from it.
-    covered_seq_.store(seq_, std::memory_order_release);
-    sealed_through_.store(0, std::memory_order_release);
-  } catch (...) {
-    poisoned_.store(true, std::memory_order_release);
-    throw;
-  }
-  finish_checkpoint(now);
-  if (metrics_.journal_bytes != nullptr)
-    metrics_.journal_bytes->set(static_cast<double>(writer_->size_bytes()));
-}
-
 void StatePersistence::seal_journal() {
+  if (poisoned())
+    throw StateError("persist: manager poisoned by an earlier failure");
   try {
     writer_.reset();  // close the active journal before renaming it
     std::error_code ec;
@@ -164,7 +161,7 @@ void StatePersistence::finish_checkpoint(SimTime now) {
 }
 
 std::uint64_t StatePersistence::journal_bytes() const {
-  return writer_->size_bytes();
+  return writer_ != nullptr ? writer_->size_bytes() : 0;
 }
 
 StatePersistence::TailResult StatePersistence::tail_segments(
@@ -172,14 +169,10 @@ StatePersistence::TailResult StatePersistence::tail_segments(
   TailResult out;
   const auto take_frame = [&](std::span<const std::byte> payload) {
     if (out.truncated) return;
-    std::uint64_t seq = 0;
-    try {
-      BinReader r(payload);
-      seq = r.get_u64();
-    } catch (const DecodeError&) {
-      return;  // undecodable record: recovery skips it, so do peers
-    }
-    if (seq <= after) return;
+    const std::optional<JournalEntry> entry = decode_journal_entry(payload);
+    // An undecodable record is skipped by recovery, so peers never see it.
+    if (!entry.has_value() || entry->seq <= after) return;
+    const std::uint64_t seq = entry->seq;
     if (!out.frames.empty() && out.frames.size() + payload.size() + 8 >
                                    max_bytes) {
       out.truncated = true;  // page full; peer re-tails from last_seq
@@ -210,21 +203,10 @@ StatePersistence::RecoveryResult StatePersistence::recover() {
   }
 
   const auto decode_frame = [&](std::span<const std::byte> payload) {
-    try {
-      BinReader r(payload);
-      RecoveredRecord rec;
-      rec.seq = r.get_u64();
-      const std::uint8_t type = r.get_u8();
-      if (type != static_cast<std::uint8_t>(JournalRecord::history_obs) &&
-          type != static_cast<std::uint8_t>(JournalRecord::recent_obs))
-        throw DecodeError("persist: unknown journal record type " +
-                          std::to_string(type));
-      rec.type = static_cast<JournalRecord>(type);
-      rec.obs = decode_observation(r);
-      result.records.push_back(rec);
-    } catch (const DecodeError&) {
+    if (std::optional<JournalEntry> entry = decode_journal_entry(payload))
+      result.records.push_back(*entry);
+    else
       ++result.undecodable;
-    }
   };
 
   // A sealed segment (crashed two-phase checkpoint) holds the older

@@ -10,13 +10,13 @@
 //    journal (util/journal), stamped with a monotonic sequence number;
 //  - periodically (sim-time interval or journal-size trigger) the whole
 //    store is serialized into an atomic snapshot file embedding the
-//    journal watermark, and the journal is truncated
-//    (snapshot-then-truncate compaction);
+//    journal watermark, and the journal it covers is dropped
+//    (snapshot-then-compact);
 //  - recovery loads the snapshot (if any), then replays journal frames
 //    *after* the watermark. A frame at or below the watermark, or an
 //    observation the store already holds, is skipped — replay is
-//    idempotent, so the crash window between snapshot-write and
-//    journal-truncate cannot double-count.
+//    idempotent, so a crash anywhere inside a checkpoint cannot
+//    double-count.
 //
 // Partial recovery is graceful by construction: a corrupt journal
 // record or a torn tail bumps `persist.corrupt` and is skipped; a
@@ -25,16 +25,14 @@
 //
 // Journal appends always run on the control thread (the server's
 // publish/query side), never on the ingest engine's shard workers.
-// Checkpoints come in two flavors:
+// Every checkpoint takes one two-phase protocol, whether it runs inline
+// (shutdown, finalize, the recovery fold, the interval trigger) or on a
+// background thread:
 //
-//  - write_checkpoint(): the synchronous path (shutdown, finalize,
-//    recovery fold) — snapshot + truncate inline on the caller.
-//  - seal_journal() + commit_checkpoint(): the two-phase path a
-//    background checkpoint thread uses. seal_journal() runs on the
-//    control thread and atomically rotates the active journal to a
-//    sealed side file (appends continue into a fresh journal, ordering
-//    preserved by the seq watermark); commit_checkpoint() then does the
-//    expensive snapshot write + fsync on the background thread and
+//  - seal_journal(), control thread: atomically rotates the active
+//    journal to a sealed side file (appends continue into a fresh
+//    journal, ordering preserved by the seq watermark);
+//  - commit_checkpoint(), any thread: writes the snapshot (+ fsync) and
 //    deletes the sealed file it supersedes. A crash anywhere in the
 //    window leaves snapshot+sealed+active journals whose overlap
 //    recovery dedups via the embedded watermark.
@@ -92,6 +90,19 @@ enum class JournalRecord : std::uint8_t {
   recent_obs = 2,   ///< live completed-segment traversal
 };
 
+/// One journal payload: `[u64 seq][u8 type][TravelObservation]`.
+struct JournalEntry {
+  std::uint64_t seq = 0;
+  JournalRecord type = JournalRecord::recent_obs;
+  TravelObservation obs;
+};
+
+/// The one decoder of journal payloads — recovery, segment tailing and
+/// replication all read records through it. nullopt when the payload is
+/// malformed or carries an unknown record type (callers skip it).
+std::optional<JournalEntry> decode_journal_entry(
+    std::span<const std::byte> payload);
+
 /// Exact identity of one observation; the dedup key for idempotent
 /// history loading and journal replay.
 struct ObservationKey {
@@ -127,13 +138,14 @@ class StatePersistence {
     return config_.dir + "/state.journal.sealed";
   }
 
-  /// Appends one seq-stamped observation record to the journal.
+  /// Appends one seq-stamped observation record to the journal. Throws
+  /// StateError once poisoned.
   void append(JournalRecord type, const TravelObservation& obs);
 
   /// True once a persistence operation failed (I/O error or injected
-  /// crash). A poisoned manager must not be written through again —
-  /// in particular the server's destructor checkpoint is skipped, so a
-  /// simulated crash cannot leak post-crash state to disk.
+  /// crash). A poisoned manager refuses every further append and seal
+  /// — in particular the server's destructor checkpoint is skipped, so
+  /// a simulated crash cannot leak post-crash state to disk.
   bool poisoned() const {
     return poisoned_.load(std::memory_order_acquire) ||
            (writer_ != nullptr && writer_->dead());
@@ -143,23 +155,20 @@ class StatePersistence {
   /// last checkpoint.
   bool should_checkpoint(SimTime now) const;
 
-  /// Atomically writes `body` as the new snapshot, then truncates the
-  /// journal (and removes any sealed segment) it supersedes. `body`
-  /// must embed last_seq() so the next recovery can dedup the
-  /// snapshot/journal overlap. Synchronous: caller-thread I/O.
-  void write_checkpoint(std::span<const std::byte> body, SimTime now);
-
-  // -- two-phase (background) checkpointing ------------------------------
+  // -- checkpointing: seal, then commit ----------------------------------
 
   /// Phase 1, control thread: rotates the active journal into the
   /// sealed side file (concatenating when a crashed checkpoint left one
   /// behind) and reopens a fresh journal for subsequent appends. After
   /// this the caller serializes the state body covering last_seq() and
-  /// hands it to commit_checkpoint() on any thread.
+  /// hands it to commit_checkpoint() on any thread. Throws StateError
+  /// once poisoned; a failure here poisons the manager.
   void seal_journal();
 
   /// Phase 2, any thread: atomically writes `body` as the new snapshot
-  /// and deletes the sealed segment it covers. Never touches the active
+  /// and deletes the sealed segment it covers. `body` must embed the
+  /// last_seq() read right after seal_journal() so the next recovery
+  /// can dedup the snapshot/journal overlap. Never touches the active
   /// journal, so control-thread appends proceed concurrently.
   void commit_checkpoint(std::span<const std::byte> body, SimTime now);
 
@@ -177,7 +186,7 @@ class StatePersistence {
   struct TailResult {
     /// Raw re-framed journal bytes ([u32 len][u32 crc][payload] per
     /// record) — the wire format; a peer decodes with
-    /// journal::scan_frames + the same payload codec recovery uses.
+    /// journal::scan_frames + decode_journal_entry, like recovery.
     std::vector<std::byte> frames;
     std::uint64_t first_seq = 0;  ///< lowest seq included (0 when empty)
     std::uint64_t last_seq = 0;   ///< highest seq included (0 when empty)
@@ -207,16 +216,10 @@ class StatePersistence {
     return covered_seq_.load(std::memory_order_acquire);
   }
 
-  struct RecoveredRecord {
-    std::uint64_t seq = 0;
-    JournalRecord type = JournalRecord::recent_obs;
-    TravelObservation obs;
-  };
-
   struct RecoveryResult {
     std::optional<journal::SnapshotData> snapshot;  ///< verified body
     bool snapshot_corrupt = false;  ///< present but failed magic/CRC
-    std::vector<RecoveredRecord> records;  ///< decodable journal records
+    std::vector<JournalEntry> records;  ///< decodable journal records
     journal::ReplayStats replay;
     /// Journal frames whose payload failed to decode (counted corrupt
     /// on top of replay.frames_corrupt).
@@ -229,15 +232,19 @@ class StatePersistence {
   RecoveryResult recover();
 
   /// The server snapshot-body magic/version (shared with save/restore).
+  /// A version-1 body is a version-2 body followed by a retired
+  /// traffic-map section that readers ignore, so both are accepted.
   static constexpr std::uint32_t kSnapshotMagic = 0x534c4957;  // "WILS"
-  static constexpr std::uint32_t kSnapshotVersion = 1;
+  static constexpr std::uint32_t kSnapshotVersion = 2;
+  static constexpr std::uint32_t kOldestSnapshotVersion = 1;
 
  private:
   void finish_checkpoint(SimTime now);
 
   PersistenceConfig config_;
   PersistMetrics metrics_;
-  std::unique_ptr<journal::Writer> writer_;  ///< control thread only
+  /// Control thread only; null after a failed seal (then poisoned).
+  std::unique_ptr<journal::Writer> writer_;
   std::uint64_t seq_ = 0;
   /// Highest seq in the sealed segment (captured by seal_journal;
   /// promoted to covered_seq_ when the commit removes the segment).

@@ -58,10 +58,10 @@ WiLocatorServer::~WiLocatorServer() {
   // exactly as the failure left it.
   try {
     engine_->drain();
-    if (persist_ == nullptr || !persist_->poisoned()) {
+    if (persist_ == nullptr)
       publish_pending();
-      if (persist_ != nullptr) do_checkpoint();
-    }
+    else if (!persist_->poisoned())
+      checkpoint();
   } catch (...) {
     // A destructor must not throw; the state directory simply keeps its
     // last consistent view and the next start recovers from it.
@@ -144,46 +144,31 @@ void WiLocatorServer::recover_state() {
   std::uint64_t watermark = 0;
   if (rec.snapshot.has_value()) {
     try {
-      BinReader r(rec.snapshot->body);
-      watermark = apply_snapshot_body(r);
+      watermark = apply_snapshot(*rec.snapshot);
       // Keep the journal sequence monotonic across restarts: tailing
       // peers key their replication watermarks on it, so a restarted
       // node must not reissue already-replicated sequence numbers.
       persist_->resume_seq(watermark);
       recovered_ = true;
     } catch (const DecodeError&) {
-      // CRC-clean but semantically undecodable (e.g. foreign layout):
-      // fall back to the journal alone, like a corrupt snapshot.
+      // CRC-clean but of an unknown version or semantically
+      // undecodable (a foreign layout): fall back to the journal alone,
+      // like a corrupt snapshot.
       ++corrupt;
     }
   }
 
   std::uint64_t applied = 0;
   std::uint64_t skipped = 0;
-  for (const StatePersistence::RecoveredRecord& record : rec.records) {
+  for (const JournalEntry& record : rec.records) {
     persist_->resume_seq(record.seq);
-    if (record.seq <= watermark) {  // already inside the snapshot
-      ++skipped;
-      continue;
-    }
-    bool added = false;
-    if (record.type == JournalRecord::history_obs) {
-      if (!store_.finalized() &&
-          history_seen_.insert(ObservationKey::of(record.obs)).second) {
-        store_.add_history(record.obs);
-        added = true;
-      }
-    } else {
-      added = store_.add_recent(record.obs);
-    }
-    if (added) {
+    // A record at or below the watermark is already inside the snapshot.
+    if (record.seq > watermark && fold(record.type, record.obs))
       ++applied;
-      recovered_ = true;
-      note_event(record.obs.exit_time);
-    } else {
+    else
       ++skipped;
-    }
   }
+  if (applied > 0) recovered_ = true;
 
   if (applied > 0 && persist_metrics_.recovered != nullptr)
     persist_metrics_.recovered->inc(applied);
@@ -195,7 +180,7 @@ void WiLocatorServer::recover_state() {
   // Fold everything recovered into a fresh snapshot: torn tails and
   // orphaned records are gone, and the new run starts from a compact,
   // verified baseline.
-  if (recovered_) do_checkpoint();
+  if (recovered_) commit_prepared(seal_checkpoint());
 }
 
 std::vector<std::byte> WiLocatorServer::snapshot_body() const {
@@ -203,34 +188,39 @@ std::vector<std::byte> WiLocatorServer::snapshot_body() const {
   w.put_u64(config_fingerprint_);
   w.put_u64(persist_ != nullptr ? persist_->last_seq() : 0);
   store_.save(w);
-  traffic_builder_.save(w);
   return w.take();
 }
 
-std::uint64_t WiLocatorServer::apply_snapshot_body(BinReader& r) {
+std::uint64_t WiLocatorServer::apply_snapshot(
+    const journal::SnapshotData& snapshot) {
+  if (snapshot.version < StatePersistence::kOldestSnapshotVersion ||
+      snapshot.version > StatePersistence::kSnapshotVersion)
+    throw DecodeError("server snapshot: unsupported version " +
+                      std::to_string(snapshot.version));
+  // A version-1 body continues with the retired traffic-map section
+  // after the store; it is derived state and never read.
+  BinReader r(snapshot.body);
   const std::uint64_t fingerprint = r.get_u64();
   const std::uint64_t watermark = r.get_u64();
   if (fingerprint != config_fingerprint_ &&
       persist_metrics_.config_mismatch != nullptr)
     persist_metrics_.config_mismatch->inc();
   store_.restore(r);
-  traffic_builder_.restore(r);
   history_seen_.clear();
   for (const TravelObservation& obs : store_.raw_history())
     history_seen_.insert(ObservationKey::of(obs));
   return watermark;
 }
 
-void WiLocatorServer::do_checkpoint() {
-  const std::vector<std::byte> body = snapshot_body();
-  persist_->write_checkpoint(body, last_event_time_);
+WiLocatorServer::PreparedCheckpoint WiLocatorServer::seal_checkpoint() {
+  persist_->seal_journal();
+  return {snapshot_body(), last_event_time_, true};
 }
 
 void WiLocatorServer::maybe_checkpoint() {
-  if (!inline_checkpoints_) return;  // a background checkpointer owns it
-  if (persist_ == nullptr || !has_event_) return;
-  if (!persist_->should_checkpoint(last_event_time_)) return;
-  do_checkpoint();
+  // A background checkpointer, when present, owns the cadence.
+  if (inline_checkpoints_ && checkpoint_due())
+    commit_prepared(seal_checkpoint());
 }
 
 bool WiLocatorServer::checkpoint_due() const {
@@ -243,11 +233,7 @@ WiLocatorServer::PreparedCheckpoint WiLocatorServer::prepare_checkpoint() {
   PreparedCheckpoint prepared;
   if (persist_ == nullptr || persist_->poisoned()) return prepared;
   publish_pending();
-  persist_->seal_journal();
-  prepared.body = snapshot_body();
-  prepared.at = last_event_time_;
-  prepared.valid = true;
-  return prepared;
+  return seal_checkpoint();
 }
 
 void WiLocatorServer::commit_prepared(PreparedCheckpoint&& prepared) {
@@ -270,7 +256,7 @@ void WiLocatorServer::note_event(SimTime t) {
 void WiLocatorServer::checkpoint() {
   WILOC_EXPECTS(persist_ != nullptr);
   publish_pending();
-  do_checkpoint();
+  commit_prepared(seal_checkpoint());
 }
 
 void WiLocatorServer::save_snapshot(const std::string& path) {
@@ -284,11 +270,7 @@ bool WiLocatorServer::restore_snapshot(const std::string& path) {
   const auto snap =
       journal::read_snapshot_file(path, StatePersistence::kSnapshotMagic);
   if (!snap.has_value()) return false;
-  if (snap->version != StatePersistence::kSnapshotVersion)
-    throw DecodeError("server snapshot: unsupported version " +
-                      std::to_string(snap->version));
-  BinReader r(snap->body);
-  apply_snapshot_body(r);
+  apply_snapshot(*snap);
   recovered_ = true;
   return true;
 }
@@ -314,12 +296,12 @@ void WiLocatorServer::adopt_route(
 }
 
 void WiLocatorServer::load_history(const TravelObservation& obs) {
-  if (!history_seen_.insert(ObservationKey::of(obs)).second) {
+  if (store_.finalized())
+    throw StateError("load_history after finalize_history");
+  if (!fold(JournalRecord::history_obs, obs)) {
     if (history_dups_ != nullptr) history_dups_->inc();
     return;
   }
-  store_.add_history(obs);  // throws once finalized, before any journaling
-  note_event(obs.exit_time);
   if (persist_ != nullptr) {
     persist_->append(JournalRecord::history_obs, obs);
     maybe_checkpoint();
@@ -328,32 +310,31 @@ void WiLocatorServer::load_history(const TravelObservation& obs) {
 
 bool WiLocatorServer::apply_replicated(JournalRecord type,
                                        const TravelObservation& obs) {
-  // Mirrors the recovery fold: same dedup, same finalized-history gate —
-  // a replicated record is just a journal record that took the network
-  // path instead of the disk path. No local journal append (see header).
+  // A replicated record is a journal record that took the network path
+  // instead of the disk path. No local journal append (see header).
+  const bool added = fold(type, obs);
+  obs::Counter* counter = added ? repl_applied_ : repl_dups_;
+  if (counter != nullptr) counter->inc();
+  return added;
+}
+
+bool WiLocatorServer::fold(JournalRecord type, const TravelObservation& obs) {
   bool added = false;
-  if (type == JournalRecord::history_obs) {
-    if (!store_.finalized() &&
-        history_seen_.insert(ObservationKey::of(obs)).second) {
-      store_.add_history(obs);
-      added = true;
-    }
-  } else {
+  if (type == JournalRecord::recent_obs) {
     added = store_.add_recent(obs);
+  } else if (!store_.finalized() &&
+             history_seen_.insert(ObservationKey::of(obs)).second) {
+    store_.add_history(obs);
+    added = true;
   }
-  if (added) {
-    note_event(obs.exit_time);
-    if (repl_applied_ != nullptr) repl_applied_->inc();
-  } else if (repl_dups_ != nullptr) {
-    repl_dups_->inc();
-  }
+  if (added) note_event(obs.exit_time);
   return added;
 }
 
 void WiLocatorServer::finalize_history() {
   store_.finalize_history();
   history_seen_.clear();  // raw history is frozen; the set is done
-  if (persist_ != nullptr) do_checkpoint();
+  if (persist_ != nullptr) commit_prepared(seal_checkpoint());
 }
 
 void WiLocatorServer::begin_trip(roadnet::TripId trip,
@@ -391,9 +372,9 @@ void WiLocatorServer::drain() {
 
 void WiLocatorServer::publish_pending() {
   for (const TravelObservation& obs : engine_->take_ready_observations()) {
-    const bool added = store_.add_recent(obs);
+    const bool added = fold(JournalRecord::recent_obs, obs);
     if (obs_published_ != nullptr) obs_published_->inc();
-    note_event(obs.exit_time);
+    note_event(obs.exit_time);  // a re-delivered duplicate is an event too
     // Journal only genuinely new observations: a duplicate the store
     // dropped must not resurface on the next replay.
     if (added && persist_ != nullptr)

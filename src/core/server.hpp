@@ -74,7 +74,7 @@ class WiLocatorServer {
 
   /// Graceful shutdown: drains the engine, publishes pending
   /// observations, and (when persistence is enabled and not poisoned by
-  /// a failed write) writes a final checkpoint. Also flushes a final
+  /// a failed write) takes a final checkpoint. Also flushes a final
   /// snapshot through any attached obs::Reporter. Never throws.
   ~WiLocatorServer();
 
@@ -188,10 +188,8 @@ class WiLocatorServer {
 
   // -- replication (cluster peers) ---------------------------------------
 
-  /// Applies one journal record tailed from a peer node, idempotently:
-  /// a history observation passes the ObservationKey dedup (and is
-  /// dropped once history is finalized), a recent observation passes
-  /// the store's exact-duplicate rejection — so overlapped replication
+  /// Applies one journal record tailed from a peer node through the
+  /// same fold recovery uses (see fold()), so overlapped replication
   /// pages and re-tails from zero converge instead of double-counting.
   /// Replicated records are NOT re-journaled locally (they carry the
   /// origin node's sequence numbers and would echo between peers);
@@ -207,10 +205,11 @@ class WiLocatorServer {
   /// directory (snapshot and/or journal records were applied).
   bool recovered() const { return recovered_; }
 
-  /// Publishes pending observations, then forces a checkpoint now:
-  /// atomically snapshots the learned state and truncates the journal.
+  /// Publishes pending observations, then checkpoints now: seals the
+  /// journal, snapshots the learned state and drops the sealed segment.
   /// Requires persistence to be enabled. Synchronous (caller-thread
-  /// I/O); a serving front-end uses the prepare/commit split below.
+  /// I/O); a serving front-end runs the same two phases split across
+  /// threads with prepare_checkpoint() / commit_prepared().
   void checkpoint();
 
   /// A serialized checkpoint waiting for its (possibly off-thread)
@@ -257,22 +256,16 @@ class WiLocatorServer {
   /// The persistence manager, or nullptr when disabled (tests, benches).
   const StatePersistence* persistence() const { return persist_.get(); }
 
-  /// Serializes the full learned state (store + traffic-map cache) to an
+  /// Serializes the full learned state (the travel-time store) to an
   /// arbitrary snapshot file — works with persistence disabled (e.g. to
   /// ship a warmed-up state to another server).
   /// Publishes pending observations first.
   void save_snapshot(const std::string& path);
 
   /// Restores state written by save_snapshot / checkpoint. Returns false
-  /// when the file is missing; throws DecodeError when it is corrupt.
+  /// when the file is missing; throws DecodeError when it is corrupt or
+  /// of an unknown version.
   bool restore_snapshot(const std::string& path);
-
-  /// The traffic map cached by the last build() — survives restarts via
-  /// checkpoints, so a freshly recovered server can serve a (stale but
-  /// honestly timestamped) map before any new observation arrives.
-  const std::optional<TrafficMap>& last_traffic_map() const {
-    return traffic_builder_.last_map();
-  }
 
   /// Attaches a reporter whose final window is flushed when the server
   /// shuts down (the reporter must outlive the server).
@@ -326,6 +319,13 @@ class WiLocatorServer {
   /// interval checkpoints happen — always on the calling (control)
   /// thread, never on the engine's shard workers.
   void publish_pending();
+  /// The one fold of an observation record into learned state, shared
+  /// by publishing, history loading, recovery and replication. A recent
+  /// observation passes the store's exact-duplicate rejection; a
+  /// history observation is dropped once history is finalized and
+  /// otherwise passes the ObservationKey dedup. Advances the event
+  /// clock and returns true when the record was genuinely new.
+  bool fold(JournalRecord type, const TravelObservation& obs);
   /// Resolves the prediction-side metric handles (both constructors).
   void init_obs();
   /// Computes the all-routes edge union and hands it to the arrival
@@ -335,13 +335,18 @@ class WiLocatorServer {
   void init_persistence();
   /// Applies snapshot + post-watermark journal records; sets recovered_.
   void recover_state();
-  /// Serializes [fingerprint][watermark][store][traffic cache].
+  /// Serializes [fingerprint][watermark][store].
   std::vector<std::byte> snapshot_body() const;
-  /// Inverse of snapshot_body(); returns the embedded journal watermark.
-  std::uint64_t apply_snapshot_body(BinReader& r);
-  /// Writes a checkpoint from the current state (persistence enabled).
-  void do_checkpoint();
-  /// Interval/size-triggered checkpoint; cheap no-op when not due.
+  /// Inverse of snapshot_body() for any readable version; returns the
+  /// embedded journal watermark. Throws DecodeError on an unknown
+  /// version or an undecodable body.
+  std::uint64_t apply_snapshot(const journal::SnapshotData& snapshot);
+  /// Seals the journal and serializes the state it covers, without
+  /// publishing first: the inline trigger runs inside publish_pending(),
+  /// so re-entering it here would recurse.
+  PreparedCheckpoint seal_checkpoint();
+  /// Interval/size-triggered inline checkpoint; cheap no-op when not
+  /// due or when a background owner holds the cadence.
   void maybe_checkpoint();
   /// Advances the shutdown/reporting clock to the given event time.
   void note_event(SimTime t);

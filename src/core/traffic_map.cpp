@@ -117,55 +117,7 @@ TrafficMap TrafficMapBuilder::build(const std::vector<roadnet::EdgeId>& edges,
   map.time = now;
   for (const roadnet::EdgeId edge : edges)
     map.segments.emplace(edge, classify(edge, now));
-  last_map_ = map;
-  last_build_epoch_ = store_->epoch();
   return map;
-}
-
-// -- persistence -----------------------------------------------------------
-
-void encode_traffic_map(BinWriter& w, const TrafficMap& map) {
-  w.put_f64(map.time);
-  w.put_u64(map.segments.size());
-  for (const auto& [edge, seg] : map.segments) {
-    w.put_u32(edge.value());
-    w.put_u8(static_cast<std::uint8_t>(seg.state));
-    w.put_f64(seg.z_score);
-    w.put_u64(seg.recent_count);
-    w.put_u8(seg.inferred ? 1 : 0);
-  }
-}
-
-TrafficMap decode_traffic_map(BinReader& r) {
-  TrafficMap map;
-  map.time = r.get_f64();
-  const std::uint64_t n = r.get_u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const roadnet::EdgeId edge(r.get_u32());
-    SegmentTraffic seg;
-    const std::uint8_t state = r.get_u8();
-    if (state > static_cast<std::uint8_t>(TrafficState::VerySlow))
-      throw DecodeError("TrafficMap: unknown segment state " +
-                        std::to_string(state));
-    seg.state = static_cast<TrafficState>(state);
-    seg.z_score = r.get_f64();
-    seg.recent_count = static_cast<std::size_t>(r.get_u64());
-    seg.inferred = r.get_u8() != 0;
-    map.segments.emplace(edge, seg);
-  }
-  return map;
-}
-
-void TrafficMapBuilder::save(BinWriter& w) const {
-  w.put_u8(last_map_.has_value() ? 1 : 0);
-  if (last_map_.has_value()) encode_traffic_map(w, *last_map_);
-}
-
-void TrafficMapBuilder::restore(BinReader& r) {
-  if (r.get_u8() != 0)
-    last_map_ = decode_traffic_map(r);
-  else
-    last_map_.reset();
 }
 
 }  // namespace wiloc::core

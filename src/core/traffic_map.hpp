@@ -11,13 +11,11 @@
 // fills them using the temporal-constancy prediction.
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/predictor.hpp"
 #include "core/travel_time.hpp"
-#include "util/binio.hpp"
 #include "util/obs.hpp"
 
 namespace wiloc::core {
@@ -61,12 +59,9 @@ struct TrafficMap {
   std::size_t unknown_count() const { return count(TrafficState::Unknown); }
 };
 
-/// Serializes a map (time + every segment state) for the persistence
-/// layer; decode_traffic_map() rebuilds it.
-void encode_traffic_map(BinWriter& w, const TrafficMap& map);
-TrafficMap decode_traffic_map(BinReader& r);
-
-/// Builds traffic maps from the store (+ predictor for inference).
+/// Builds traffic maps from the store (+ predictor for inference). A
+/// map is a pure function of the store, so nothing here is persisted:
+/// a restarted server rebuilds it from the restored store.
 class TrafficMapBuilder {
  public:
   /// `store` must be finalized; both must outlive the builder.
@@ -83,23 +78,6 @@ class TrafficMapBuilder {
 
   void set_metrics(const TrafficMetrics& metrics) { metrics_ = metrics; }
 
-  /// The most recent map produced by build() (nullopt before the
-  /// first). The server checkpoints this, so a freshly recovered
-  /// process can serve the pre-crash (stale but labelled) map while
-  /// new observations accumulate. Single-control-thread, like every
-  /// query path.
-  const std::optional<TrafficMap>& last_map() const { return last_map_; }
-
-  /// The store epoch observed by the most recent build(). The arrival
-  /// table rebuilds its pre-encoded traffic-map body only when
-  /// `store.epoch()` has moved past this value.
-  std::uint64_t last_build_epoch() const { return last_build_epoch_; }
-
-  /// Serializes the last built map (if any) into `w`.
-  void save(BinWriter& w) const;
-  /// Restores the last-map cache written by save().
-  void restore(BinReader& r);
-
  private:
   TrafficState state_for_z(double z) const;
   void count_state(const SegmentTraffic& seg) const;
@@ -108,9 +86,6 @@ class TrafficMapBuilder {
   const ArrivalPredictor* predictor_;
   TrafficMapParams params_;
   TrafficMetrics metrics_;
-  /// Mutable: build() is a const query but refreshes the cache.
-  mutable std::optional<TrafficMap> last_map_;
-  mutable std::uint64_t last_build_epoch_ = 0;
 };
 
 }  // namespace wiloc::core

@@ -7,7 +7,6 @@
 
 #include "net/json.hpp"
 #include "net/scan_codec.hpp"
-#include "util/binio.hpp"
 #include "util/contracts.hpp"
 #include "util/journal.hpp"
 
@@ -127,27 +126,30 @@ void WiLocatorService::checkpoint_loop() {
     });
     if (stopping_.load(std::memory_order_acquire)) break;
     lk.unlock();
-    core::WiLocatorServer::PreparedCheckpoint prepared;
-    {
-      // Prepare shares the handler mutex but is cheap: serialize state
-      // in memory + rename the journal. The snapshot write below runs
-      // off-lock, concurrent with ingest.
-      std::lock_guard<std::mutex> lock(mu_);
-      // Publish the observations the engine finished since the last
-      // ingest call, and any refresh the coalescing window deferred:
-      // when ingest goes quiet, store and snapshot converge within a
-      // poll (queries never publish).
-      server_.flush_arrivals();
-      if (server_.checkpoint_due()) prepared = server_.prepare_checkpoint();
-    }
-    if (prepared.valid) {
-      try {
+    // Any failure — publishing, sealing or the snapshot write — is
+    // counted and the service keeps serving: an exception escaping this
+    // thread would terminate the process.
+    try {
+      core::WiLocatorServer::PreparedCheckpoint prepared;
+      {
+        // Prepare shares the handler mutex but is cheap: serialize state
+        // in memory + rename the journal. The snapshot write below runs
+        // off-lock, concurrent with ingest.
+        std::lock_guard<std::mutex> lock(mu_);
+        // Publish the observations the engine finished since the last
+        // ingest call, and any refresh the coalescing window deferred:
+        // when ingest goes quiet, store and snapshot converge within a
+        // poll (queries never publish).
+        server_.flush_arrivals();
+        if (server_.checkpoint_due()) prepared = server_.prepare_checkpoint();
+      }
+      if (prepared.valid) {
         server_.commit_prepared(std::move(prepared));
         checkpoints_.fetch_add(1, std::memory_order_relaxed);
         if (checkpoint_commits_ != nullptr) checkpoint_commits_->inc();
-      } catch (...) {
-        if (checkpoint_failures_ != nullptr) checkpoint_failures_->inc();
       }
+    } catch (...) {
+      if (checkpoint_failures_ != nullptr) checkpoint_failures_->inc();
     }
     lk.lock();
   }
@@ -419,23 +421,13 @@ WiLocatorService::ReplicationApply WiLocatorService::apply_replication_frames(
   ReplicationApply result;
   std::lock_guard<std::mutex> lock(mu_);
   journal::scan_frames(frames, [&](std::span<const std::byte> payload) {
-    try {
-      BinReader r(payload);
-      const std::uint64_t seq = r.get_u64();
-      const std::uint8_t type = r.get_u8();
-      if (type !=
-              static_cast<std::uint8_t>(core::JournalRecord::history_obs) &&
-          type != static_cast<std::uint8_t>(core::JournalRecord::recent_obs))
-        return;  // unknown record type: skip, like recovery
-      const core::TravelObservation obs = core::decode_observation(r);
-      ++result.records;
-      result.last_seq = std::max(result.last_seq, seq);
-      if (server_.apply_replicated(static_cast<core::JournalRecord>(type),
-                                   obs))
-        ++result.applied;
-    } catch (const DecodeError&) {
-      // Undecodable payload inside a CRC-clean frame: skip it.
-    }
+    // Undecodable payload inside a CRC-clean frame (or an unknown record
+    // type): skip it, like recovery.
+    const auto entry = core::decode_journal_entry(payload);
+    if (!entry.has_value()) return;
+    ++result.records;
+    result.last_seq = std::max(result.last_seq, entry->seq);
+    if (server_.apply_replicated(entry->type, entry->obs)) ++result.applied;
   });
   // Replicated recents move the store epoch; push them into the
   // materialized read path so failover answers see them promptly.

@@ -137,15 +137,6 @@ void Writer::sync() {
   fsync_or_throw(fd_, path_);
 }
 
-void Writer::reset() {
-  if (dead_)
-    throw StateError("journal: writer poisoned by simulated crash");
-  if (::ftruncate(fd_, 0) != 0)
-    throw_errno("journal: ftruncate failed on " + path_);
-  bytes_ = 0;
-  if (fsync_ != FsyncPolicy::never) sync();
-}
-
 // -- replay ----------------------------------------------------------------
 
 ReplayStats replay(const std::string& path,

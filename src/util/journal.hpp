@@ -41,7 +41,7 @@ std::uint32_t crc32(std::span<const std::byte> data);
 /// When the persistence layer calls fsync(2).
 enum class FsyncPolicy {
   never,         ///< leave durability to the OS page cache
-  on_checkpoint, ///< fsync snapshots and journal resets only (default)
+  on_checkpoint, ///< fsync checkpoint snapshots only (default)
   every_append,  ///< fsync after every journal frame (durable, slow)
 };
 
@@ -86,16 +86,12 @@ class Writer {
   /// fsync(2) the journal file.
   void sync();
 
-  /// Truncates the journal to empty (called after a snapshot has made
-  /// its content redundant — snapshot-then-truncate compaction).
-  void reset();
-
   /// Bytes currently in the journal file (pre-existing + appended).
   std::uint64_t size_bytes() const { return bytes_; }
   const std::string& path() const { return path_; }
 
   /// True once a failure hook "killed" this writer; every further
-  /// append/reset throws and nothing more reaches disk.
+  /// append throws and nothing more reaches disk.
   bool dead() const { return dead_; }
 
  private:

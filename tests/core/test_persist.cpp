@@ -157,31 +157,6 @@ TEST(SeasonalPersist, SnapshotRoundTrip) {
   EXPECT_FALSE(cold.restore_snapshot(tmp.path("absent")));
 }
 
-TEST(TrafficMapPersist, EncodeDecodeRoundTrip) {
-  TrafficMap map;
-  map.time = at_day_time(3, hms(17, 30));
-  map.segments[EdgeId(1)] = {TrafficState::Normal, 0.2, 5, false};
-  map.segments[EdgeId(2)] = {TrafficState::VerySlow, 2.4, 3, false};
-  map.segments[EdgeId(9)] = {TrafficState::Slow, 1.2, 0, true};
-
-  BinWriter w;
-  encode_traffic_map(w, map);
-  BinReader r(w.bytes());
-  const TrafficMap copy = decode_traffic_map(r);
-  EXPECT_TRUE(r.done());
-
-  EXPECT_DOUBLE_EQ(copy.time, map.time);
-  ASSERT_EQ(copy.segments.size(), map.segments.size());
-  for (const auto& [edge, seg] : map.segments) {
-    const auto it = copy.segments.find(edge);
-    ASSERT_NE(it, copy.segments.end());
-    EXPECT_EQ(it->second.state, seg.state);
-    EXPECT_DOUBLE_EQ(it->second.z_score, seg.z_score);
-    EXPECT_EQ(it->second.recent_count, seg.recent_count);
-    EXPECT_EQ(it->second.inferred, seg.inferred);
-  }
-}
-
 TEST(PredictorFingerprint, SensitiveToOptions) {
   const PredictorOptions base;
   PredictorOptions other = base;
@@ -232,15 +207,37 @@ TEST(StatePersistence, CheckpointTruncatesJournal) {
   persistence.append(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
   EXPECT_GT(persistence.journal_bytes(), 0u);
 
+  persistence.seal_journal();
   BinWriter body;
   body.put_u64(persistence.last_seq());
-  persistence.write_checkpoint(body.bytes(), hms(8));
+  persistence.commit_checkpoint(body.bytes(), hms(8));
   EXPECT_EQ(persistence.journal_bytes(), 0u);
 
   StatePersistence fresh(config);
   const auto rec = fresh.recover();
   ASSERT_TRUE(rec.snapshot.has_value());
   EXPECT_TRUE(rec.records.empty());
+}
+
+TEST(StatePersistence, FailedSealPoisonsAndRefusesAppend) {
+  // Regression: a failed seal left the journal writer closed, and the
+  // next append dereferenced it.
+  TempDir tmp;
+  PersistenceConfig config;
+  config.dir = tmp.path();
+
+  StatePersistence persistence(config);
+  persistence.append(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
+  // A directory squatting on the sealed path makes the seal fail.
+  std::filesystem::create_directory(persistence.sealed_journal_path());
+  EXPECT_ANY_THROW(persistence.seal_journal());
+  EXPECT_TRUE(persistence.poisoned());
+  EXPECT_THROW(
+      persistence.append(JournalRecord::recent_obs, obs_at(2, 0, hms(9), 61.0)),
+      StateError);
+  EXPECT_THROW(persistence.seal_journal(), StateError);
+  EXPECT_EQ(persistence.journal_bytes(), 0u);
+  EXPECT_NO_THROW(persistence.should_checkpoint(hms(9)));
 }
 
 TEST(StatePersistence, SizeTriggerForcesCheckpoint) {
@@ -423,24 +420,127 @@ TEST(ServerPersist, SaveRestoreSnapshotWithoutPersistenceDir) {
                   edge, f.city.route_a().id(), at_day_time(3, hms(9))));
 }
 
-TEST(ServerPersist, TrafficMapCacheSurvivesRestart) {
+TEST(ServerPersist, TrafficMapRebuiltAfterRestart) {
+  // The traffic map is derived state: snapshots do not carry it, and a
+  // recovered server rebuilds the identical map from the restored store.
   PersistServerFixture f;
   TempDir tmp;
   const SimTime when = at_day_time(2, hms(9));
+  TrafficMap before;
   {
     auto server = f.make_server(f.config_with(tmp.path()));
     for (const auto& o : f.training_set(1)) server->load_history(o);
     server->finalize_history();
-    // Publish first: queries never publish, and a later refresh would
-    // rebuild the cached map at the event clock instead of `when`.
     server->flush_arrivals();
-    server->traffic_map(when);  // populates the cache
-    server->checkpoint();
-  }
+    before = server->traffic_map(when);
+  }  // graceful shutdown: final checkpoint
+  ASSERT_FALSE(before.segments.empty());
+
   auto restarted = f.make_server(f.config_with(tmp.path()));
-  ASSERT_TRUE(restarted->last_traffic_map().has_value());
-  EXPECT_DOUBLE_EQ(restarted->last_traffic_map()->time, when);
-  EXPECT_FALSE(restarted->last_traffic_map()->segments.empty());
+  ASSERT_TRUE(restarted->recovered());
+  const TrafficMap after = restarted->traffic_map(when);
+  EXPECT_DOUBLE_EQ(after.time, before.time);
+  ASSERT_EQ(after.segments.size(), before.segments.size());
+  for (const auto& [edge, seg] : before.segments) {
+    const auto it = after.segments.find(edge);
+    ASSERT_NE(it, after.segments.end());
+    EXPECT_EQ(it->second.state, seg.state);
+    EXPECT_EQ(it->second.z_score, seg.z_score);
+    EXPECT_EQ(it->second.recent_count, seg.recent_count);
+    EXPECT_EQ(it->second.inferred, seg.inferred);
+  }
+
+  // The first refresh after restart (here: a replicated observation
+  // moves the event clock) publishes a traffic body built from the store.
+  const roadnet::BusRoute& route = f.city.route_a();
+  restarted->apply_replicated(JournalRecord::recent_obs,
+                              {route.edges()[0], route.id(), when, 55.0});
+  restarted->flush_arrivals();
+  const auto snapshot = restarted->arrival_snapshot();
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_FALSE(snapshot->traffic_body.empty());
+  EXPECT_EQ(snapshot->traffic_body,
+            encode_traffic_map_json(restarted->traffic_map(snapshot->now)));
+}
+
+TEST(ServerPersist, UnknownSnapshotVersionFallsBackToJournal) {
+  PersistServerFixture f;
+  TempDir tmp;
+  // A CRC-clean body of a finalized server, stamped with a version this
+  // build does not know: recovery must treat it as a foreign layout.
+  {
+    auto warm = f.make_server();
+    for (const auto& o : f.training_set(1)) warm->load_history(o);
+    warm->finalize_history();
+    warm->save_snapshot(tmp.path("warm.snapshot"));
+  }
+  const auto warm = journal::read_snapshot_file(
+      tmp.path("warm.snapshot"), StatePersistence::kSnapshotMagic);
+  ASSERT_TRUE(warm.has_value());
+
+  const ServerConfig config = f.config_with(tmp.path("state"));
+  {
+    StatePersistence persistence(config.persist);
+    for (std::uint32_t e = 1; e <= 3; ++e)
+      persistence.append(JournalRecord::history_obs,
+                         obs_at(e, 0, hms(8), 60.0));
+  }
+  journal::write_snapshot_file(tmp.path("state") + "/state.snapshot",
+                               StatePersistence::kSnapshotMagic, 99,
+                               warm->body, /*do_fsync=*/false);
+
+  auto restarted = f.make_server(config);
+  EXPECT_TRUE(restarted->recovered());
+  EXPECT_FALSE(restarted->store().finalized());
+  EXPECT_EQ(restarted->store().raw_history().size(), 3u);
+  EXPECT_GE(restarted->metrics_snapshot().counter("persist.corrupt"), 1u);
+}
+
+TEST(ServerPersist, VersionOneSnapshotStillRestores) {
+  // A version-1 body is today's body followed by the retired traffic-map
+  // section ([u8 has_map][f64 time][u64 n] + n segment records).
+  PersistServerFixture f;
+  TempDir tmp;
+  auto warm = f.make_server();
+  for (const auto& o : f.training_set(1)) warm->load_history(o);
+  warm->finalize_history();
+  warm->save_snapshot(tmp.path("warm.snapshot"));
+  const auto current = journal::read_snapshot_file(
+      tmp.path("warm.snapshot"), StatePersistence::kSnapshotMagic);
+  ASSERT_TRUE(current.has_value());
+
+  BinWriter v1;
+  v1.put_bytes(current->body);
+  v1.put_u8(1);
+  v1.put_f64(at_day_time(2, hms(9)));
+  v1.put_u64(1);
+  v1.put_u32(f.city.route_a().edges()[0].value());
+  v1.put_u8(static_cast<std::uint8_t>(TrafficState::Slow));
+  v1.put_f64(1.2);
+  v1.put_u64(3);
+  v1.put_u8(0);
+  std::filesystem::create_directories(tmp.path("state"));
+  for (const std::string& path :
+       {tmp.path("v1.snapshot"), tmp.path("state") + "/state.snapshot"})
+    journal::write_snapshot_file(path, StatePersistence::kSnapshotMagic, 1,
+                                 v1.bytes(), /*do_fsync=*/false);
+
+  auto restored = f.make_server();
+  ASSERT_TRUE(restored->restore_snapshot(tmp.path("v1.snapshot")));
+  auto recovered = f.make_server(f.config_with(tmp.path("state")));
+  EXPECT_TRUE(recovered->recovered());
+  EXPECT_EQ(recovered->metrics_snapshot().counter("persist.corrupt"), 0u);
+  const roadnet::BusRoute& route = f.city.route_a();
+  for (const auto edge : route.edges()) {
+    const auto want = warm->predictor().predict_segment_time(
+        edge, route.id(), at_day_time(3, hms(9)));
+    EXPECT_EQ(restored->predictor().predict_segment_time(
+                  edge, route.id(), at_day_time(3, hms(9))),
+              want);
+    EXPECT_EQ(recovered->predictor().predict_segment_time(
+                  edge, route.id(), at_day_time(3, hms(9))),
+              want);
+  }
 }
 
 // -- two-phase (background) checkpointing ----------------------------------

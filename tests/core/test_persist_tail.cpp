@@ -55,24 +55,16 @@ TravelObservation obs_n(std::uint32_t n) {
           30.0 + static_cast<double>(n)};
 }
 
-/// Decodes a tail page back into (seq, type, obs) triples via the same
-/// scan_frames everyone else uses.
-struct Decoded {
-  std::uint64_t seq;
-  JournalRecord type;
-  TravelObservation obs;
-};
-
-std::vector<Decoded> decode_page(const StatePersistence::TailResult& page) {
-  std::vector<Decoded> out;
+/// Decodes a tail page back into journal entries via the same
+/// scan_frames + decode_journal_entry everyone else uses.
+std::vector<JournalEntry> decode_page(
+    const StatePersistence::TailResult& page) {
+  std::vector<JournalEntry> out;
   const journal::ReplayStats stats = journal::scan_frames(
       page.frames, [&](std::span<const std::byte> payload) {
-        BinReader r(payload);
-        Decoded d{};
-        d.seq = r.get_u64();
-        d.type = static_cast<JournalRecord>(r.get_u8());
-        d.obs = decode_observation(r);
-        out.push_back(d);
+        const auto entry = decode_journal_entry(payload);
+        ASSERT_TRUE(entry.has_value());
+        out.push_back(*entry);
       });
   EXPECT_TRUE(stats.clean());  // re-framed pages carry valid CRCs
   return out;
@@ -127,7 +119,7 @@ TEST(PersistTail, SmallPagesPaginateWithoutLossOrDuplication) {
     }
     // A page is never empty while records remain: even a single frame
     // larger than max_bytes is shipped (progress guarantee).
-    for (const Decoded& d : decode_page(page)) seen.push_back(d.seq);
+    for (const JournalEntry& d : decode_page(page)) seen.push_back(d.seq);
     after = page.last_seq;
     ++pages;
     ASSERT_LT(pages, 100);
@@ -187,9 +179,10 @@ TEST(PersistTail, CommitPromotesCompactionWatermarkAndDropsSealed) {
   EXPECT_EQ(page.last_seq, 8u);
   EXPECT_EQ(page.records, 2u);
 
-  // write_checkpoint (the synchronous path) covers everything.
+  // Sealing with nothing in flight covers everything journaled so far.
   persist.append(JournalRecord::recent_obs, obs_n(9));
-  persist.write_checkpoint(body, at_day_time(0, 4100.0));
+  persist.seal_journal();
+  persist.commit_checkpoint(body, at_day_time(0, 4100.0));
   EXPECT_EQ(persist.compacted_through(), 9u);
   EXPECT_EQ(persist.tail_segments(0, 1 << 20).records, 0u);
 }
@@ -235,7 +228,7 @@ TEST(PersistTail, ConcurrentAppendsNeverYieldTornOrOutOfOrderPages) {
     while (!done.load(std::memory_order_acquire) || true) {
       const bool finished = done.load(std::memory_order_acquire);
       const auto page = persist.tail_segments(after, 4096);
-      for (const Decoded& d : decode_page(page)) {
+      for (const JournalEntry& d : decode_page(page)) {
         if (d.seq != after + 1) reader_ok.store(false);
         after = d.seq;
         seen.push_back(d.seq);

@@ -297,6 +297,46 @@ TEST(HttpService, BackgroundCheckpointerCommitsOffThread) {
   EXPECT_EQ(recent.size(), recovered_recent.size());
 }
 
+TEST(HttpService, FailedCheckpointIsCountedAndServiceKeepsServing) {
+  // Regression: only the commit was guarded, so a seal failing inside
+  // the checkpoint thread's prepare escaped the thread and terminated
+  // the process.
+  TempDir dir;
+  core::ServerConfig config;
+  config.persist.dir = dir.path();
+  config.persist.journal_trigger_bytes = 64;  // any journaled record is due
+  config.persist.snapshot_interval_s = 1e12;
+  ServiceFixture f(config);
+  // Journal a few records without checkpointing them, so the first
+  // background prepare has a non-empty journal to seal.
+  f.server.set_inline_checkpoints(false);
+  const roadnet::BusRoute& route = f.city.route_a();
+  for (int i = 0; i < 4; ++i)
+    f.server.load_history({route.edges()[0], route.id(),
+                           at_day_time(0, hms(8)) + 60.0 * i, 50.0 + i});
+  ASSERT_TRUE(f.server.checkpoint_due());
+  // A directory squatting on the sealed path makes the seal fail.
+  std::filesystem::create_directory(
+      f.server.persistence()->sealed_journal_path());
+
+  ServiceOptions options;
+  options.checkpoint_poll_s = 0.01;
+  WiLocatorService service(f.server, options);
+  service.start();
+  const auto failures = [&] {
+    return f.server.metrics_snapshot().counter("service.checkpoint_failures");
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (failures() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_GE(failures(), 1u);
+  EXPECT_EQ(service.background_checkpoints(), 0u);
+  EXPECT_TRUE(f.server.persistence()->poisoned());
+  EXPECT_EQ(service.handle({.method = "GET", .path = "/healthz"}).status, 200);
+  service.stop();
+}
+
 TEST(HttpService, SocketedEndToEnd) {
   ServiceFixture f;
   f.train(1);

@@ -180,19 +180,31 @@ TEST(Journal, ImplausibleLengthTreatedAsTornTail) {
   EXPECT_EQ(stats.frames_ok, 0u);
 }
 
-TEST(Journal, ResetTruncates) {
+TEST(Journal, RenamedAwayJournalReopensEmpty) {
+  // Checkpoint compaction renames the active journal aside and opens a
+  // fresh one at the same path: the new writer must start empty and the
+  // renamed file must keep every frame.
   TempDir tmp;
   const std::string path = tmp.path("j");
+  const std::string sealed = tmp.path("j.sealed");
+  {
+    Writer w(path);
+    w.append(bytes_of("sealed away"));
+  }
+  std::filesystem::rename(path, sealed);
   Writer w(path);
-  w.append(bytes_of("gone after reset"));
-  w.reset();
   EXPECT_EQ(w.size_bytes(), 0u);
   w.append(bytes_of("kept"));
-  std::vector<std::string> seen;
-  replay(path, [&](std::span<const std::byte> p) {
-    seen.emplace_back(reinterpret_cast<const char*>(p.data()), p.size());
-  });
-  EXPECT_EQ(seen, (std::vector<std::string>{"kept"}));
+  const auto frames_of = [](const std::string& p) {
+    std::vector<std::string> seen;
+    replay(p, [&](std::span<const std::byte> payload) {
+      seen.emplace_back(reinterpret_cast<const char*>(payload.data()),
+                        payload.size());
+    });
+    return seen;
+  };
+  EXPECT_EQ(frames_of(path), (std::vector<std::string>{"kept"}));
+  EXPECT_EQ(frames_of(sealed), (std::vector<std::string>{"sealed away"}));
 }
 
 TEST(Journal, CrashHookTearsFrameAndPoisonsWriter) {
