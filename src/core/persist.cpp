@@ -83,7 +83,7 @@ void StatePersistence::append(JournalRecord type,
 }
 
 bool StatePersistence::should_checkpoint(SimTime now) const {
-  if (journal_bytes() >= config_.journal_trigger_bytes) return true;
+  if (journal_full()) return true;
   const std::lock_guard<std::mutex> lock(time_mu_);
   return last_checkpoint_time_.has_value() &&
          now - *last_checkpoint_time_ >= config_.snapshot_interval_s;

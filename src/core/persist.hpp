@@ -8,7 +8,8 @@
 //
 //  - every observation entering the store is appended to a CRC-framed
 //    journal (util/journal), stamped with a monotonic sequence number;
-//  - periodically (sim-time interval or journal-size trigger) the whole
+//  - periodically (sim-time interval or journal-size trigger; the server
+//    consults only the size trigger while history loads) the whole
 //    store is serialized into an atomic snapshot file embedding the
 //    journal watermark, and the journal it covers is dropped
 //    (snapshot-then-compact);
@@ -58,7 +59,9 @@ struct PersistenceConfig {
   std::string dir;  ///< state directory; created on demand
 
   /// Sim-time between periodic checkpoints (measured on the exit times
-  /// of the observations flowing through the store).
+  /// of the observations flowing through the store). The server applies
+  /// it from finalize_history() on; the offline load is bounded by the
+  /// journal-size trigger alone.
   double snapshot_interval_s = 15.0 * 60.0;
   /// Journal size that forces a checkpoint regardless of the interval.
   std::uint64_t journal_trigger_bytes = 4ull << 20;
@@ -151,6 +154,10 @@ class StatePersistence {
            (writer_ != nullptr && writer_->dead());
   }
 
+  /// True when the journal-size trigger has fired.
+  bool journal_full() const {
+    return journal_bytes() >= config_.journal_trigger_bytes;
+  }
   /// True when the interval or journal-size trigger has fired since the
   /// last checkpoint.
   bool should_checkpoint(SimTime now) const;

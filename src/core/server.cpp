@@ -226,6 +226,11 @@ void WiLocatorServer::maybe_checkpoint() {
 bool WiLocatorServer::checkpoint_due() const {
   if (persist_ == nullptr || persist_->poisoned() || !has_event_)
     return false;
+  // The offline load sweeps exit times through days of history in
+  // moments; an interval trigger there would re-serialize the growing
+  // store every few simulated minutes. The journal size alone bounds
+  // recovery until finalize takes the first full checkpoint.
+  if (!store_.finalized()) return persist_->journal_full();
   return persist_->should_checkpoint(last_event_time_);
 }
 

@@ -222,7 +222,8 @@ class WiLocatorServer {
 
   /// True when the periodic/size checkpoint trigger has fired — the
   /// background checkpointer polls this under the same lock that
-  /// serializes control-thread calls.
+  /// serializes control-thread calls. Until finalize_history() only the
+  /// journal-size trigger counts: the interval measures online time.
   bool checkpoint_due() const;
 
   /// Phase 1 (control thread): publishes pending observations, seals

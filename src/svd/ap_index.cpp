@@ -77,4 +77,53 @@ double ApIndex::hearing_radius(const std::vector<rf::AccessPoint>& aps,
   return radius;
 }
 
+SignatureKernel::SignatureKernel(std::vector<rf::AccessPoint> aps,
+                                 const rf::LogDistanceModel& model,
+                                 double floor_dbm, std::size_t order)
+    : model_(model), floor_dbm_(floor_dbm), order_(order),
+      radius_(ApIndex::hearing_radius(aps, model, floor_dbm)),
+      // The margin dwarfs the few-ulp rounding of the bilinear blend
+      // and of path loss + shadowing at dBm magnitudes.
+      slack_(model.params().shadowing_sigma_db + 1e-6),
+      index_(std::move(aps)) {
+  WILOC_EXPECTS(order_ >= 1);
+}
+
+RankSignature SignatureKernel::at(geo::Point x) {
+  index_.query(x, radius_, near_);
+  bounded_.clear();
+  for (const rf::AccessPoint* ap : near_) {
+    const double path_loss = model_.path_loss_rss(*ap, x);
+    if (path_loss + slack_ >= floor_dbm_) bounded_.emplace_back(path_loss, ap);
+  }
+  // An AP whose upper bound is below the order-th best lower bound has
+  // `order` APs strictly stronger than it, all of them audible when
+  // that bound clears the floor.
+  double cut = floor_dbm_;
+  if (bounded_.size() > order_) {
+    const auto kth = bounded_.begin() + static_cast<std::ptrdiff_t>(order_ - 1);
+    std::nth_element(
+        bounded_.begin(), kth, bounded_.end(),
+        [](const auto& a, const auto& b) { return a.first > b.first; });
+    cut = std::max(cut, kth->first - slack_);
+  }
+  ranked_.clear();
+  for (const auto& [path_loss, ap] : bounded_) {
+    if (path_loss + slack_ < cut) continue;
+    const double rss = model_.mean_rss(*ap, x);
+    if (rss >= floor_dbm_) ranked_.emplace_back(rss, ap->id);
+  }
+  const auto top = ranked_.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(order_, ranked_.size()));
+  std::partial_sort(ranked_.begin(), top, ranked_.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
+                    });
+  std::vector<rf::ApId> ids;
+  ids.reserve(static_cast<std::size_t>(top - ranked_.begin()));
+  for (auto it = ranked_.begin(); it != top; ++it) ids.push_back(it->second);
+  return RankSignature(std::move(ids));
+}
+
 }  // namespace wiloc::svd

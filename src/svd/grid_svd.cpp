@@ -8,36 +8,6 @@
 
 namespace wiloc::svd {
 
-namespace {
-
-/// Ranks the APs audible at x by expected RSS (desc), ties by id (asc).
-RankSignature signature_at_point(const ApIndex& index,
-                                 const rf::LogDistanceModel& model,
-                                 geo::Point x, double radius,
-                                 double floor_dbm, std::size_t order,
-                                 std::vector<const rf::AccessPoint*>& scratch,
-                                 std::vector<std::pair<double, rf::ApId>>&
-                                     audible) {
-  index.query(x, radius, scratch);
-  audible.clear();
-  for (const rf::AccessPoint* ap : scratch) {
-    const double rss = model.mean_rss(*ap, x);
-    if (rss >= floor_dbm) audible.emplace_back(rss, ap->id);
-  }
-  std::sort(audible.begin(), audible.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  std::vector<rf::ApId> ranked;
-  ranked.reserve(std::min(order, audible.size()));
-  for (std::size_t i = 0; i < audible.size() && i < order; ++i)
-    ranked.push_back(audible[i].second);
-  return RankSignature(std::move(ranked));
-}
-
-}  // namespace
-
 SvdGrid::SvdGrid(std::vector<rf::AccessPoint> aps,
                  const rf::LogDistanceModel& model, GridSpec spec,
                  SvdGridParams params)
@@ -51,8 +21,8 @@ SvdGrid::SvdGrid(std::vector<rf::AccessPoint> aps,
   known_aps_.assign(aps.empty() ? 0 : max_ap + 1, false);
   for (const auto& ap : aps) known_aps_[ap.id.value()] = true;
 
-  const double radius = ApIndex::hearing_radius(aps, model, params_.floor_dbm);
-  const ApIndex index(std::move(aps));
+  SignatureKernel kernel(std::move(aps), model, params_.floor_dbm,
+                         params_.order);
 
   nx_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(
@@ -62,8 +32,6 @@ SvdGrid::SvdGrid(std::vector<rf::AccessPoint> aps,
              std::ceil(spec_.domain.height() / spec_.resolution_m)));
   cell_region_.assign(nx_ * ny_, 0);
 
-  std::vector<const rf::AccessPoint*> scratch;
-  std::vector<std::pair<double, rf::ApId>> audible;
   std::vector<double> sum_x;
   std::vector<double> sum_y;
   std::vector<std::size_t> counts;
@@ -71,9 +39,7 @@ SvdGrid::SvdGrid(std::vector<rf::AccessPoint> aps,
   for (std::size_t cy = 0; cy < ny_; ++cy) {
     for (std::size_t cx = 0; cx < nx_; ++cx) {
       const geo::Point center = cell_center(cx, cy);
-      RankSignature sig =
-          signature_at_point(index, model, center, radius, params_.floor_dbm,
-                             params_.order, scratch, audible);
+      RankSignature sig = kernel.at(center);
       RegionIndex ridx;
       const auto it = by_signature_.find(sig);
       if (it == by_signature_.end()) {

@@ -26,41 +26,16 @@ RouteSvd::RouteSvd(const roadnet::BusRoute& route,
   known_aps_.assign(aps.empty() ? 0 : max_ap + 1, false);
   for (const auto& ap : aps) known_aps_[ap.id.value()] = true;
 
-  const double radius =
-      ApIndex::hearing_radius(aps, model, params_.floor_dbm);
-  const ApIndex index(std::move(aps));
-
-  std::vector<const rf::AccessPoint*> scratch;
-  std::vector<std::pair<double, rf::ApId>> audible;
-
-  const auto signature_of = [&](double offset) {
-    const geo::Point x = route.point_at(offset);
-    index.query(x, radius, scratch);
-    audible.clear();
-    for (const rf::AccessPoint* ap : scratch) {
-      const double rss = model.mean_rss(*ap, x);
-      if (rss >= params_.floor_dbm) audible.emplace_back(rss, ap->id);
-    }
-    std::sort(audible.begin(), audible.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-    std::vector<rf::ApId> ranked;
-    ranked.reserve(std::min(params_.order, audible.size()));
-    for (std::size_t i = 0; i < audible.size() && i < params_.order; ++i)
-      ranked.push_back(audible[i].second);
-    return RankSignature(std::move(ranked));
-  };
-
+  SignatureKernel kernel(std::move(aps), model, params_.floor_dbm,
+                         params_.order);
   const auto steps = static_cast<std::size_t>(
       std::ceil(length_ / params_.sample_step_m));
-  RankSignature current = signature_of(0.0);
+  RankSignature current = kernel.at(route.point_at(0.0));
   double run_begin = 0.0;
   for (std::size_t i = 1; i <= steps; ++i) {
     const double offset =
         length_ * static_cast<double>(i) / static_cast<double>(steps);
-    RankSignature sig = signature_of(offset);
+    RankSignature sig = kernel.at(route.point_at(offset));
     if (!(sig == current)) {
       intervals_.push_back({std::move(current), run_begin, offset});
       current = std::move(sig);

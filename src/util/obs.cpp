@@ -1,6 +1,7 @@
 #include "util/obs.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 
@@ -311,12 +312,16 @@ Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
 
 void Tracer::record(const TraceEvent& event) {
   if (!enabled()) return;
+  TraceEvent stamped = event;
+  stamped.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now().time_since_epoch())
+                        .count();
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.size() >= capacity_) {
     ring_.pop_front();
     ++dropped_;
   }
-  ring_.push_back(event);
+  ring_.push_back(stamped);
 }
 
 std::vector<TraceEvent> Tracer::take() {

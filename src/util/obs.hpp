@@ -182,12 +182,17 @@ struct TraceEvent {
   std::uint32_t trip = 0;  ///< trip id value (0 when not applicable)
   TraceStage stage = TraceStage::ingest;
   double t = 0.0;          ///< scan/observation sim-time
+  /// Monotonic wall clock (steady_clock ns) when the event was
+  /// recorded; stamped by Tracer::record, so untraced runs never read
+  /// the clock.
+  std::int64_t wall_ns = 0;
 };
 
 /// Bounded event ring. Recording drops the oldest events on overflow
 /// (never blocks the pipeline for longer than the push); `take()` drains.
 /// Recording is a no-op while disabled, so an always-wired tracer costs
-/// one relaxed atomic load per call site.
+/// one relaxed atomic load per call site. An enabled record stamps the
+/// event's wall_ns before taking the ring lock.
 class Tracer {
  public:
   explicit Tracer(std::size_t capacity = 8192);

@@ -324,6 +324,53 @@ TEST(ServerPersist, LoadHistoryIsIdempotent) {
           once->store().historical_mean(edge, f.city.route_a().id(), slot));
 }
 
+TEST(ServerPersist, OfflineLoadCheckpointsOnlyOnSize) {
+  // The interval trigger counts online time. A multi-day history load
+  // sweeps its clock through days in moments, so it must not checkpoint
+  // every interval; only the journal size (and finalize) may.
+  PersistServerFixture f;
+  const auto training = f.training_set(3);
+  const auto snapshots = [](const WiLocatorServer& s) {
+    return s.metrics_snapshot().counter("persist.snapshots");
+  };
+  const auto means = [&](const WiLocatorServer& s) {
+    std::vector<std::optional<double>> out;
+    for (const auto* route : {&f.city.route_a(), &f.city.route_b()})
+      for (const auto edge : route->edges())
+        for (std::size_t slot = 0; slot < 5; ++slot)
+          out.push_back(s.store().historical_mean(edge, route->id(), slot));
+    return out;
+  };
+
+  for (const std::uint64_t trigger : {std::uint64_t{1} << 30,
+                                      std::uint64_t{2048}}) {
+    SCOPED_TRACE(trigger);
+    TempDir tmp;
+    ServerConfig config = f.config_with(tmp.path());
+    config.persist.journal_trigger_bytes = trigger;
+    ASSERT_EQ(config.persist.snapshot_interval_s, 15.0 * 60.0);
+
+    auto server = f.make_server(config);
+    for (const auto& o : training) server->load_history(o);
+    const std::uint64_t during_load = snapshots(*server);
+    server->finalize_history();
+    if (trigger == 2048) {
+      EXPECT_GT(during_load, 0u);  // the size trigger still bounds recovery
+      EXPECT_EQ(snapshots(*server), during_load + 1);
+    } else {
+      EXPECT_EQ(during_load, 0u);
+      EXPECT_EQ(snapshots(*server), 1u);
+    }
+    const auto expected = means(*server);
+    server.reset();
+
+    auto restarted = f.make_server(config);
+    EXPECT_TRUE(restarted->recovered());
+    EXPECT_TRUE(restarted->store().finalized());
+    EXPECT_EQ(means(*restarted), expected);
+  }
+}
+
 TEST(ServerPersist, CheckpointAndRecover) {
   PersistServerFixture f;
   TempDir tmp;

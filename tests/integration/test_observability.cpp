@@ -3,7 +3,9 @@
 // and tracing must produce a coherent span stream for a clean trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -215,6 +217,48 @@ TEST(Observability, TracingRecordsCoherentSpans) {
   server.begin_trip(TripId(2), city.route_a().id());
   server.ingest(TripId(2), reports.front().scan);
   EXPECT_TRUE(server.take_trace_events().empty());
+}
+
+TEST(Observability, TraceWallStampsFollowEachScansStages) {
+  testing::MiniCity city;
+  sim::TrafficModel traffic(7);
+  ServerConfig config;
+  config.tracing = true;
+  WiLocatorServer server({&city.route_a()}, city.ap_snapshot(), city.model,
+                         DaySlots::paper_five_slots(), config);
+
+  Rng rng(11);
+  const auto record = sim::simulate_trip(TripId(1), city.route_a(),
+                                         city.profiles[0], traffic,
+                                         at_day_time(2, hms(9)), rng);
+  const rf::Scanner scanner;
+  const auto reports = sim::sense_trip(record, city.route_a(), city.aps,
+                                       city.model, scanner, rng);
+  server.begin_trip(TripId(1), city.route_a().id());
+  for (const auto& report : reports) server.ingest(TripId(1), report.scan);
+  server.end_trip(TripId(1));
+
+  // Per scan id, the wall clock never runs backwards from one stage to
+  // the next.
+  std::map<std::uint64_t, std::vector<obs::TraceEvent>> by_id;
+  for (const obs::TraceEvent& e : server.take_trace_events())
+    by_id[e.id].push_back(e);
+  ASSERT_FALSE(by_id.empty());
+  std::size_t multi_stage = 0;
+  for (auto& [id, events] : by_id) {
+    std::stable_sort(events.begin(), events.end(),
+                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                       return a.stage < b.stage;
+                     });
+    if (events.size() > 1) ++multi_stage;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_GT(events[i].wall_ns, 0) << id;
+      if (i > 0) {
+        EXPECT_GE(events[i].wall_ns, events[i - 1].wall_ns) << id;
+      }
+    }
+  }
+  EXPECT_GT(multi_stage, 0u);
 }
 
 TEST(Observability, ReporterStreamsServerMetrics) {

@@ -193,6 +193,18 @@ TEST(ObsTracer, RingDropsOldest) {
   EXPECT_TRUE(tracer.take().empty());  // drained
 }
 
+TEST(ObsTracer, RecordStampsMonotonicWallClock) {
+  Tracer tracer(8);
+  tracer.set_enabled(true);
+  for (std::size_t s = 0; s < kTraceStageCount; ++s)
+    tracer.record({7, 1, static_cast<TraceStage>(s), 100.0});
+  const std::vector<TraceEvent> events = tracer.take();
+  ASSERT_EQ(events.size(), kTraceStageCount);
+  EXPECT_GT(events.front().wall_ns, 0);
+  for (std::size_t i = 1; i < events.size(); ++i)
+    EXPECT_GE(events[i].wall_ns, events[i - 1].wall_ns) << i;
+}
+
 TEST(ObsTracer, StageNames) {
   EXPECT_STREQ(to_string(TraceStage::ingest), "ingest");
   EXPECT_STREQ(to_string(TraceStage::locate), "locate");
