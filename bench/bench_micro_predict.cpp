@@ -1,9 +1,14 @@
 // Microbenchmarks (google-benchmark): travel-time store and arrival
-// prediction throughput — per-query server cost.
+// prediction throughput — per-query server cost — and the arrival
+// table refresh that materializes Eq. 9 for every (trip, stop).
 
 #include <benchmark/benchmark.h>
 
+#include <unordered_map>
+
+#include "core/arrival_table.hpp"
 #include "core/predictor.hpp"
+#include "sim/city.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -75,6 +80,93 @@ void BM_PredictSegmentTime(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictSegmentTime);
+
+/// The paper city with a store trained on its four routes (5 days of
+/// history) and recent traversals on every other edge before 09:00 of
+/// day 6, the query time below.
+struct CityStore {
+  sim::City city = sim::build_paper_city();
+  TravelTimeStore store{DaySlots::paper_five_slots()};
+  SimTime now = at_day_time(6, hms(9));
+
+  CityStore() {
+    Rng rng(11);
+    for (const auto& route : city.routes)
+      for (const EdgeId edge : route.edges())
+        for (int day = 0; day < 5; ++day)
+          for (const double tod : {hms(7, 30), hms(9), hms(12), hms(18, 30)})
+            store.add_history({edge, route.id(), at_day_time(day, tod),
+                               40.0 + rng.uniform(0.0, 40.0)});
+    store.finalize_history();
+    for (const auto& route : city.routes)
+      for (std::size_t i = 0; i < route.edges().size(); i += 2)
+        store.add_recent({route.edges()[i], route.id(),
+                          now - 60.0 * static_cast<double>(1 + i % 9),
+                          50.0 + rng.uniform(0.0, 40.0)});
+  }
+};
+
+const CityStore& shared_city_store() {
+  static const CityStore cs;
+  return cs;
+}
+
+/// Eq. 9 for every stop of route 16 (91 stops) from a bus position that
+/// sweeps the route: arg 0 calls predict_arrival once per stop (one walk
+/// per stop), arg 1 calls predict_arrivals (one walk for all stops).
+void BM_PredictArrivalsAllStops(benchmark::State& state) {
+  const CityStore& cs = shared_city_store();
+  const roadnet::BusRoute& route = cs.city.route_by_name("16");
+  const core::ArrivalPredictor predictor(cs.store);
+  const bool one_walk = state.range(0) == 1;
+  std::vector<SimTime> arrivals(route.stop_count());
+  double offset = 0.0;
+  for (auto _ : state) {
+    offset += 397.0;
+    if (offset >= route.length()) offset -= route.length();
+    if (one_walk) {
+      arrivals = predictor.predict_arrivals(route, offset, cs.now);
+    } else {
+      for (std::size_t s = 0; s < route.stop_count(); ++s)
+        arrivals[s] = predictor.predict_arrival(route, offset, cs.now, s);
+    }
+    benchmark::DoNotOptimize(arrivals.data());
+  }
+  state.SetLabel(one_walk ? "one walk" : "per-stop loop");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(route.stop_count()));
+}
+BENCHMARK(BM_PredictArrivalsAllStops)->Arg(0)->Arg(1);
+
+/// One serving refresh: `arg` active trips spread over the four routes,
+/// every one moved since the last refresh, so every (trip, stop) answer
+/// is predicted, encoded and published again.
+void BM_ArrivalTableRefresh(benchmark::State& state) {
+  const CityStore& cs = shared_city_store();
+  const core::ArrivalPredictor predictor(cs.store);
+  const core::TrafficMapBuilder traffic(cs.store, predictor);
+  core::ArrivalTable table(cs.store, predictor, traffic);
+  std::unordered_map<std::uint32_t, double> offsets;
+  const auto trips = static_cast<std::uint32_t>(state.range(0));
+  for (std::uint32_t t = 0; t < trips; ++t) {
+    const roadnet::BusRoute& route = cs.city.routes[t % cs.city.routes.size()];
+    table.track(roadnet::TripId(t), &route);
+    offsets[t] = route.length() * (t + 0.5) / trips;
+  }
+  const auto position = [&offsets](roadnet::TripId trip) {
+    return std::optional<double>(offsets.at(trip.value()));
+  };
+  for (auto _ : state) {
+    for (auto& [trip, offset] : offsets) offset += 1.0;
+    table.refresh(cs.now, position);
+    benchmark::DoNotOptimize(table.snapshot().get());
+  }
+  std::size_t answers = 0;
+  for (const auto& [trip, ta] : table.snapshot()->trips)
+    answers += ta->body.size();
+  state.counters["answers"] = static_cast<double>(answers);
+}
+BENCHMARK(BM_ArrivalTableRefresh)->Arg(46)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -111,11 +111,11 @@ net::HttpResponse ClusterRouter::handle(const net::HttpRequest& request) {
     if (request.path == "/v1/arrival") {
       if (request.param_num("trip").has_value())
         return handle_trip_read(request);
-      const auto route_num = request.param_num("route");
-      if (route_num.has_value())
-        return handle_route_arrival(
-            request, static_cast<std::uint64_t>(
-                         static_cast<std::uint32_t>(*route_num)));
+      if (const auto route_num = request.param_num("route")) {
+        const auto route = net::checked_integer<std::uint32_t>(route_num);
+        if (!route.has_value()) return error_json(400, "bad \"route\"");
+        return handle_route_arrival(request, *route);
+      }
       return handle_any_node(request);  // upstream explains the 400
     }
     if (request.path == "/v1/position") return handle_trip_read(request);
@@ -204,14 +204,13 @@ net::HttpResponse ClusterRouter::handle_scans(
       std::string parse_error;
       const auto doc = net::parse_json(upstream.body, &parse_error);
       if (doc.has_value()) {
-        submitted += static_cast<std::uint64_t>(
-            doc->get_number("submitted").value_or(0.0));
-        enqueued += static_cast<std::uint64_t>(
-            doc->get_number("enqueued").value_or(0.0));
-        rejected += static_cast<std::uint64_t>(
-            doc->get_number("rejected_backpressure").value_or(0.0));
-        acked[node] += static_cast<std::uint64_t>(
-            doc->get_number("submitted").value_or(0.0));
+        const auto count = [](std::optional<double> v) {
+          return net::checked_integer<std::uint64_t>(v).value_or(0);
+        };
+        submitted += count(doc->get_number("submitted"));
+        enqueued += count(doc->get_number("enqueued"));
+        rejected += count(doc->get_number("rejected_backpressure"));
+        acked[node] += count(doc->get_number("submitted"));
       }
     }
   }
@@ -241,14 +240,15 @@ net::HttpResponse ClusterRouter::handle_trips(
   std::string parse_error;
   const auto doc = net::parse_json(request.body, &parse_error);
   if (!doc.has_value()) return error_json(400, "bad JSON: " + parse_error);
-  const auto trip_num = doc->get_number("trip");
-  if (!trip_num.has_value()) return error_json(400, "missing \"trip\"");
-  const auto trip =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(*trip_num));
+  const auto trip_id =
+      net::checked_integer<std::uint32_t>(doc->get_number("trip"));
+  if (!trip_id.has_value()) return error_json(400, "missing or bad \"trip\"");
+  const std::uint64_t trip = *trip_id;
   const net::JsonValue* end = doc->get("end");
   const bool ending =
       end != nullptr && end->as_bool().has_value() && *end->as_bool();
-  const auto route_num = doc->get_number("route");
+  const auto route =
+      net::checked_integer<std::uint32_t>(doc->get_number("route"));
 
   // Registration is idempotent on the upstream (409 = already active),
   // so the POST rides the retry ladder like a read.
@@ -263,14 +263,12 @@ net::HttpResponse ClusterRouter::handle_trips(
     }
     return response;
   }
-  if (route_num.has_value() &&
-      (response.status == 200 || response.status == 409) &&
+  if (route.has_value() && (response.status == 200 || response.status == 409) &&
       served_by < nodes_.size()) {
     // Remember the placement so scans/reads can lazily re-register the
     // trip on a failover target.
     std::lock_guard<std::mutex> lock(routes_mu_);
-    trip_routes_[trip] = static_cast<std::uint64_t>(
-        static_cast<std::uint32_t>(*route_num));
+    trip_routes_[trip] = *route;
     trip_registered_[trip].insert(served_by);
     if (response.status == 409) response.status = 200;
   }
@@ -281,9 +279,9 @@ net::HttpResponse ClusterRouter::handle_trip_read(
     const net::HttpRequest& request) {
   const auto trip_num = request.param_num("trip");
   if (!trip_num.has_value()) return handle_any_node(request);
-  const auto trip =
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(*trip_num));
-  return forward_ladder(ring_.ranked(trip), request, true, trip, true);
+  const auto trip = net::checked_integer<std::uint32_t>(trip_num);
+  if (!trip.has_value()) return error_json(400, "bad \"trip\"");
+  return forward_ladder(ring_.ranked(*trip), request, true, *trip, true);
 }
 
 net::HttpResponse ClusterRouter::handle_route_arrival(

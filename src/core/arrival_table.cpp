@@ -1,10 +1,10 @@
 #include "core/arrival_table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <string_view>
 
 namespace wiloc::core {
 
@@ -14,21 +14,57 @@ double wall_clock_s() {
       .count();
 }
 
+namespace {
+
+// Room for any json_num output: %.12g is at most 19 characters
+// ("-1.23456789012e-308").
+constexpr std::ptrdiff_t kNumChars = 32;
+
+char* put(char* p, std::string_view text) {
+  return std::copy(text.begin(), text.end(), p);
+}
+
+char* put_int(char* p, std::uint64_t v) {
+  return std::to_chars(p, p + 20, v).ptr;
+}
+
+// to_chars' general format with a precision is specified as printf's
+// %.{precision}g, so this is "%.12g" without the locale and varargs.
+char* put_num(char* p, double v) {
+  if (!std::isfinite(v)) return put(p, "null");
+  constexpr auto kFormat = std::chars_format::general;
+  return std::to_chars(p, p + kNumChars, v, kFormat, 12).ptr;
+}
+
+void append_num(std::string& out, double v) {
+  char buf[kNumChars];
+  out.append(buf, put_num(buf, v));
+}
+
+}  // namespace
+
 std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+  char buf[kNumChars];
+  return std::string(buf, put_num(buf, v));
 }
 
 std::string encode_arrival_json(roadnet::TripId trip, std::size_t stop,
                                 SimTime now, SimTime arrival) {
-  std::ostringstream out;
-  out << "{\"trip\":" << trip.value() << ",\"stop\":" << stop
-      << ",\"now\":" << json_num(now)
-      << ",\"arrival_time\":" << json_num(arrival)
-      << ",\"eta_s\":" << json_num(arrival - now) << "}";
-  return out.str();
+  // Built on the stack and copied once: the snapshot keeps one body per
+  // (trip, stop), so each string is allocated at its exact size.
+  char buf[64 + 2 * 20 + 3 * kNumChars];
+  char* p = put(buf, "{\"trip\":");
+  p = put_int(p, trip.value());
+  p = put(p, ",\"stop\":");
+  p = put_int(p, stop);
+  p = put(p, ",\"now\":");
+  p = put_num(p, now);
+  p = put(p, ",\"arrival_time\":");
+  p = put_num(p, arrival);
+  p = put(p, ",\"eta_s\":");
+  p = put_num(p, arrival - now);
+  p = put(p, "}");
+  return std::string(buf, p);
 }
 
 std::string encode_traffic_map_json(const TrafficMap& map) {
@@ -36,19 +72,25 @@ std::string encode_traffic_map_json(const TrafficMap& map) {
       map.segments.begin(), map.segments.end());
   std::sort(segments.begin(), segments.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::ostringstream out;
-  out << "{\"t\":" << json_num(map.time) << ",\"segments\":[";
+  std::string out = "{\"t\":";
+  append_num(out, map.time);
+  out += ",\"segments\":[";
   bool first = true;
   for (const auto& [edge, seg] : segments) {
-    if (!first) out << ',';
+    if (!first) out += ',';
     first = false;
-    out << "{\"edge\":" << edge.value() << ",\"state\":\""
-        << to_string(seg.state) << "\",\"z\":" << json_num(seg.z_score)
-        << ",\"recent\":" << seg.recent_count
-        << ",\"inferred\":" << (seg.inferred ? "true" : "false") << "}";
+    out += "{\"edge\":";
+    out += std::to_string(edge.value());
+    out += ",\"state\":\"";
+    out += to_string(seg.state);
+    out += "\",\"z\":";
+    append_num(out, seg.z_score);
+    out += ",\"recent\":";
+    out += std::to_string(seg.recent_count);
+    out += seg.inferred ? ",\"inferred\":true}" : ",\"inferred\":false}";
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 const TripArrivals* ArrivalSnapshot::find(roadnet::TripId trip) const {
@@ -110,19 +152,16 @@ std::shared_ptr<const TripArrivals> ArrivalTable::compute(
   out->offset = offset;
   out->now = now;
   out->epoch = epoch;
-  const std::size_t stops = route.stop_count();
-  out->arrival.reserve(stops);
-  out->body.reserve(stops);
-  for (std::size_t s = 0; s < stops; ++s) {
-    const SimTime at = predictor_->predict_arrival(route, offset, now, s);
-    out->arrival.push_back(at);
-    out->body.push_back(encode_arrival_json(trip, s, now, at));
-  }
+  out->arrival = predictor_->predict_arrivals(route, offset, now);
+  out->body.reserve(out->arrival.size());
+  for (std::size_t s = 0; s < out->arrival.size(); ++s)
+    out->body.push_back(encode_arrival_json(trip, s, now, out->arrival[s]));
   return out;
 }
 
 void ArrivalTable::refresh(SimTime now, const PositionFn& position_of) {
   if (!store_->finalized()) return;
+  const double started_wall_s = wall_clock_s();
   const std::uint64_t epoch = store_->epoch();
 
   bool changed = dirty_;
@@ -156,6 +195,8 @@ void ArrivalTable::refresh(SimTime now, const PositionFn& position_of) {
   }
 
   if (changed) publish(now, epoch);
+  if (metrics_.refresh_us != nullptr)
+    metrics_.refresh_us->record((wall_clock_s() - started_wall_s) * 1e6);
 }
 
 void ArrivalTable::publish(SimTime now, std::uint64_t epoch) {

@@ -52,9 +52,11 @@ struct ArrivalTableParams {
 /// coalescing.
 double wall_clock_s();
 
-/// JSON number in the exact form the HTTP layer emits (%.12g,
-/// non-finite -> null). Shared so the materialized bodies and the
-/// slow-path encoders are byte-identical by construction.
+/// JSON number in the exact form every encoder emits (%.12g,
+/// non-finite -> null), formatted with std::to_chars. The one number
+/// formatter: the materialized bodies, the slow-path encoders, the scan
+/// codec and the load drivers all use it, so they are byte-identical by
+/// construction.
 std::string json_num(double v);
 
 /// The /v1/arrival response body for one (trip, stop) answer.
@@ -115,6 +117,7 @@ struct ArrivalTableMetrics {
   obs::Counter* rebuilds = nullptr;       ///< snapshots published
   obs::Gauge* entries = nullptr;          ///< (trip, stop) bodies live
   obs::Gauge* epoch = nullptr;            ///< published store epoch
+  obs::HistogramMetric* refresh_us = nullptr;  ///< wall time per refresh
 };
 
 /// Control-thread-owned materializer. All mutators (track/drop/refresh)

@@ -106,6 +106,40 @@ double ArrivalPredictor::segment_time_or_fallback(
          (edge.speed_limit() * options_.fallback_speed_frac);
 }
 
+void ArrivalPredictor::charge_edge(const roadnet::BusRoute& route,
+                                   std::size_t e, double from, double to,
+                                   SimTime t, double& elapsed) const {
+  const double edge_begin = route.edge_start_offset(e);
+  const double edge_end = route.edge_end_offset(e);
+  const double edge_len = edge_end - edge_begin;
+  if (edge_len <= 0.0) return;
+  const double span_begin = std::max(from, edge_begin);
+  const double span_end = std::min(to, edge_end);
+  if (span_end <= span_begin) return;
+  // Eq. 9's dr(...)/dr(start, end) fraction terms, "separated
+  // slot-by-slot": when crossing this edge outlasts the current
+  // time-of-day slot, only the fraction coverable before the boundary
+  // is charged at this slot's rate; the remainder re-evaluates the
+  // edge under the next slot's statistics.
+  double frac_remaining = (span_end - span_begin) / edge_len;
+  const DaySlots& slots = store_->slots();
+  int depth = 0;
+  while (frac_remaining > 1e-12) {
+    const SimTime clock = t + elapsed;
+    const double full_time = segment_time_or_fallback(route, e, clock);
+    const double time_needed = frac_remaining * full_time;
+    const double to_boundary = slots.slot_end_time(clock) - clock;
+    // Depth cap: a degenerate store (near-zero segment times over
+    // many tiny slots) must not spin; finish at the current rate.
+    if (time_needed <= to_boundary || full_time <= 0.0 || ++depth > 64) {
+      elapsed += time_needed;
+      return;
+    }
+    frac_remaining -= to_boundary / full_time;
+    elapsed += to_boundary;
+  }
+}
+
 double ArrivalPredictor::predict_travel_time(const roadnet::BusRoute& route,
                                              double from, double to,
                                              SimTime t) const {
@@ -114,41 +148,11 @@ double ArrivalPredictor::predict_travel_time(const roadnet::BusRoute& route,
   to = std::clamp(to, 0.0, route.length());
   if (to <= from) return 0.0;
 
-  const auto start = route.position_at(from);
-  const auto finish = route.position_at(to);
-
+  const std::size_t first = route.position_at(from).edge_index;
+  const std::size_t last = route.position_at(to).edge_index;
   double elapsed = 0.0;
-  for (std::size_t e = start.edge_index; e <= finish.edge_index; ++e) {
-    const double edge_begin = route.edge_start_offset(e);
-    const double edge_end = route.edge_end_offset(e);
-    const double edge_len = edge_end - edge_begin;
-    if (edge_len <= 0.0) continue;
-    const double span_begin = std::max(from, edge_begin);
-    const double span_end = std::min(to, edge_end);
-    if (span_end <= span_begin) continue;
-    // Eq. 9's dr(...)/dr(start, end) fraction terms, "separated
-    // slot-by-slot": when crossing this edge outlasts the current
-    // time-of-day slot, only the fraction coverable before the boundary
-    // is charged at this slot's rate; the remainder re-evaluates the
-    // edge under the next slot's statistics.
-    double frac_remaining = (span_end - span_begin) / edge_len;
-    const DaySlots& slots = store_->slots();
-    int depth = 0;
-    while (frac_remaining > 1e-12) {
-      const SimTime clock = t + elapsed;
-      const double full_time = segment_time_or_fallback(route, e, clock);
-      const double time_needed = frac_remaining * full_time;
-      const double to_boundary = slots.slot_end_time(clock) - clock;
-      // Depth cap: a degenerate store (near-zero segment times over
-      // many tiny slots) must not spin; finish at the current rate.
-      if (time_needed <= to_boundary || full_time <= 0.0 || ++depth > 64) {
-        elapsed += time_needed;
-        break;
-      }
-      frac_remaining -= to_boundary / full_time;
-      elapsed += to_boundary;
-    }
-  }
+  for (std::size_t e = first; e <= last; ++e)
+    charge_edge(route, e, from, to, t, elapsed);
   return elapsed;
 }
 
@@ -158,6 +162,38 @@ SimTime ArrivalPredictor::predict_arrival(const roadnet::BusRoute& route,
   const double stop_offset = route.stop_offset(stop_index);
   if (stop_offset <= current_offset) return now;
   return now + predict_travel_time(route, current_offset, stop_offset, now);
+}
+
+std::vector<SimTime> ArrivalPredictor::predict_arrivals(
+    const roadnet::BusRoute& route, double current_offset, SimTime now) const {
+  // predict_arrival per stop, in one walk. Every edge before a stop's
+  // own edge ends at or before the stop (position_at picks the last
+  // edge starting at or before it), so predict_travel_time charges it
+  // with span_end == edge_end whatever the stop: `elapsed` over those
+  // edges is shared, and each stop adds only its last edge, on a copy,
+  // in the same floating-point order as the per-stop chain.
+  const std::size_t stops = route.stop_count();
+  std::vector<SimTime> arrival(stops, now);
+  const double from = std::clamp(current_offset, 0.0, route.length());
+  std::size_t e = route.position_at(from).edge_index;
+  double elapsed = 0.0;  // over the edges from the bus's up to e
+  for (std::size_t s = 0; s < stops; ++s) {
+    const double stop_offset = route.stop_offset(s);
+    if (stop_offset <= current_offset) continue;
+    const double to = std::clamp(stop_offset, 0.0, route.length());
+    if (to <= from) {
+      arrival[s] = now + 0.0;
+      continue;
+    }
+    // Stops are strictly increasing along the route, so `last` never
+    // falls behind the edges already charged.
+    const std::size_t last = route.position_at(to).edge_index;
+    for (; e < last; ++e) charge_edge(route, e, from, to, now, elapsed);
+    double at_stop = elapsed;
+    charge_edge(route, last, from, to, now, at_stop);
+    arrival[s] = now + at_stop;
+  }
+  return arrival;
 }
 
 }  // namespace wiloc::core

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "core/travel_time.hpp"
 #include "util/obs.hpp"
@@ -82,6 +83,14 @@ class ArrivalPredictor {
                           double current_offset, SimTime now,
                           std::size_t stop_index) const;
 
+  /// predict_arrival for every stop of the route, indexed by stop, in
+  /// one walk over the remaining edges (O(edges + stops) segment
+  /// estimates instead of O(edges x stops)). Bit-identical to calling
+  /// predict_arrival per stop.
+  std::vector<SimTime> predict_arrivals(const roadnet::BusRoute& route,
+                                        double current_offset,
+                                        SimTime now) const;
+
   const PredictorOptions& options() const { return options_; }
   const TravelTimeStore& store() const { return *store_; }
 
@@ -91,6 +100,11 @@ class ArrivalPredictor {
   /// Segment time with the cold-start fallback applied.
   double segment_time_or_fallback(const roadnet::BusRoute& route,
                                   std::size_t edge_index, SimTime t) const;
+
+  /// Adds to `elapsed` the time to cross the part of edge `e` inside
+  /// [from, to], starting at t + elapsed and split slot by slot.
+  void charge_edge(const roadnet::BusRoute& route, std::size_t e, double from,
+                   double to, SimTime t, double& elapsed) const;
 
   /// Shrunk (unclamped) mean residual of the recent traversals of `edge`,
   /// optionally restricted to one route. nullopt when none has a

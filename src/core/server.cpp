@@ -103,6 +103,9 @@ void WiLocatorServer::init_obs() {
   am.rebuilds = &registry_.counter("arrival_cache.rebuilds");
   am.entries = &registry_.gauge("arrival_cache.entries");
   am.epoch = &registry_.gauge("arrival_cache.epoch");
+  // 0.5 ms bins to 25 ms: a serving refresh is 1-10 ms.
+  am.refresh_us =
+      &registry_.histogram("arrival_cache.refresh_us", 0.0, 25000.0, 50);
   arrival_table_.set_metrics(am);
 
   persist_metrics_.snapshots = &registry_.counter("persist.snapshots");

@@ -1,14 +1,18 @@
 // A minimal JSON reader for the HTTP request bodies the service
 // accepts (scan batches, trip registrations).
 //
-// Parsing only — responses are rendered directly with streams. The
+// Parsing only — responses are rendered directly — plus the checked
+// double -> integer conversion every numeric request field needs. The
 // grammar is RFC 8259 minus \uXXXX surrogate pairs (escaped BMP code
 // points are decoded; scan payloads are pure ASCII anyway). Depth and
 // size are bounded by the HTTP layer's body limit plus an explicit
 // nesting cap, so a hostile payload cannot blow the stack.
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -61,5 +65,20 @@ std::optional<JsonValue> parse_json(std::string_view text,
 
 /// Escapes a string for embedding in a JSON document (adds quotes).
 std::string json_quote(std::string_view s);
+
+/// A request's numeric field (JSON member or query parameter) as an
+/// integer id, count or index: nullopt unless it is present, finite,
+/// integral and within T's range. Casting any other double to an
+/// integer is undefined behaviour, so callers answer 400 instead.
+template <std::integral T>
+std::optional<T> checked_integer(std::optional<double> v) {
+  // Both bounds are 0 or a power of two, so exact as doubles.
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double hi =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  if (!v.has_value() || !(*v == std::trunc(*v)) || *v < lo || !(*v < hi))
+    return std::nullopt;
+  return static_cast<T>(*v);
+}
 
 }  // namespace wiloc::net

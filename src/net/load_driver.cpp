@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
+#include "core/arrival_table.hpp"
 #include "net/http_client.hpp"
 #include "util/contracts.hpp"
 
@@ -21,12 +21,6 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
       sorted.size() - 1,
       static_cast<std::size_t>(q * static_cast<double>(sorted.size())));
   return sorted[i];
-}
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
 }
 
 /// The per-connection batch plan: pre-encoded bodies + scan counts.
@@ -175,7 +169,7 @@ LoadReport HttpLoadDriver::run(std::span<const core::ScanSubmission> stream,
           std::ostringstream target;
           target << "/v1/arrival?trip=" << probe.trip.value()
                  << "&stop=" << probe.stop;
-          if (probe.with_now) target << "&now=" << fmt(probe.now);
+          if (probe.with_now) target << "&now=" << core::json_num(probe.now);
           const auto q0 = std::chrono::steady_clock::now();
           ++r.arrival_queries;
           try {

@@ -1,22 +1,12 @@
 #include "net/scan_codec.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "core/arrival_table.hpp"
 #include "net/json.hpp"
 
 namespace wiloc::net {
-
-namespace {
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string encode_scan_batch(std::span<const core::ScanSubmission> batch) {
   std::ostringstream out;
@@ -25,13 +15,13 @@ std::string encode_scan_batch(std::span<const core::ScanSubmission> batch) {
   for (const core::ScanSubmission& sub : batch) {
     if (!first_scan) out << ',';
     first_scan = false;
-    out << "{\"trip\":" << sub.trip.value() << ",\"t\":" << fmt(sub.scan.time)
-        << ",\"readings\":[";
+    out << "{\"trip\":" << sub.trip.value()
+        << ",\"t\":" << core::json_num(sub.scan.time) << ",\"readings\":[";
     bool first_reading = true;
     for (const rf::ApReading& r : sub.scan.readings) {
       if (!first_reading) out << ',';
       first_reading = false;
-      out << '[' << r.ap.value() << ',' << fmt(r.rssi_dbm) << ']';
+      out << '[' << r.ap.value() << ',' << core::json_num(r.rssi_dbm) << ']';
     }
     out << "]}";
   }
@@ -57,7 +47,7 @@ std::optional<std::vector<core::ScanSubmission>> decode_scan_batch(
   std::vector<core::ScanSubmission> batch;
   batch.reserve(items->size());
   for (const JsonValue& item : *items) {
-    const auto trip = item.get_number("trip");
+    const auto trip = checked_integer<std::uint32_t>(item.get_number("trip"));
     const auto t = item.get_number("t");
     const JsonValue* readings = item.get("readings");
     const std::vector<JsonValue>* pairs =
@@ -71,12 +61,11 @@ std::optional<std::vector<core::ScanSubmission>> decode_scan_batch(
       const std::vector<JsonValue>* rd = pair.as_array();
       if (rd == nullptr || rd->size() != 2)
         return fail("reading must be [ap, rssi_dbm]");
-      const auto ap = (*rd)[0].as_number();
+      const auto ap = checked_integer<std::uint32_t>((*rd)[0].as_number());
       const auto rssi = (*rd)[1].as_number();
       if (!ap.has_value() || !rssi.has_value())
         return fail("reading must be [ap, rssi_dbm]");
-      scan.readings.push_back(
-          {rf::ApId(static_cast<std::uint32_t>(*ap)), *rssi});
+      scan.readings.push_back({rf::ApId(*ap), *rssi});
     }
     // Normalize to the WifiScan invariant (strongest first, AP id
     // tie-break) — clients need not pre-sort.
@@ -85,8 +74,7 @@ std::optional<std::vector<core::ScanSubmission>> decode_scan_batch(
                 if (a.rssi_dbm != b.rssi_dbm) return a.rssi_dbm > b.rssi_dbm;
                 return a.ap < b.ap;
               });
-    batch.push_back({roadnet::TripId(static_cast<std::uint32_t>(*trip)),
-                     std::move(scan)});
+    batch.push_back({roadnet::TripId(*trip), std::move(scan)});
   }
   return batch;
 }

@@ -14,10 +14,6 @@ namespace wiloc::net {
 
 namespace {
 
-/// JSON number formatting, shared with the materialized response
-/// bodies so the fast and slow paths are byte-identical.
-std::string num(double v) { return core::json_num(v); }
-
 HttpResponse error_json(int status, std::string_view message) {
   std::ostringstream out;
   out << "{\"error\":" << json_quote(message) << "}";
@@ -210,9 +206,9 @@ HttpResponse WiLocatorService::handle_trips(const HttpRequest& request) {
   std::string parse_error;
   const auto doc = parse_json(request.body, &parse_error);
   if (!doc.has_value()) return error_json(400, "bad JSON: " + parse_error);
-  const auto trip_num = doc->get_number("trip");
-  if (!trip_num.has_value()) return error_json(400, "missing \"trip\"");
-  const roadnet::TripId trip(static_cast<std::uint32_t>(*trip_num));
+  const auto trip_id = checked_integer<std::uint32_t>(doc->get_number("trip"));
+  if (!trip_id.has_value()) return error_json(400, "missing or bad \"trip\"");
+  const roadnet::TripId trip(*trip_id);
 
   const JsonValue* end = doc->get("end");
   const bool ending =
@@ -225,10 +221,11 @@ HttpResponse WiLocatorService::handle_trips(const HttpRequest& request) {
     out << "{\"trip\":" << trip.value() << ",\"active\":false}";
     return HttpResponse::json(200, out.str());
   }
-  const auto route_num = doc->get_number("route");
-  if (!route_num.has_value())
-    return error_json(400, "missing \"route\" (or \"end\":true)");
-  const roadnet::RouteId route(static_cast<std::uint32_t>(*route_num));
+  const auto route_id =
+      checked_integer<std::uint32_t>(doc->get_number("route"));
+  if (!route_id.has_value())
+    return error_json(400, "missing or bad \"route\" (or \"end\":true)");
+  const roadnet::RouteId route(*route_id);
   if (server_.has_trip(trip)) return error_json(409, "trip already active");
   server_.begin_trip(trip, route);  // throws NotFound on unknown route
   out << "{\"trip\":" << trip.value() << ",\"route\":" << route.value()
@@ -238,18 +235,29 @@ HttpResponse WiLocatorService::handle_trips(const HttpRequest& request) {
 
 HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
   if (request.method != "GET") return method_not_allowed("GET");
-  const auto stop_num = request.param_num("stop");
-  if (!stop_num.has_value() || *stop_num < 0)
+  const auto stop_index =
+      checked_integer<std::size_t>(request.param_num("stop"));
+  if (!stop_index.has_value())
     return error_json(400, "missing or bad \"stop\"");
-  const auto stop = static_cast<std::size_t>(*stop_num);
-  const auto trip_num = request.param_num("trip");
-  const auto route_num = request.param_num("route");
-  if (!trip_num.has_value() && !route_num.has_value())
+  const std::size_t stop = *stop_index;
+  // A trip id wins over a route id when both are given.
+  std::optional<roadnet::TripId> trip_key;
+  std::optional<roadnet::RouteId> route_key;
+  if (const auto trip_num = request.param_num("trip")) {
+    const auto id = checked_integer<std::uint32_t>(trip_num);
+    if (!id.has_value()) return error_json(400, "bad \"trip\"");
+    trip_key = roadnet::TripId(*id);
+  } else if (const auto route_num = request.param_num("route")) {
+    const auto id = checked_integer<std::uint32_t>(route_num);
+    if (!id.has_value()) return error_json(400, "bad \"route\"");
+    route_key = roadnet::RouteId(*id);
+  } else {
     return error_json(400, "need \"trip\" or \"route\"");
+  }
 
   // Zero-lock fast path: the materialized snapshot.
   const bool pinned_now = request.param("now").has_value();
-  if (auto fast = arrival_from_snapshot(trip_num, route_num, stop,
+  if (auto fast = arrival_from_snapshot(trip_key, route_key, stop,
                                         pinned_now))
     return *std::move(fast);
   if (!pinned_now && read_slow_path_ != nullptr) read_slow_path_->inc();
@@ -260,16 +268,15 @@ HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
   const double now = request.param_num("now").value_or(default_now());
   roadnet::TripId trip{};
   std::optional<SimTime> arrival;
-  if (trip_num.has_value()) {
-    trip = roadnet::TripId(static_cast<std::uint32_t>(*trip_num));
+  if (trip_key.has_value()) {
+    trip = *trip_key;
     if (!server_.has_trip(trip)) return error_json(404, "unknown trip");
     arrival = server_.eta(trip, stop, now);
     if (!arrival.has_value()) return error_json(404, "no position fix yet");
   } else {
     // Route-level query (the rider-facing form): throws NotFound on an
     // unknown route.
-    const auto best = server_.route_eta(
-        roadnet::RouteId(static_cast<std::uint32_t>(*route_num)), stop, now);
+    const auto best = server_.route_eta(*route_key, stop, now);
     if (!best.has_value())
       return error_json(404, "no active trip with a fix on this route");
     trip = best->trip;
@@ -294,7 +301,7 @@ HttpResponse WiLocatorService::snapshot_reply(const std::string& body,
 }
 
 std::optional<HttpResponse> WiLocatorService::arrival_from_snapshot(
-    std::optional<double> trip_num, std::optional<double> route_num,
+    std::optional<roadnet::TripId> trip, std::optional<roadnet::RouteId> route,
     std::size_t stop, bool pinned_now) {
   if (pinned_now) return std::nullopt;
   const auto snap = server_.arrival_snapshot();
@@ -303,11 +310,7 @@ std::optional<HttpResponse> WiLocatorService::arrival_from_snapshot(
     return std::nullopt;
   }
   const core::TripArrivals* ta =
-      trip_num.has_value()
-          ? snap->find(roadnet::TripId(static_cast<std::uint32_t>(*trip_num)))
-          : snap->best(
-                roadnet::RouteId(static_cast<std::uint32_t>(*route_num)),
-                stop);
+      trip.has_value() ? snap->find(*trip) : snap->best(*route, stop);
   if (ta == nullptr || stop >= ta->body.size()) {
     if (cache_misses_ != nullptr) cache_misses_->inc();
     return std::nullopt;  // slow path decides 404/400
@@ -330,16 +333,17 @@ std::optional<HttpResponse> WiLocatorService::traffic_from_snapshot(
 
 HttpResponse WiLocatorService::handle_position(const HttpRequest& request) {
   if (request.method != "GET") return method_not_allowed("GET");
-  const auto trip_num = request.param_num("trip");
-  if (!trip_num.has_value()) return error_json(400, "missing \"trip\"");
-  const roadnet::TripId trip(static_cast<std::uint32_t>(*trip_num));
+  const auto trip_id =
+      checked_integer<std::uint32_t>(request.param_num("trip"));
+  if (!trip_id.has_value()) return error_json(400, "missing or bad \"trip\"");
+  const roadnet::TripId trip(*trip_id);
   std::lock_guard<std::mutex> lock(mu_);
   if (!server_.has_trip(trip)) return error_json(404, "unknown trip");
   const auto offset = server_.position(trip);
   if (!offset.has_value()) return error_json(404, "no position fix yet");
   std::ostringstream out;
-  out << "{\"trip\":" << trip.value() << ",\"offset_m\":" << num(*offset)
-      << "}";
+  out << "{\"trip\":" << trip.value()
+      << ",\"offset_m\":" << core::json_num(*offset) << "}";
   return HttpResponse::json(200, out.str());
 }
 
@@ -377,15 +381,14 @@ HttpResponse WiLocatorService::handle_replication(const HttpRequest& request) {
   const core::StatePersistence* persist = server_.persistence();
   if (persist == nullptr)
     return error_json(404, "persistence disabled: nothing to tail");
-  const auto after_num = request.param_num("after");
-  const std::uint64_t after =
-      after_num.has_value() && *after_num > 0
-          ? static_cast<std::uint64_t>(*after_num)
-          : 0;
+  const auto after = checked_integer<std::uint64_t>(
+      request.param_num("after").value_or(0.0));
+  if (!after.has_value()) return error_json(400, "bad \"after\"");
+  const auto want = checked_integer<std::size_t>(
+      request.param_num("max_bytes").value_or(0.0));
+  if (!want.has_value()) return error_json(400, "bad \"max_bytes\"");
   std::size_t max_bytes = options_.replication_page_bytes;
-  if (const auto want = request.param_num("max_bytes");
-      want.has_value() && *want > 0)
-    max_bytes = std::min(max_bytes, static_cast<std::size_t>(*want));
+  if (*want > 0) max_bytes = std::min(max_bytes, *want);
 
   core::StatePersistence::TailResult tail;
   std::uint64_t head_seq = 0;
@@ -394,7 +397,7 @@ HttpResponse WiLocatorService::handle_replication(const HttpRequest& request) {
     // seal_journal() on the checkpoint prepare path (commit runs
     // off-lock but only ever *removes* a fully-snapshot-covered file).
     std::lock_guard<std::mutex> lock(mu_);
-    tail = persist->tail_segments(after, max_bytes);
+    tail = persist->tail_segments(*after, max_bytes);
     head_seq = persist->last_seq();
   }
   if (repl_pages_served_ != nullptr) repl_pages_served_->inc();
@@ -458,7 +461,7 @@ HttpResponse WiLocatorService::handle_readyz() const {
         first = false;
         out << "{\"peer\":" << json_quote(lag.peer)
             << ",\"records_behind\":" << lag.records_behind
-            << ",\"seconds_behind\":" << num(lag.seconds_behind)
+            << ",\"seconds_behind\":" << core::json_num(lag.seconds_behind)
             << ",\"reachable\":" << (lag.reachable ? "true" : "false")
             << "}";
       }

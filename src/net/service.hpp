@@ -181,8 +181,9 @@ class WiLocatorService {
   /// asks for computation at that instant, which only the slow path
   /// honors). nullopt = snapshot miss, take the locked slow path.
   std::optional<HttpResponse> arrival_from_snapshot(
-      std::optional<double> trip_num, std::optional<double> route_num,
-      std::size_t stop, bool pinned_now);
+      std::optional<roadnet::TripId> trip,
+      std::optional<roadnet::RouteId> route, std::size_t stop,
+      bool pinned_now);
   std::optional<HttpResponse> traffic_from_snapshot(bool pinned_now);
   /// Stamps the zero-lock response headers + hit metrics.
   HttpResponse snapshot_reply(const std::string& body, std::uint64_t epoch,

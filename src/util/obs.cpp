@@ -22,9 +22,11 @@ HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
 
 void HistogramMetric::record(double x) {
   if (!std::isfinite(x)) return;  // poisoned samples never skew the bins
-  const auto raw = static_cast<std::ptrdiff_t>((x - lo_) * inv_width_);
-  const std::size_t bin = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-      raw, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1));
+  // Clamp before the cast: a double outside the integer's range is
+  // undefined behaviour to convert.
+  const std::size_t bin = static_cast<std::size_t>(
+      std::clamp((x - lo_) * inv_width_, 0.0,
+                 static_cast<double>(counts_.size() - 1)));
   counts_[bin].fetch_add(1, std::memory_order_relaxed);
   total_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(x, std::memory_order_relaxed);

@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -17,6 +21,7 @@
 #include "core/travel_time.hpp"
 #include "util/binio.hpp"
 #include "util/obs.hpp"
+#include "util/rng.hpp"
 
 namespace wiloc::core {
 namespace {
@@ -129,6 +134,20 @@ TEST(ArrivalTable, MaterializedBodiesMatchThePredictorChain) {
   EXPECT_EQ(snap->traffic_body,
             encode_traffic_map_json(f.traffic->build(f.all_edges, now)));
   EXPECT_EQ(snap->epoch, f.store.epoch());
+}
+
+TEST(ArrivalTable, RefreshWallTimeIsRecorded) {
+  TableFixture f;
+  obs::Registry registry;
+  ArrivalTableMetrics metrics;
+  metrics.refresh_us =
+      &registry.histogram("arrival_cache.refresh_us", 0.0, 25000.0, 50);
+  f.table->set_metrics(metrics);
+  f.table->track(TripId(1), &f.city.route_a());
+  f.offsets[1] = 300.0;
+  f.table->refresh(at_day_time(3, hms(9)), f.position_fn());
+  f.table->refresh(at_day_time(3, hms(9)), f.position_fn());  // no-op
+  EXPECT_EQ(metrics.refresh_us->total(), 2u);
 }
 
 TEST(ArrivalTable, RecomputesIffARemainingSegmentChanged) {
@@ -256,6 +275,64 @@ TEST(ArrivalTable, WrappedSlotCoversCrossMidnightInvalidation) {
   EXPECT_NE(a2, a1);
   EXPECT_EQ(a2->now, after_midnight);
   EXPECT_GT(a2->arrival.back() - a2->now, a1->arrival.back() - a1->now);
+}
+
+std::string printf_12g(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  return buf;
+}
+
+TEST(JsonNum, MatchesPrintf12gOnSeededBitPatterns) {
+  Rng rng(0x6a736f6e);
+  std::size_t finite = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    if (!std::isfinite(v)) {
+      ASSERT_EQ(json_num(v), "null");
+      continue;
+    }
+    ++finite;
+    ASSERT_EQ(json_num(v), printf_12g(v)) << std::bit_cast<std::uint64_t>(v);
+  }
+  EXPECT_GT(finite, 990'000u);
+  // Magnitudes the encoders actually see: sim timestamps, ETAs, RSSI.
+  for (int i = 0; i < 200'000; ++i) {
+    const double v = rng.uniform(-2.0e6, 2.0e6);
+    ASSERT_EQ(json_num(v), printf_12g(v)) << v;
+  }
+}
+
+TEST(JsonNum, EdgeCases) {
+  const double cases[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min() / 3.0,
+                          std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::lowest(),
+                          1e15,
+                          1e16,
+                          1e17,
+                          999999999999.0,
+                          999999999999.5,
+                          1e12,
+                          123456789012.0,
+                          1234567890123.0,
+                          9007199254740993.0,
+                          0.0001,
+                          0.00001,
+                          0.1 + 0.2,
+                          -60.5,
+                          1728000.25};
+  for (const double v : cases) EXPECT_EQ(json_num(v), printf_12g(v)) << v;
+  for (int n = -100000; n <= 100000; ++n) ASSERT_EQ(json_num(n), printf_12g(n));
+  EXPECT_EQ(json_num(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_num(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_num(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_num(-0.0), "-0");
+  EXPECT_EQ(json_num(1e16), "1e+16");
 }
 
 }  // namespace

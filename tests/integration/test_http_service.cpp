@@ -205,6 +205,57 @@ TEST(HttpService, ErrorMapping) {
   EXPECT_EQ(service.handle(arrival).status, 400);
 }
 
+TEST(HttpService, NonIntegralIdsAndIndicesAre400) {
+  ServiceFixture f;
+  f.train(1);
+  WiLocatorService service(f.server);
+  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                            .body = R"({"trip":1,"route":0})"})
+                .status,
+            200);
+
+  // Each of these parses as a double but names no trip, route or stop;
+  // converting it to an integer would be undefined behaviour.
+  const std::vector<std::vector<std::pair<std::string, std::string>>> bad = {
+      {{"trip", "1"}, {"stop", "nan"}},  {{"trip", "1"}, {"stop", "1e30"}},
+      {{"trip", "-1"}, {"stop", "1"}},   {{"trip", "1"}, {"stop", "1.5"}},
+      {{"trip", "1"}, {"stop", "-1"}},   {{"trip", "4294967296"}, {"stop", "1"}},
+      {{"route", "inf"}, {"stop", "1"}}, {{"route", "0.5"}, {"stop", "1"}}};
+  for (const auto& query : bad) {
+    HttpRequest arrival{.method = "GET", .path = "/v1/arrival"};
+    for (const auto& [key, value] : query) arrival.query[key] = value;
+    EXPECT_EQ(service.handle(arrival).status, 400)
+        << query[0].first << "=" << query[0].second << " "
+        << query[1].first << "=" << query[1].second;
+  }
+  HttpRequest pos{.method = "GET", .path = "/v1/position"};
+  pos.query = {{"trip", "nan"}};
+  EXPECT_EQ(service.handle(pos).status, 400);
+  EXPECT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                            .body = R"({"trip":2.5,"route":0})"})
+                .status,
+            400);
+  EXPECT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                            .body = R"({"trip":2,"route":-1})"})
+                .status,
+            400);
+
+  // A scan batch with an out-of-range trip or AP id is rejected whole:
+  // nothing reaches the engine.
+  for (const char* body :
+       {R"({"scans":[{"trip":1e20,"t":100,"readings":[[1,-60]]}]})",
+        R"({"scans":[{"trip":1,"t":100,"readings":[[-3,-60]]}]})",
+        R"({"scans":[{"trip":1,"t":100,"readings":[[1,-60]]},)"
+        R"({"trip":1,"t":101,"readings":[[2.5,-61]]}]})"}) {
+    const HttpResponse r =
+        service.handle({.method = "POST", .path = "/v1/scans", .body = body});
+    EXPECT_EQ(r.status, 400) << body << " -> " << r.body;
+  }
+  const obs::Snapshot snap = f.server.metrics_snapshot();
+  EXPECT_EQ(snap.counter("service.scans_posted"), 0u);
+  EXPECT_EQ(snap.counter("engine.enqueued"), 0u);
+}
+
 TEST(HttpService, MetricsEndpointJsonAndPrometheus) {
   ServiceFixture f;
   WiLocatorService service(f.server);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "net/json.hpp"
 
 namespace wiloc::net {
@@ -165,6 +169,24 @@ TEST(Json, RejectsMalformedInput) {
 
 TEST(Json, QuoteEscapes) {
   EXPECT_EQ(json_quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+}
+
+TEST(Json, CheckedIntegerAcceptsOnlyExactInRangeValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(checked_integer<std::uint32_t>(0.0), 0u);
+  EXPECT_EQ(checked_integer<std::uint32_t>(-0.0), 0u);
+  EXPECT_EQ(checked_integer<std::uint32_t>(4294967295.0), 4294967295u);
+  EXPECT_FALSE(checked_integer<std::uint32_t>(4294967296.0).has_value());
+  EXPECT_FALSE(checked_integer<std::uint32_t>(-1.0).has_value());
+  EXPECT_FALSE(checked_integer<std::uint32_t>(1.5).has_value());
+  EXPECT_FALSE(checked_integer<std::uint32_t>(std::nan("")).has_value());
+  EXPECT_FALSE(checked_integer<std::uint32_t>(inf).has_value());
+  EXPECT_FALSE(checked_integer<std::uint32_t>(std::nullopt).has_value());
+  EXPECT_EQ(checked_integer<std::uint64_t>(0x1p63), 1ULL << 63);
+  EXPECT_FALSE(checked_integer<std::uint64_t>(0x1p64).has_value());
+  EXPECT_FALSE(checked_integer<std::size_t>(1e30).has_value());
+  EXPECT_EQ(checked_integer<std::int32_t>(-2147483648.0), INT32_MIN);
+  EXPECT_FALSE(checked_integer<std::int32_t>(2147483648.0).has_value());
 }
 
 }  // namespace

@@ -227,9 +227,16 @@ TEST(HttpRobustness, ControlPathsExemptFromAdmission) {
   obs::Registry registry;
   HttpServerOptions options = base_options(&registry);
   // Watermark of 0.1 µs: every non-control request sheds after the
-  // first one seeds the EWMA.
+  // first one seeds the EWMA. /work sleeps 1 ms so that seed lands far
+  // over the watermark however fast the machine; a bare "ok" handler
+  // can finish in well under the 1 µs the EWMA's 0.1 weight needs.
   options.admission_latency_watermark_us = 0.1;
-  HttpServer server(ok_handler, options);
+  HttpServer server(
+      [](const HttpRequest& req) {
+        if (req.path == "/work") std::this_thread::sleep_for(1ms);
+        return HttpResponse::text(200, "ok");
+      },
+      options);
   server.start();
 
   HttpClient client("127.0.0.1", server.port());
