@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <cmath>
 #include <string_view>
+
+#include "util/json_num.hpp"
 
 namespace wiloc::core {
 
@@ -16,10 +17,6 @@ double wall_clock_s() {
 
 namespace {
 
-// Room for any json_num output: %.12g is at most 19 characters
-// ("-1.23456789012e-308").
-constexpr std::ptrdiff_t kNumChars = 32;
-
 char* put(char* p, std::string_view text) {
   return std::copy(text.begin(), text.end(), p);
 }
@@ -28,41 +25,28 @@ char* put_int(char* p, std::uint64_t v) {
   return std::to_chars(p, p + 20, v).ptr;
 }
 
-// to_chars' general format with a precision is specified as printf's
-// %.{precision}g, so this is "%.12g" without the locale and varargs.
-char* put_num(char* p, double v) {
-  if (!std::isfinite(v)) return put(p, "null");
-  constexpr auto kFormat = std::chars_format::general;
-  return std::to_chars(p, p + kNumChars, v, kFormat, 12).ptr;
-}
-
 void append_num(std::string& out, double v) {
-  char buf[kNumChars];
-  out.append(buf, put_num(buf, v));
+  char buf[kJsonNumChars];
+  out.append(buf, put_json_num(buf, v));
 }
 
 }  // namespace
-
-std::string json_num(double v) {
-  char buf[kNumChars];
-  return std::string(buf, put_num(buf, v));
-}
 
 std::string encode_arrival_json(roadnet::TripId trip, std::size_t stop,
                                 SimTime now, SimTime arrival) {
   // Built on the stack and copied once: the snapshot keeps one body per
   // (trip, stop), so each string is allocated at its exact size.
-  char buf[64 + 2 * 20 + 3 * kNumChars];
+  char buf[64 + 2 * 20 + 3 * kJsonNumChars];
   char* p = put(buf, "{\"trip\":");
   p = put_int(p, trip.value());
   p = put(p, ",\"stop\":");
   p = put_int(p, stop);
   p = put(p, ",\"now\":");
-  p = put_num(p, now);
+  p = put_json_num(p, now);
   p = put(p, ",\"arrival_time\":");
-  p = put_num(p, arrival);
+  p = put_json_num(p, arrival);
   p = put(p, ",\"eta_s\":");
-  p = put_num(p, arrival - now);
+  p = put_json_num(p, arrival - now);
   p = put(p, "}");
   return std::string(buf, p);
 }

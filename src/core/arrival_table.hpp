@@ -52,13 +52,6 @@ struct ArrivalTableParams {
 /// coalescing.
 double wall_clock_s();
 
-/// JSON number in the exact form every encoder emits (%.12g,
-/// non-finite -> null), formatted with std::to_chars. The one number
-/// formatter: the materialized bodies, the slow-path encoders, the scan
-/// codec and the load drivers all use it, so they are byte-identical by
-/// construction.
-std::string json_num(double v);
-
 /// The /v1/arrival response body for one (trip, stop) answer.
 std::string encode_arrival_json(roadnet::TripId trip, std::size_t stop,
                                 SimTime now, SimTime arrival);

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/arrival_table.hpp"
 #include "net/json.hpp"
+#include "util/json_num.hpp"
 
 namespace wiloc::net {
 
@@ -16,12 +16,12 @@ std::string encode_scan_batch(std::span<const core::ScanSubmission> batch) {
     if (!first_scan) out << ',';
     first_scan = false;
     out << "{\"trip\":" << sub.trip.value()
-        << ",\"t\":" << core::json_num(sub.scan.time) << ",\"readings\":[";
+        << ",\"t\":" << json_num(sub.scan.time) << ",\"readings\":[";
     bool first_reading = true;
     for (const rf::ApReading& r : sub.scan.readings) {
       if (!first_reading) out << ',';
       first_reading = false;
-      out << '[' << r.ap.value() << ',' << core::json_num(r.rssi_dbm) << ']';
+      out << '[' << r.ap.value() << ',' << json_num(r.rssi_dbm) << ']';
     }
     out << "]}";
   }

@@ -9,6 +9,7 @@
 #include "net/scan_codec.hpp"
 #include "util/contracts.hpp"
 #include "util/journal.hpp"
+#include "util/json_num.hpp"
 
 namespace wiloc::net {
 
@@ -343,7 +344,7 @@ HttpResponse WiLocatorService::handle_position(const HttpRequest& request) {
   if (!offset.has_value()) return error_json(404, "no position fix yet");
   std::ostringstream out;
   out << "{\"trip\":" << trip.value()
-      << ",\"offset_m\":" << core::json_num(*offset) << "}";
+      << ",\"offset_m\":" << json_num(*offset) << "}";
   return HttpResponse::json(200, out.str());
 }
 
@@ -461,7 +462,7 @@ HttpResponse WiLocatorService::handle_readyz() const {
         first = false;
         out << "{\"peer\":" << json_quote(lag.peer)
             << ",\"records_behind\":" << lag.records_behind
-            << ",\"seconds_behind\":" << core::json_num(lag.seconds_behind)
+            << ",\"seconds_behind\":" << json_num(lag.seconds_behind)
             << ",\"reachable\":" << (lag.reachable ? "true" : "false")
             << "}";
       }

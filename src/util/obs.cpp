@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/json_num.hpp"
 
 namespace wiloc::obs {
 
@@ -112,12 +113,9 @@ void write_escaped(std::ostream& out, const std::string& s) {
   out << '"';
 }
 
+// JSON has no NaN/Inf: json_num prints them as null.
 void write_number(std::ostream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";  // JSON has no NaN/Inf
-    return;
-  }
-  out << v;
+  out << json_num(v);
 }
 
 }  // namespace
@@ -190,7 +188,7 @@ std::string prometheus_name(const std::string& name) {
 
 void write_prom_number(std::ostream& out, double v) {
   if (std::isfinite(v))
-    out << v;
+    out << json_num(v);
   else if (std::isnan(v))
     out << "NaN";
   else
@@ -380,12 +378,7 @@ void Reporter::report_locked(double now) {
   const Snapshot snap = options_.reset_each
                             ? registry_->snapshot_and_reset()
                             : registry_->snapshot();
-  *out_ << "{\"t\":";
-  if (std::isfinite(now))
-    *out_ << now;
-  else
-    *out_ << "null";
-  *out_ << ",\"snapshot\":";
+  *out_ << "{\"t\":" << json_num(now) << ",\"snapshot\":";
   snap.write_json(*out_);
   *out_ << "}\n";
   out_->flush();

@@ -122,39 +122,6 @@ std::vector<EmpiricalCdf::Point> EmpiricalCdf::series(
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  WILOC_EXPECTS(lo < hi);
-  WILOC_EXPECTS(bins >= 1);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(
-      std::floor(t * static_cast<double>(counts_.size())));
-  bin = std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  WILOC_EXPECTS(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  WILOC_EXPECTS(bin < counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * (static_cast<double>(bin) + 0.5);
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  WILOC_EXPECTS(bin < counts_.size());
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
-}
-
 double mean_of(const std::vector<double>& v) {
   WILOC_EXPECTS(!v.empty());
   return std::accumulate(v.begin(), v.end(), 0.0) /

@@ -96,30 +96,6 @@ class EmpiricalCdf {
   std::vector<double> sorted_;
 };
 
-/// Fixed-width histogram over [lo, hi); values outside are clamped into
-/// the first/last bin so that total mass is preserved.
-class Histogram {
- public:
-  /// Requires lo < hi and bins >= 1.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  std::size_t count(std::size_t bin) const;
-  /// Center of the given bin on the x axis.
-  double bin_center(std::size_t bin) const;
-  /// Fraction of mass in the given bin (0 when empty).
-  double fraction(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 /// Serializes an accumulator (all five moments) for the persistence
 /// layer; decode_stats() rebuilds it bit-exactly.
 inline void encode_stats(BinWriter& w, const RunningStats& s) {

@@ -154,6 +154,15 @@ TEST(Replication, TailsApplyIdempotentlyAcrossGapsAndPeerDeath) {
   post_live_trip(service_a, a.server, city, traffic, 500, 77);
   const std::uint64_t live1 = a.server.persistence()->last_seq() - compacted0;
   ASSERT_GT(live1, 0u);
+  // Work budget (servebench core.journal_bytes_per_scan): nothing has
+  // compacted since finalize, so the journal holds exactly what this
+  // trip's ingest wrote. Pinned at its seeded value, 123 bytes for 36
+  // accepted scans; a change that journals more per scan fails here.
+  const double bytes =
+      static_cast<double>(a.server.persistence()->journal_bytes());
+  const double accepted = static_cast<double>(
+      a.server.metrics_snapshot().counter("ingest.accepted"));
+  EXPECT_LE(bytes / accepted, 123.0 / 36.0);
 
   const std::vector<NodeInfo> peers{
       {"a", "127.0.0.1", service_a.port()}};

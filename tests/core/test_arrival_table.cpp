@@ -20,6 +20,7 @@
 #include "core/traffic_map.hpp"
 #include "core/travel_time.hpp"
 #include "util/binio.hpp"
+#include "util/json_num.hpp"
 #include "util/obs.hpp"
 #include "util/rng.hpp"
 

@@ -145,6 +145,18 @@ TEST(Observability, ChaosWorkloadReconcilesWithIngestStats) {
                 snap.counter("locate.fallback_hits") +
                 snap.counter("locate.misses"),
             0u);
+  // Work budgets (servebench core.accepted_ratio and
+  // svd.fast_path_ratio), pinned at their seeded values on this
+  // workload: 9211 of 10702 enqueued scans accepted, 6755 of 9169
+  // locates answered by the exact-signature fast path.
+  const auto count = [&](const char* name) {
+    return static_cast<double>(snap.counter(name));
+  };
+  EXPECT_GE(count("ingest.accepted") / count("engine.enqueued"),
+            9211.0 / 10702.0);
+  const double locates = count("locate.fast_path_hits") +
+                         count("locate.fallback_hits") + count("locate.misses");
+  EXPECT_GE(count("locate.fast_path_hits") / locates, 6755.0 / 9169.0);
   const obs::HistogramSnapshot* candidates = snap.histogram("locate.candidates");
   ASSERT_NE(candidates, nullptr);
   EXPECT_GT(candidates->total, 0u);

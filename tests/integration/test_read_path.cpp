@@ -20,6 +20,7 @@
 #include "net/load_driver.hpp"
 #include "net/service.hpp"
 #include "sim/bus_trip.hpp"
+#include "util/json_num.hpp"
 
 namespace wiloc::net {
 namespace {
@@ -137,6 +138,12 @@ TEST(HttpReadPath, SnapshotServesRiderReadsWithoutLocks) {
 
   const auto snap = f.server.metrics_snapshot();
   EXPECT_GE(snap.counter("arrival_cache.hits"), 3u);
+  // Work budget (servebench core.snapshot_hit_ratio): every GET without
+  // `now` on a published trip is answered from the snapshot.
+  const double hits = static_cast<double>(snap.counter("arrival_cache.hits"));
+  const double misses =
+      static_cast<double>(snap.counter("arrival_cache.misses"));
+  EXPECT_GE(hits / (hits + misses), 1.0);
   EXPECT_EQ(snap.counter("http.read_slow_path"), 0u);
   EXPECT_GE(snap.counter("arrival_cache.rebuilds"), 1u);
 }
@@ -181,7 +188,7 @@ TEST(HttpReadPath, PinnedNowSlowPathMatchesSnapshotBytes) {
   // Pinning the snapshot's own `now` must reproduce the materialized
   // bytes through the locked prediction chain — parity by construction.
   HttpRequest pinned = arrival_get("trip", "5", "3");
-  pinned.query["now"] = core::json_num(*now);
+  pinned.query["now"] = json_num(*now);
   const HttpResponse slow = service.handle(pinned);
   ASSERT_EQ(slow.status, 200) << slow.body;
   EXPECT_EQ(slow.headers.count("X-Cache"), 0u);
@@ -229,7 +236,7 @@ TEST(HttpReadPath, RouteLevelSlowPathSeesTripsBegunOnServer) {
 
   HttpRequest pinned = arrival_get("route", "0", "3");
   pinned.query["now"] =
-      core::json_num(reports[reports.size() / 2 - 1].scan.time);
+      json_num(reports[reports.size() / 2 - 1].scan.time);
   const HttpResponse by_route = service.handle(pinned);
   ASSERT_EQ(by_route.status, 200) << by_route.body;
   HttpRequest by_trip = arrival_get("trip", "5", "3");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -340,6 +341,29 @@ TEST(ObsPrometheus, NonFiniteGaugeRendersAsPrometheusLiteral) {
   reg.gauge("weird").set(std::numeric_limits<double>::infinity());
   const std::string text = reg.snapshot().prometheus();
   EXPECT_NE(text.find("wiloc_weird +Inf\n"), std::string::npos) << text;
+}
+
+TEST(ObsSnapshot, LargeNumbersReadBackExactly) {
+  // Gauges and histogram sums past 6 significant digits must not be
+  // rounded, or rate(_sum)/rate(_count) moves in quantized steps.
+  Registry reg;
+  reg.gauge("persist.journal_bytes").set(12345678.0);
+  reg.histogram("ingest.batch_us", 0.0, 2e6, 4).record(1234567.25);
+  const Snapshot snap = reg.snapshot();
+  const auto number_after = [](const std::string& text,
+                               const std::string& key) {
+    const std::size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << key << " in " << text;
+    return at == std::string::npos
+               ? 0.0
+               : std::strtod(text.c_str() + at + key.size(), nullptr);
+  };
+  const std::string json = snap.json();
+  EXPECT_EQ(number_after(json, "\"persist.journal_bytes\":"), 12345678.0);
+  EXPECT_EQ(number_after(json, "\"sum\":"), 1234567.25);
+  const std::string prom = snap.prometheus();
+  EXPECT_EQ(number_after(prom, "\nwiloc_persist_journal_bytes "), 12345678.0);
+  EXPECT_EQ(number_after(prom, "\nwiloc_ingest_batch_us_sum "), 1234567.25);
 }
 
 TEST(ObsReporter, ReportAfterFlushReopensWindow) {

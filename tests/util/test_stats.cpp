@@ -130,31 +130,6 @@ TEST(EmpiricalCdf, QuantileOfCdfRoundTrip) {
   }
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);   // bin 0
-  h.add(3.0);   // bin 1
-  h.add(-5.0);  // clamped to bin 0
-  h.add(99.0);  // clamped to bin 4
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(4), 9.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), ContractViolation);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractViolation);
-}
-
-TEST(Histogram, FractionOfEmptyIsZero) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
-}
-
 TEST(VectorStats, MeanStddevQuantile) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean_of(v), 2.5);
