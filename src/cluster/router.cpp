@@ -465,8 +465,8 @@ bool ClusterRouter::ensure_registered(std::size_t node, std::uint64_t trip) {
 }
 
 void ClusterRouter::probe_loop() {
-  // The prober owns its own connections — clients_ belongs to the
-  // event-loop thread.
+  // The prober owns its own connections, so a slow probe never holds a
+  // pooled proxy connection.
   std::vector<std::unique_ptr<net::HttpClient>> probes;
   probes.reserve(nodes_.size());
   for (const NodeInfo& node : nodes_)
@@ -505,12 +505,7 @@ std::unique_ptr<net::HttpClient> ClusterRouter::checkout_client(
   NodePool& pool = *client_pools_[node];
   {
     std::lock_guard<std::mutex> lock(pool.mu);
-    if (!pool.idle.empty()) {
-      std::unique_ptr<net::HttpClient> client =
-          std::move(pool.idle.back());
-      pool.idle.pop_back();
-      return client;
-    }
+    if (pool.idle != nullptr) return std::move(pool.idle);
   }
   return std::make_unique<net::HttpClient>(nodes_[node].host,
                                            nodes_[node].port,
@@ -519,12 +514,11 @@ std::unique_ptr<net::HttpClient> ClusterRouter::checkout_client(
 
 void ClusterRouter::checkin_client(std::size_t node,
                                    std::unique_ptr<net::HttpClient> client) {
-  // Bound the pool to the loop count: steady state never needs more
-  // than one connection per serving thread per node.
-  const std::size_t cap = std::max<std::size_t>(1, options_.http.loops);
+  // One idle connection per node covers the router's one serving
+  // thread; a concurrent caller's extra connection is simply closed.
   NodePool& pool = *client_pools_[node];
   std::lock_guard<std::mutex> lock(pool.mu);
-  if (pool.idle.size() < cap) pool.idle.push_back(std::move(client));
+  if (pool.idle == nullptr) pool.idle = std::move(client);
 }
 
 }  // namespace wiloc::cluster

@@ -30,11 +30,11 @@
 // Deliberately thin: the proxy is a blocking HttpClient call on the
 // serving thread (one upstream round-trip per request, no pipelining) —
 // at WiLocator's fleet sizes the upstream handler, not the router hop,
-// is the budget. The handler is thread-safe so the router can run the
-// HTTP front end with `--http-loops N` (SO_REUSEPORT multi-loop,
-// DESIGN.md §15): upstream connections live in per-node checkout pools,
-// the trip->route placement cache sits behind a mutex held only around
-// map operations, and Membership/ack counters were already atomic.
+// is the budget. handle() is still thread-safe, so in-process callers
+// may use it beside the serving thread: upstream connections live in
+// per-node checkout pools (one idle connection kept per node), the
+// trip->route placement cache sits behind a mutex held only around map
+// operations, and Membership/ack counters are atomic.
 #pragma once
 
 #include <atomic>
@@ -86,7 +86,7 @@ class ClusterRouter {
   bool running() const { return http_ != nullptr && http_->running(); }
 
   /// Routes one request (also the in-process test entry point).
-  /// Thread-safe: callable from every HTTP loop concurrently.
+  /// Thread-safe: callable concurrently with the serving thread.
   net::HttpResponse handle(const net::HttpRequest& request);
 
   const Membership& membership() const { return membership_; }
@@ -144,12 +144,12 @@ class ClusterRouter {
   obs::Registry registry_;
   std::unique_ptr<net::HttpServer> http_;
 
-  /// Per-node pool of idle upstream connections. An HttpClient owns one
-  /// connection and is not shareable, so concurrent loops check clients
-  /// out for the duration of a round trip and return them after.
+  /// Per-node pool holding at most one idle upstream connection. An
+  /// HttpClient owns one connection and is not shareable, so callers
+  /// check it out for the duration of a round trip and return it after.
   struct NodePool {
     std::mutex mu;
-    std::vector<std::unique_ptr<net::HttpClient>> idle;
+    std::unique_ptr<net::HttpClient> idle;
   };
   std::vector<std::unique_ptr<NodePool>> client_pools_;
 

@@ -63,126 +63,72 @@ HttpServer::HttpServer(HttpHandler handler, HttpServerOptions options)
 
 HttpServer::~HttpServer() { stop(); }
 
-std::size_t HttpServer::per_loop_max_connections() const {
-  const std::size_t n = loops_.empty() ? 1 : loops_.size();
-  return std::max<std::size_t>(1, (options_.max_connections + n - 1) / n);
-}
-
 void HttpServer::start() {
   WILOC_EXPECTS(!running());
+  // stop() doubles as the cleanup for a half-built start: with running_
+  // still false it only closes whatever fds were opened.
+  const auto fail = [this](const std::string& what) {
+    stop();
+    throw Error("http: " + what);
+  };
 
-  const std::size_t nloops = std::max<std::size_t>(1, options_.loops);
-  loops_.clear();
-  try {
-    for (std::size_t k = 0; k < nloops; ++k) {
-      auto lp = std::make_unique<Loop>();
-      lp->index = k;
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) fail("socket() failed");
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
 
-      lp->listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-      if (lp->listen_fd < 0) throw Error("http: socket() failed");
-      const int one = 1;
-      ::setsockopt(lp->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                   sizeof one);
-      if (nloops > 1 &&
-          ::setsockopt(lp->listen_fd, SOL_SOCKET, SO_REUSEPORT, &one,
-                       sizeof one) != 0) {
-        ::close(lp->listen_fd);
-        throw Error("http: SO_REUSEPORT unsupported; multi-loop "
-                    "acceptors need it");
-      }
-
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      // Loop 0 binds the requested (possibly ephemeral) port; the
-      // kernel resolves it, and every further loop binds the resolved
-      // port so the whole SO_REUSEPORT group shares one address.
-      addr.sin_port = htons(k == 0 ? options_.port : port_);
-      if (::inet_pton(AF_INET, options_.bind_address.c_str(),
-                      &addr.sin_addr) != 1) {
-        ::close(lp->listen_fd);
-        throw Error("http: bad bind address " + options_.bind_address);
-      }
-      if (::bind(lp->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                 sizeof addr) != 0) {
-        const int err = errno;
-        ::close(lp->listen_fd);
-        throw Error("http: bind(" + options_.bind_address + ":" +
-                    std::to_string(k == 0 ? options_.port : port_) +
-                    ") failed: " + std::strerror(err));
-      }
-      if (::listen(lp->listen_fd, options_.backlog) != 0) {
-        ::close(lp->listen_fd);
-        throw Error("http: listen() failed");
-      }
-      if (k == 0) {
-        socklen_t len = sizeof addr;
-        ::getsockname(lp->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                      &len);
-        port_ = ntohs(addr.sin_port);
-      }
-      set_nonblocking(lp->listen_fd);
-
-      lp->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-      lp->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-      if (lp->epoll_fd < 0 || lp->wake_fd < 0) {
-        teardown_loop(*lp);
-        throw Error("http: epoll/eventfd setup failed");
-      }
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = lp->listen_fd;
-      ::epoll_ctl(lp->epoll_fd, EPOLL_CTL_ADD, lp->listen_fd, &ev);
-      ev.data.fd = lp->wake_fd;
-      ::epoll_ctl(lp->epoll_fd, EPOLL_CTL_ADD, lp->wake_fd, &ev);
-
-      if (options_.registry != nullptr) {
-        obs::Registry& r = *options_.registry;
-        const std::string prefix = "http.loop" + std::to_string(k) + ".";
-        lp->accepted = &r.counter(prefix + "connections_accepted");
-        lp->open_gauge = &r.gauge(prefix + "connections_open");
-      }
-      loops_.push_back(std::move(lp));
-    }
-  } catch (...) {
-    for (auto& lp : loops_) teardown_loop(*lp);
-    loops_.clear();
-    throw;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(options_.port);
+  if (::inet_pton(AF_INET, options_.bind_address.c_str(),
+                  &addr.sin_addr) != 1)
+    fail("bad bind address " + options_.bind_address);
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+             sizeof addr) != 0) {
+    const int err = errno;
+    fail("bind(" + options_.bind_address + ":" +
+         std::to_string(options_.port) + ") failed: " + std::strerror(err));
   }
+  if (::listen(listen_fd_, options_.backlog) != 0) fail("listen() failed");
+  socklen_t len = sizeof addr;
+  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+  port_ = ntohs(addr.sin_port);
+  set_nonblocking(listen_fd_);
+
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (epoll_fd_ < 0 || wake_fd_ < 0) fail("epoll/eventfd setup failed");
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = listen_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
+  ev.data.fd = wake_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
   running_.store(true, std::memory_order_release);
-  for (auto& lp : loops_) {
-    Loop& ref = *lp;
-    ref.thread = std::thread([this, &ref] { loop(ref); });
-  }
+  thread_ = std::thread([this] { loop(); });
 }
 
 void HttpServer::stop() noexcept {
-  if (running_.exchange(false, std::memory_order_acq_rel)) {
+  if (running_.exchange(false, std::memory_order_acq_rel) && wake_fd_ >= 0) {
     const std::uint64_t one = 1;
-    for (auto& lp : loops_) {
-      if (lp->wake_fd < 0) continue;
-      [[maybe_unused]] const auto n = ::write(lp->wake_fd, &one, sizeof one);
-    }
+    [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof one);
   }
-  for (auto& lp : loops_)
-    if (lp->thread.joinable()) lp->thread.join();
-  for (auto& lp : loops_) teardown_loop(*lp);
-  loops_.clear();
-  inflight_total_.store(0, std::memory_order_relaxed);
-  open_.store(0, std::memory_order_relaxed);
-  if (open_gauge_ != nullptr) open_gauge_->set(0.0);
-  if (inflight_gauge_ != nullptr) inflight_gauge_->set(0.0);
-}
-
-void HttpServer::teardown_loop(Loop& lp) noexcept {
-  for (auto& [fd, c] : lp.connections) ::close(fd);
-  lp.connections.clear();
-  lp.inflight = 0;
-  if (lp.open_gauge != nullptr) lp.open_gauge->set(0.0);
-  for (int* fd : {&lp.listen_fd, &lp.epoll_fd, &lp.wake_fd}) {
+  if (thread_.joinable()) thread_.join();
+  for (auto& [fd, c] : connections_) ::close(fd);
+  connections_.clear();
+  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
     if (*fd >= 0) ::close(*fd);
     *fd = -1;
   }
+  // A restarted server begins with fresh admission state.
+  inflight_ = 0;
+  latency_ewma_us_ = 0.0;
+  buckets_.clear();
+  last_bucket_gc_ = 0.0;
+  open_.store(0, std::memory_order_relaxed);
+  if (open_gauge_ != nullptr) open_gauge_->set(0.0);
+  if (inflight_gauge_ != nullptr) inflight_gauge_->set(0.0);
 }
 
 double HttpServer::monotonic_s() const {
@@ -191,7 +137,7 @@ double HttpServer::monotonic_s() const {
       .count();
 }
 
-void HttpServer::loop(Loop& lp) {
+void HttpServer::loop() {
   // The sweep must fire well inside the tightest timeout it enforces.
   double sweep_period = 1.0;
   if (options_.stall_timeout_s > 0.0)
@@ -205,7 +151,7 @@ void HttpServer::loop(Loop& lp) {
   std::vector<epoll_event> events(128);
   double last_sweep = monotonic_s();
   while (running_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(lp.epoll_fd, events.data(),
+    const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()), wait_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -213,38 +159,37 @@ void HttpServer::loop(Loop& lp) {
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == lp.wake_fd) {
+      if (fd == wake_fd_) {
         std::uint64_t drained = 0;
         [[maybe_unused]] const auto r =
-            ::read(lp.wake_fd, &drained, sizeof drained);
+            ::read(wake_fd_, &drained, sizeof drained);
         continue;
       }
-      if (fd == lp.listen_fd) {
-        accept_ready(lp);
+      if (fd == listen_fd_) {
+        accept_ready();
         continue;
       }
-      const auto it = lp.connections.find(fd);
-      if (it != lp.connections.end())
-        connection_ready(lp, *it->second, events[i].events);
+      const auto it = connections_.find(fd);
+      if (it != connections_.end())
+        connection_ready(*it->second, events[i].events);
     }
     const double now = monotonic_s();
     if (now - last_sweep >= sweep_period) {
-      sweep_idle(lp, now);
+      sweep_idle(now);
       last_sweep = now;
     }
   }
 }
 
-void HttpServer::accept_ready(Loop& lp) {
-  const std::size_t loop_cap = per_loop_max_connections();
+void HttpServer::accept_ready() {
   for (;;) {
     sockaddr_in peer{};
     socklen_t peer_len = sizeof peer;
     const int fd =
-        ::accept4(lp.listen_fd, reinterpret_cast<sockaddr*>(&peer),
+        ::accept4(listen_fd_, reinterpret_cast<sockaddr*>(&peer),
                   &peer_len, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or a transient error: try next wakeup
-    if (lp.connections.size() >= loop_cap) {
+    if (connections_.size() >= options_.max_connections) {
       if (rejected_overload_ != nullptr) rejected_overload_->inc();
       ::close(fd);
       continue;
@@ -258,36 +203,28 @@ void HttpServer::accept_ready(Loop& lp) {
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP;
     ev.data.fd = fd;
-    if (::epoll_ctl(lp.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
       ::close(fd);
       continue;
     }
-    lp.connections.emplace(fd, std::move(conn));
+    connections_.emplace(fd, std::move(conn));
     if (accepted_ != nullptr) accepted_->inc();
-    if (lp.accepted != nullptr) lp.accepted->inc();
-    const std::size_t total = open_.fetch_add(1, std::memory_order_relaxed) + 1;
+    open_.store(connections_.size(), std::memory_order_relaxed);
     if (open_gauge_ != nullptr)
-      open_gauge_->set(static_cast<double>(total));
-    if (lp.open_gauge != nullptr)
-      lp.open_gauge->set(static_cast<double>(lp.connections.size()));
+      open_gauge_->set(static_cast<double>(connections_.size()));
   }
 }
 
-void HttpServer::add_inflight(Loop& lp, std::size_t n) {
-  lp.inflight += n;
-  const std::size_t total =
-      inflight_total_.fetch_add(n, std::memory_order_relaxed) + n;
+void HttpServer::add_inflight(std::size_t n) {
+  inflight_ += n;
   if (inflight_gauge_ != nullptr)
-    inflight_gauge_->set(static_cast<double>(total));
+    inflight_gauge_->set(static_cast<double>(inflight_));
 }
 
-void HttpServer::sub_inflight(Loop& lp, std::size_t n) {
-  n = std::min(n, lp.inflight);
-  lp.inflight -= n;
-  const std::size_t total =
-      inflight_total_.fetch_sub(n, std::memory_order_relaxed) - n;
+void HttpServer::sub_inflight(std::size_t n) {
+  inflight_ -= std::min(n, inflight_);
   if (inflight_gauge_ != nullptr)
-    inflight_gauge_->set(static_cast<double>(total));
+    inflight_gauge_->set(static_cast<double>(inflight_));
 }
 
 void HttpServer::count_response_status(int status) {
@@ -297,15 +234,14 @@ void HttpServer::count_response_status(int status) {
     responses_4xx_->inc();
 }
 
-std::optional<HttpResponse> HttpServer::admit(Loop& lp,
-                                              const HttpRequest& request,
+std::optional<HttpResponse> HttpServer::admit(const HttpRequest& request,
                                               const Connection& c,
                                               double now) {
   for (const std::string& path : options_.control_paths)
     if (request.path == path) return std::nullopt;
 
   if (options_.rate_limit_rps > 0.0) {
-    TokenBucket& bucket = lp.buckets[c.peer];
+    TokenBucket& bucket = buckets_[c.peer];
     if (bucket.last_refill == 0.0) {
       bucket.tokens = options_.rate_limit_burst;
     } else {
@@ -327,10 +263,10 @@ std::optional<HttpResponse> HttpServer::admit(Loop& lp,
 
   const char* shed_reason = nullptr;
   if (options_.admission_inflight_watermark > 0 &&
-      lp.inflight >= options_.admission_inflight_watermark)
+      inflight_ >= options_.admission_inflight_watermark)
     shed_reason = "inflight_watermark";
   else if (options_.admission_latency_watermark_us > 0.0 &&
-           lp.latency_ewma_us > options_.admission_latency_watermark_us)
+           latency_ewma_us_ > options_.admission_latency_watermark_us)
     shed_reason = "latency_watermark";
   if (shed_reason != nullptr) {
     if (shed_ != nullptr) shed_->inc();
@@ -360,13 +296,12 @@ std::optional<HttpResponse> HttpServer::admit(Loop& lp,
   return std::nullopt;
 }
 
-void HttpServer::connection_ready(Loop& lp, Connection& c,
-                                  std::uint32_t events) {
+void HttpServer::connection_ready(Connection& c, std::uint32_t events) {
   const int fd = c.fd;
   c.last_activity = monotonic_s();
 
   if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
-    close_connection(lp, fd);
+    close_connection(fd);
     return;
   }
 
@@ -387,7 +322,7 @@ void HttpServer::connection_ready(Loop& lp, Connection& c,
           count_response_status(status);
           c.out += serialize(bad, /*keep_alive=*/false);
           ++c.buffered_responses;
-          add_inflight(lp, 1);
+          add_inflight(1);
           c.close_after_write = true;
           break;
         }
@@ -395,11 +330,11 @@ void HttpServer::connection_ready(Loop& lp, Connection& c,
         continue;
       }
       if (n == 0) {  // orderly remote close
-        close_connection(lp, fd);
+        close_connection(fd);
         return;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_connection(lp, fd);
+      close_connection(fd);
       return;
     }
 
@@ -407,12 +342,11 @@ void HttpServer::connection_ready(Loop& lp, Connection& c,
       if (requests_ != nullptr) requests_->inc();
       const double now = monotonic_s();
       HttpResponse response;
-      const auto t0 = std::chrono::steady_clock::now();
-      bool handled = false;
-      if (auto rejection = admit(lp, *req, c, now)) {
+      double handler_us = 0.0;
+      if (auto rejection = admit(*req, c, now)) {
         response = std::move(*rejection);
       } else {
-        handled = true;
+        const auto t0 = std::chrono::steady_clock::now();
         try {
           response = handler_(*req);
         } catch (const std::exception& e) {
@@ -421,22 +355,22 @@ void HttpServer::connection_ready(Loop& lp, Connection& c,
         } catch (...) {
           response = HttpResponse::text(500, "internal error\n");
         }
+        handler_us = std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+        if (handler_us_ != nullptr) handler_us_->record(handler_us);
       }
-      const double elapsed_us = std::chrono::duration<double, std::micro>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
-      // Shed/rejected requests feed their (near-zero) cost into the
-      // EWMA too: shedding is what lets the signal decay back under the
-      // watermark once real handlers stop running.
-      lp.latency_ewma_us += kLatencyAlpha * (elapsed_us - lp.latency_ewma_us);
+      // A request admit() turned away (503, 429, 504) feeds 0, not its
+      // own cost: shedding is what lets the signal decay back under the
+      // watermark, even when the shed path alone costs more than it.
+      latency_ewma_us_ += kLatencyAlpha * (handler_us - latency_ewma_us_);
       if (latency_ewma_gauge_ != nullptr)
-        latency_ewma_gauge_->set(lp.latency_ewma_us);
-      if (handled && handler_us_ != nullptr) handler_us_->record(elapsed_us);
+        latency_ewma_gauge_->set(latency_ewma_us_);
       count_response_status(response.status);
       const bool keep = req->keep_alive && !c.close_after_write;
       c.out += serialize(response, keep);
       ++c.buffered_responses;
-      add_inflight(lp, 1);
+      add_inflight(1);
       // The next pipelined request's clock starts no earlier than now.
       c.request_start = now;
       if (!keep) {
@@ -446,13 +380,13 @@ void HttpServer::connection_ready(Loop& lp, Connection& c,
     }
   }
 
-  if (!drain_output(lp, c)) return;  // connection closed
-  update_epoll(lp, c);
+  if (!drain_output(c)) return;  // connection closed
+  update_epoll(c);
 }
 
 /// Returns false when the connection was closed (write error, or all
 /// output flushed on a close_after_write connection).
-bool HttpServer::drain_output(Loop& lp, Connection& c) {
+bool HttpServer::drain_output(Connection& c) {
   while (c.out_pos < c.out.size()) {
     const ssize_t n = ::send(c.fd, c.out.data() + c.out_pos,
                              c.out.size() - c.out_pos, MSG_NOSIGNAL);
@@ -466,49 +400,45 @@ bool HttpServer::drain_output(Loop& lp, Connection& c) {
       c.want_write = true;
       return true;  // EPOLLOUT will resume the drain
     }
-    close_connection(lp, c.fd);
+    close_connection(c.fd);
     return false;
   }
   c.out.clear();
   c.out_pos = 0;
   c.want_write = false;
-  sub_inflight(lp, c.buffered_responses);
+  sub_inflight(c.buffered_responses);
   c.buffered_responses = 0;
   if (c.close_after_write) {
-    close_connection(lp, c.fd);
+    close_connection(c.fd);
     return false;
   }
   return true;
 }
 
-void HttpServer::update_epoll(Loop& lp, Connection& c) {
+void HttpServer::update_epoll(Connection& c) {
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLRDHUP | (c.want_write ? EPOLLOUT : 0u);
   ev.data.fd = c.fd;
-  ::epoll_ctl(lp.epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
 }
 
-void HttpServer::close_connection(Loop& lp, int fd) {
-  const auto it = lp.connections.find(fd);
-  if (it != lp.connections.end()) {
-    sub_inflight(lp, it->second->buffered_responses);
-    const std::size_t total =
-        open_.fetch_sub(1, std::memory_order_relaxed) - 1;
-    if (open_gauge_ != nullptr)
-      open_gauge_->set(static_cast<double>(total));
-  }
-  ::epoll_ctl(lp.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+void HttpServer::close_connection(int fd) {
+  const auto it = connections_.find(fd);
+  if (it != connections_.end())
+    sub_inflight(it->second->buffered_responses);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  lp.connections.erase(fd);
-  if (lp.open_gauge != nullptr)
-    lp.open_gauge->set(static_cast<double>(lp.connections.size()));
+  connections_.erase(fd);
+  open_.store(connections_.size(), std::memory_order_relaxed);
+  if (open_gauge_ != nullptr)
+    open_gauge_->set(static_cast<double>(connections_.size()));
 }
 
-void HttpServer::sweep_idle(Loop& lp, double now) {
+void HttpServer::sweep_idle(double now) {
   enum class Action { reap_idle, timeout_408, close_write_stall };
   std::vector<std::pair<int, Action>> actions;
   const double stall = options_.stall_timeout_s;
-  for (const auto& [fd, c] : lp.connections) {
+  for (const auto& [fd, c] : connections_) {
     const double quiet = now - c->last_activity;
     if (c->out_pos < c->out.size()) {
       // A buffered response the client is not draining: no 408 can
@@ -534,17 +464,17 @@ void HttpServer::sweep_idle(Loop& lp, double now) {
       actions.emplace_back(fd, Action::reap_idle);
   }
   for (const auto& [fd, action] : actions) {
-    const auto it = lp.connections.find(fd);
-    if (it == lp.connections.end()) continue;
+    const auto it = connections_.find(fd);
+    if (it == connections_.end()) continue;
     Connection& c = *it->second;
     switch (action) {
       case Action::reap_idle:
         if (idle_reaped_ != nullptr) idle_reaped_->inc();
-        close_connection(lp, fd);
+        close_connection(fd);
         break;
       case Action::close_write_stall:
         if (write_stalls_ != nullptr) write_stalls_->inc();
-        close_connection(lp, fd);
+        close_connection(fd);
         break;
       case Action::timeout_408: {
         if (timeouts_408_ != nullptr) timeouts_408_->inc();
@@ -553,20 +483,20 @@ void HttpServer::sweep_idle(Loop& lp, double now) {
             HttpResponse::text(408, "request timeout: no progress\n"),
             /*keep_alive=*/false);
         ++c.buffered_responses;
-        add_inflight(lp, 1);
+        add_inflight(1);
         c.close_after_write = true;
-        if (drain_output(lp, c)) update_epoll(lp, c);
+        if (drain_output(c)) update_epoll(c);
         break;
       }
     }
   }
 
   // Token buckets for peers that went quiet are dropped.
-  if (options_.rate_limit_rps > 0.0 && now - lp.last_bucket_gc > 60.0) {
-    for (auto it = lp.buckets.begin(); it != lp.buckets.end();)
-      it = now - it->second.last_refill > 60.0 ? lp.buckets.erase(it)
+  if (options_.rate_limit_rps > 0.0 && now - last_bucket_gc_ > 60.0) {
+    for (auto it = buckets_.begin(); it != buckets_.end();)
+      it = now - it->second.last_refill > 60.0 ? buckets_.erase(it)
                                                : std::next(it);
-    lp.last_bucket_gc = now;
+    last_bucket_gc_ = now;
   }
 }
 

@@ -1,33 +1,20 @@
 // Dependency-free epoll HTTP/1.1 server.
 //
-// By default one acceptor + event-loop thread multiplexes every
-// connection with edge-level readiness (level-triggered epoll keeps the
-// state machine simple and is plenty at our connection counts):
-// nonblocking accept, per-connection RequestParser, handler dispatch,
-// buffered writes with EPOLLOUT re-arm when the socket back-pressures,
-// keep-alive, idle sweeping. The handler runs on the loop thread —
+// One acceptor + event-loop thread multiplexes every connection with
+// edge-level readiness (level-triggered epoll keeps the state machine
+// simple and is plenty at our connection counts): nonblocking accept,
+// per-connection RequestParser, handler dispatch, buffered writes with
+// EPOLLOUT re-arm when the socket back-pressures, keep-alive, idle
+// sweeping. The handler runs on the loop thread —
 // WiLocatorService relies on that: the loop thread IS the
 // WiLocatorServer control thread, so queries and publishes need no
 // extra synchronization beyond the service mutex shared with the
 // checkpointer.
 //
-// Multi-loop mode (options.loops > 1, DESIGN.md §15): N independent
-// event loops, each with its OWN listening socket bound to the same
-// address via SO_REUSEPORT — the kernel load-balances incoming
-// connections across the listening fds, so accept() itself never
-// funnels through one thread. Each loop owns its connections end to
-// end (accept, parse, dispatch, write, sweep); nothing about a
-// connection ever crosses loops. Consequences callers must accept:
-//  - the handler is invoked concurrently from all loop threads, so it
-//    must be thread-safe (WiLocatorService and ClusterRouter are);
-//  - admission state is per-loop: watermarks, latency EWMA and peer
-//    token buckets each govern one loop's connections (a peer talking
-//    to k loops gets up to k times the rate budget), and
-//    max_connections is split evenly across loops;
-//  - http.latency_ewma_us reflects the most recently updating loop.
-// Per-loop http.loop<k>.* metrics expose the kernel's accept spread.
-// stop() signals every loop's doorbell and joins them all — a graceful
-// drain across the whole set.
+// With one loop per server, admission (watermarks, latency EWMA,
+// per-peer token buckets, max_connections) is exact server-wide state.
+// A handler object reached through several HttpServers must still be
+// thread-safe; WiLocatorService and ClusterRouter are.
 //
 // Overload & network-fault policy (DESIGN.md §12): every request gets a
 // deadline budget (client-requested via X-Deadline-Ms, capped server
@@ -65,10 +52,6 @@ struct HttpServerOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral; see HttpServer::port()
   int backlog = 128;
   std::size_t max_connections = 1024;
-  /// Event loops. 1 (default) = the classic single acceptor thread;
-  /// N > 1 = N SO_REUSEPORT listeners with independent epoll loops. The
-  /// handler must be thread-safe when loops > 1 (see file comment).
-  std::size_t loops = 1;
   double idle_timeout_s = 60.0;  ///< idle keep-alive connections are reaped
   RequestParser::Limits limits;
 
@@ -89,10 +72,10 @@ struct HttpServerOptions {
   /// (slow readers holding server memory). 0 disables.
   std::size_t admission_inflight_watermark = 0;
   /// Admission control, watermark 2: shed with 503 while the EWMA of
-  /// handler latency exceeds this (µs). Shed responses feed ~0 back
-  /// into the EWMA, so shedding itself releases the brake — the server
-  /// converges on admitting the fraction of load it can actually
-  /// serve. 0 disables.
+  /// handler latency exceeds this (µs). Every request admission turns
+  /// away (503, 429, 504) feeds 0 into the EWMA, so shedding itself
+  /// releases the brake — the server converges on admitting the
+  /// fraction of load it can actually serve. 0 disables.
   double admission_latency_watermark_us = 0.0;
   /// Retry-After value (seconds, rounded up) on 503/429 responses.
   double retry_after_s = 1.0;
@@ -136,7 +119,7 @@ class HttpServer {
   /// The bound port (resolves an ephemeral request after start()).
   std::uint16_t port() const { return port_; }
 
-  /// Connections currently open (approximate; loop-thread maintained).
+  /// Connections currently open (loop-thread maintained).
   std::size_t open_connections() const {
     return open_.load(std::memory_order_relaxed);
   }
@@ -162,55 +145,39 @@ class HttpServer {
     double last_refill = 0.0;
   };
 
-  /// One event loop: its own SO_REUSEPORT listener, epoll instance,
-  /// doorbell, connection table and admission state. Everything in here
-  /// is touched only by the owning loop thread (plus start/stop when the
-  /// thread is not running), except the metric handles (wait-free).
-  struct Loop {
-    std::size_t index = 0;
-    int listen_fd = -1;
-    int epoll_fd = -1;
-    int wake_fd = -1;
-    std::thread thread;
-    std::unordered_map<int, std::unique_ptr<Connection>> connections;
-
-    std::size_t inflight = 0;     ///< buffered responses on this loop
-    double latency_ewma_us = 0.0; ///< EWMA of (handler or shed) latency
-    std::unordered_map<std::uint32_t, TokenBucket> buckets;
-    double last_bucket_gc = 0.0;
-
-    // http.loop<index>.* handles (null without a registry).
-    obs::Counter* accepted = nullptr;  ///< ...connections_accepted
-    obs::Gauge* open_gauge = nullptr;  ///< ...connections_open
-  };
-
-  void loop(Loop& lp);
-  void accept_ready(Loop& lp);
-  void connection_ready(Loop& lp, Connection& c, std::uint32_t events);
+  void loop();
+  void accept_ready();
+  void connection_ready(Connection& c, std::uint32_t events);
   /// Admission pipeline: rate limit, shed watermarks, deadline. Returns
   /// the short-circuit response, or nullopt when the request is
   /// admitted to the handler.
-  std::optional<HttpResponse> admit(Loop& lp, const HttpRequest& request,
+  std::optional<HttpResponse> admit(const HttpRequest& request,
                                     const Connection& c, double now);
   void count_response_status(int status);
-  bool drain_output(Loop& lp, Connection& c);
-  void close_connection(Loop& lp, int fd);
-  void sweep_idle(Loop& lp, double now);
-  void update_epoll(Loop& lp, Connection& c);
-  void add_inflight(Loop& lp, std::size_t n);
-  void sub_inflight(Loop& lp, std::size_t n);
-  /// Closes the loop's fds and connection table (loop thread joined).
-  void teardown_loop(Loop& lp) noexcept;
-  std::size_t per_loop_max_connections() const;
+  bool drain_output(Connection& c);
+  void close_connection(int fd);
+  void sweep_idle(double now);
+  void update_epoll(Connection& c);
+  void add_inflight(std::size_t n);
+  void sub_inflight(std::size_t n);
   double monotonic_s() const;
 
   HttpHandler handler_;
   HttpServerOptions options_;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<std::size_t> open_{0};      ///< connections across loops
-  std::atomic<std::size_t> inflight_total_{0};
-  std::vector<std::unique_ptr<Loop>> loops_;
+  std::atomic<std::size_t> open_{0};  ///< mirrors connections_.size()
+
+  // Loop state: touched only by the loop thread, or by start()/stop()
+  // while that thread is not running.
+  int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  std::size_t inflight_ = 0;      ///< responses buffered, not yet drained
+  double latency_ewma_us_ = 0.0;  ///< admission EWMA, µs
+  std::unordered_map<std::uint32_t, TokenBucket> buckets_;
+  double last_bucket_gc_ = 0.0;
 
   // http.* metrics (null when no registry was supplied).
   obs::Counter* requests_ = nullptr;
@@ -229,6 +196,8 @@ class HttpServer {
   obs::Gauge* inflight_gauge_ = nullptr;       ///< http.inflight_responses
   obs::Gauge* latency_ewma_gauge_ = nullptr;   ///< http.latency_ewma_us
   obs::HistogramMetric* handler_us_ = nullptr;
+
+  std::thread thread_;  ///< the event loop; declared after all it uses
 };
 
 }  // namespace wiloc::net

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
-#if defined(__AVX2__) || defined(__SSE2__)
-#include <immintrin.h>
+#if defined(__SSE2__)
+#include <emmintrin.h>
 #endif
 
 #include "util/contracts.hpp"
@@ -101,31 +101,18 @@ double score_positions(const std::ptrdiff_t* obs_pos, std::size_t order,
          0.15 * (top_match ? 1.0 : 0.0);
 }
 
-// First index of `needle` in data[0..n), or -1. The SIMD paths compare
-// 8 (AVX2) or 4 (SSE2) lanes per step and resolve the earliest match via
-// movemask + ctz; ties within a vector cannot reorder because the mask's
-// lowest set bit is the lowest index. ApId is a one-word wrapper whose
-// object representation is exactly its u32 value, and GCC/Clang define
-// __m128i/__m256i with the may_alias attribute, so the vector loads read
-// the ApId array in place — no unwrap copy on the hot path.
+// First index of `needle` in data[0..n), or -1. The SSE2 path compares
+// 4 lanes per step and resolves the earliest match via movemask + ctz;
+// ties within a vector cannot reorder because the mask's lowest set bit
+// is the lowest index. ApId is a one-word wrapper whose object
+// representation is exactly its u32 value, and GCC/Clang define __m128i
+// with the may_alias attribute, so the vector loads read the ApId array
+// in place — no unwrap copy on the hot path.
 std::ptrdiff_t find_first_ap(const rf::ApId* data, std::size_t n,
                              rf::ApId needle) {
   static_assert(sizeof(rf::ApId) == sizeof(std::uint32_t));
   std::size_t i = 0;
-#if defined(__AVX2__)
-  const __m256i key =
-      _mm256_set1_epi32(static_cast<int>(needle.value()));
-  for (; i + 8 <= n; i += 8) {
-    const __m256i chunk = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(data + i));
-    const int mask = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(chunk, key)));
-    if (mask != 0)
-      return static_cast<std::ptrdiff_t>(
-          i + static_cast<std::size_t>(__builtin_ctz(
-                  static_cast<unsigned>(mask))));
-  }
-#elif defined(__SSE2__)
+#if defined(__SSE2__)
   const __m128i key = _mm_set1_epi32(static_cast<int>(needle.value()));
   for (; i + 4 <= n; i += 4) {
     const __m128i chunk =
@@ -151,9 +138,7 @@ constexpr std::size_t kStackOrder = 16;
 }  // namespace
 
 const char* rank_consistency_kernel() {
-#if defined(__AVX2__)
-  return "avx2";
-#elif defined(__SSE2__)
+#if defined(__SSE2__)
   return "sse2";
 #else
   return "scalar";

@@ -72,8 +72,8 @@ struct RankSignatureHash {
 /// with pairwise order agreement (Kendall-style) over the common APs, and
 /// rewards matching the strongest AP. Returns 0 when nothing matches.
 ///
-/// Dispatches to a vectorized position-lookup kernel (AVX2/SSE2, chosen
-/// at compile time) and is bit-identical to rank_consistency_scalar():
+/// Dispatches to an SSE2 position-lookup kernel where the platform has
+/// SSE2 (every x86-64 target) and is bit-identical to rank_consistency_scalar():
 /// SIMD only changes how the integer AP positions are found, never the
 /// floating-point scoring that consumes them.
 double rank_consistency(const std::vector<rf::ApId>& observed,
@@ -85,8 +85,7 @@ double rank_consistency(const std::vector<rf::ApId>& observed,
 double rank_consistency_scalar(const std::vector<rf::ApId>& observed,
                                const RankSignature& signature);
 
-/// Name of the compiled-in position-lookup kernel: "avx2", "sse2", or
-/// "scalar". Benches record it next to ns/op numbers.
+/// Name of the compiled-in position-lookup kernel: "sse2" or "scalar". Benches record it next to ns/op numbers.
 const char* rank_consistency_kernel();
 
 }  // namespace wiloc::svd

@@ -87,10 +87,11 @@ TEST(NetChaos, OverloadMetricsReconcileExactly) {
   ChaosFixture f;
   f.train();
   ServiceOptions options;
-  // 8 µs sits between the shed path's cost (~2 µs, so shed-fed decay
-  // always re-admits) and the real handlers' (16-scan batches and
-  // arrival queries run ~20-30 µs server-side, so every admit re-trips
-  // the watermark): the EWMA must oscillate and both admitted and shed
+  // 8 µs sits below the real handlers' cost (16-scan batches and
+  // arrival queries run ~20-30 µs server-side, more under sanitizers),
+  // so admits trip the watermark; each shed feeds 0 into the EWMA, so
+  // it always decays back under 8 µs and re-admits, whatever the shed
+  // path costs. The EWMA must oscillate and both admitted and shed
   // requests occur.
   options.http.admission_latency_watermark_us = 8.0;
   WiLocatorService service(f.server, options);

@@ -183,44 +183,51 @@ TEST(HttpRobustness, DeadlineExhaustedAtDispatchGets504) {
 // Satellite: every shed carries Retry-After and a machine-readable
 // reason, and shedding releases itself once the EWMA decays.
 TEST(HttpRobustness, LatencyWatermarkShedsWithRetryAfterThenRecovers) {
-  obs::Registry registry;
-  HttpServerOptions options = base_options(&registry);
-  options.admission_latency_watermark_us = 2000.0;
-  options.retry_after_s = 1.0;
-  HttpServer server(
-      [](const HttpRequest& req) {
-        if (req.path == "/slow") std::this_thread::sleep_for(30ms);
-        return HttpResponse::text(200, "ok");
-      },
-      options);
-  server.start();
+  // 2000 µs sits far above the shed path's cost. 0.01 µs sits below it:
+  // the brake still has to come off, because a shed feeds 0 into the
+  // EWMA rather than its own cost. From the 3,000 µs one 30 ms request
+  // leaves, that takes ~120 sheds, inside the 200-request budget.
+  for (const double watermark_us : {2000.0, 0.01}) {
+    SCOPED_TRACE("watermark_us=" + std::to_string(watermark_us));
+    obs::Registry registry;
+    HttpServerOptions options = base_options(&registry);
+    options.admission_latency_watermark_us = watermark_us;
+    options.retry_after_s = 1.0;
+    HttpServer server(
+        [](const HttpRequest& req) {
+          if (req.path == "/slow") std::this_thread::sleep_for(30ms);
+          return HttpResponse::text(200, "ok");
+        },
+        options);
+    server.start();
 
-  HttpClient client("127.0.0.1", server.port());
-  // Drive the EWMA over the watermark with slow requests.
-  int shed = 0;
-  ClientResponse last_shed;
-  for (int i = 0; i < 30 && shed == 0; ++i) {
-    const auto resp = client.get("/slow");
-    if (resp.status == 503) {
-      ++shed;
-      last_shed = resp;
+    HttpClient client("127.0.0.1", server.port());
+    // Drive the EWMA over the watermark with slow requests.
+    int shed = 0;
+    ClientResponse last_shed;
+    for (int i = 0; i < 30 && shed == 0; ++i) {
+      const auto resp = client.get("/slow");
+      if (resp.status == 503) {
+        ++shed;
+        last_shed = resp;
+      }
     }
+    ASSERT_GT(shed, 0) << "watermark never tripped";
+    EXPECT_EQ(last_shed.headers.at("Retry-After"), "1");
+    EXPECT_NE(last_shed.body.find("\"reason\":\"latency_watermark\""),
+              std::string::npos)
+        << last_shed.body;
+
+    // Keep knocking: the brake must come off without any cool-down
+    // sleep.
+    int recovered = 0;
+    for (int i = 0; i < 200 && recovered == 0; ++i)
+      if (client.get("/fast").status == 200) ++recovered;
+    EXPECT_GT(recovered, 0) << "shedding never released";
+
+    EXPECT_GE(registry.snapshot().counter("http.shed"), 1u);
+    server.stop();
   }
-  ASSERT_GT(shed, 0) << "watermark never tripped";
-  EXPECT_EQ(last_shed.headers.at("Retry-After"), "1");
-  EXPECT_NE(last_shed.body.find("\"reason\":\"latency_watermark\""),
-            std::string::npos)
-      << last_shed.body;
-
-  // Sheds feed ~0 latency into the EWMA: keep knocking and the brake
-  // must come off without any cool-down sleep.
-  int recovered = 0;
-  for (int i = 0; i < 200 && recovered == 0; ++i)
-    if (client.get("/fast").status == 200) ++recovered;
-  EXPECT_GT(recovered, 0) << "shedding never released";
-
-  EXPECT_GE(registry.snapshot().counter("http.shed"), 1u);
-  server.stop();
 }
 
 TEST(HttpRobustness, ControlPathsExemptFromAdmission) {

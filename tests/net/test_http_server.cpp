@@ -112,20 +112,18 @@ TEST(HttpServer, StopIsIdempotentAndRestartable) {
   EXPECT_FALSE(server.running());
 }
 
-TEST(HttpServer, MultiLoopServesConcurrentClients) {
-  // loops=4: four SO_REUSEPORT listeners share one port; every client
-  // lands on some loop and gets served, the per-loop accept counters
-  // reconcile with the global one, and stop() drains all loops.
+TEST(HttpServer, ConcurrentClientsReconcileMetricsAndDrainOnStop) {
+  // Eight keep-alive clients at once: every request is served, the
+  // request and accept counters reconcile with what the clients sent,
+  // and stop() drains every connection.
   obs::Registry registry;
   std::atomic<int> handled{0};
-  HttpServerOptions options = loopback_options(&registry);
-  options.loops = 4;
   HttpServer server(
       [&](const HttpRequest& req) {
         handled.fetch_add(1, std::memory_order_relaxed);
         return HttpResponse::text(200, req.path);
       },
-      options);
+      loopback_options(&registry));
   server.start();
   ASSERT_NE(server.port(), 0);
 
@@ -151,28 +149,20 @@ TEST(HttpServer, MultiLoopServesConcurrentClients) {
   const obs::Snapshot mid = registry.snapshot();
   EXPECT_EQ(mid.counter("http.requests"),
             static_cast<std::uint64_t>(kThreads * kRequests));
-  // The kernel spreads connections across the reuseport group; each
-  // loop's accepts are visible and they sum to the global counter.
-  std::uint64_t per_loop_sum = 0;
-  for (int k = 0; k < 4; ++k)
-    per_loop_sum += mid.counter("http.loop" + std::to_string(k) +
-                                ".connections_accepted");
-  EXPECT_EQ(per_loop_sum, mid.counter("http.connections_accepted"));
-  EXPECT_GE(per_loop_sum, static_cast<std::uint64_t>(kThreads));
+  EXPECT_GE(mid.counter("http.connections_accepted"),
+            static_cast<std::uint64_t>(kThreads));
 
   server.stop();
   EXPECT_FALSE(server.running());
   EXPECT_EQ(server.open_connections(), 0u);
 }
 
-TEST(HttpServer, MultiLoopRequiresNoPortChange) {
-  // Restarting a multi-loop server on the same ephemeral port it
-  // resolved must work (the group tears down cleanly).
-  HttpServerOptions options = loopback_options();
-  options.loops = 2;
+TEST(HttpServer, RebindsResolvedEphemeralPortAfterStop) {
+  // A server asked for the port an earlier (stopped) server resolved
+  // from an ephemeral request binds it again: stop() releases it.
   HttpServer server(
       [](const HttpRequest&) { return HttpResponse::text(200, "ok"); },
-      options);
+      loopback_options());
   server.start();
   const std::uint16_t port = server.port();
   {
@@ -182,7 +172,6 @@ TEST(HttpServer, MultiLoopRequiresNoPortChange) {
   server.stop();
 
   HttpServerOptions again = loopback_options();
-  again.loops = 2;
   again.port = port;
   HttpServer server2(
       [](const HttpRequest&) { return HttpResponse::text(200, "ok"); },

@@ -1,6 +1,6 @@
 // SIMD/scalar parity for the rank_consistency kernel.
 //
-// The dispatched kernel (AVX2/SSE2/scalar, chosen at compile time) only
+// The dispatched kernel (SSE2 or scalar, chosen at compile time) only
 // changes how the integer AP positions are looked up in the observed
 // ranking, so its double result must be bit-identical to the portable
 // std::find reference — across odd lengths, vector-width boundaries,
@@ -38,8 +38,7 @@ void expect_bit_identical(double a, double b, const std::string& what) {
 
 TEST(RankKernel, ReportsCompiledKernel) {
   const std::string kernel = rank_consistency_kernel();
-  EXPECT_TRUE(kernel == "avx2" || kernel == "sse2" || kernel == "scalar")
-      << kernel;
+  EXPECT_TRUE(kernel == "sse2" || kernel == "scalar") << kernel;
 }
 
 TEST(RankKernel, EmptyInputsMatchScalar) {
@@ -54,8 +53,9 @@ TEST(RankKernel, EmptyInputsMatchScalar) {
 }
 
 TEST(RankKernel, MatchesScalarAtVectorWidthBoundaries) {
-  // Observed lengths straddling the SSE2 (4-lane) and AVX2 (8-lane)
-  // widths, including the scalar tail after the last full vector.
+  // Observed lengths straddling the SSE2 (4-lane) width and the
+  // 8-entry SIMD cut-over, including the scalar tail after the last
+  // full vector.
   for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u,
                         31u, 32u, 33u}) {
     std::vector<ApId> observed;

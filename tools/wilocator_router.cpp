@@ -12,8 +12,6 @@
 // Usage: wilocator_router --nodes LIST [options]
 //   --nodes LIST         required: "id=host:port,id=host:port,..."
 //   --port N             bind port (default 0 = ephemeral)
-//   --http-loops N       SO_REUSEPORT event loops (default 1; the
-//                        handler is thread-safe, DESIGN.md §15)
 //   --probe-interval S   /healthz probe cadence (default 0.25)
 //   --probe-failures N   consecutive failures marking a node down
 //                        (default 2)
@@ -39,8 +37,7 @@ void on_signal(int sig) { g_signal.store(sig); }
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " --nodes LIST [--port N] [--http-loops N]"
-               " [--probe-interval S]"
+            << " --nodes LIST [--port N] [--probe-interval S]"
                " [--probe-failures N] [--upstream-timeout S]\n";
   std::exit(2);
 }
@@ -52,7 +49,6 @@ int main(int argc, char** argv) {
 
   std::string nodes_spec;
   std::uint16_t port = 0;
-  int http_loops = 1;
   double probe_interval_s = 0.25;
   int probe_failures = 2;
   double upstream_timeout_s = 2.0;
@@ -69,8 +65,6 @@ int main(int argc, char** argv) {
       nodes_spec = need("--nodes");
     else if (std::strcmp(argv[i], "--port") == 0)
       port = static_cast<std::uint16_t>(std::atoi(need("--port")));
-    else if (std::strcmp(argv[i], "--http-loops") == 0)
-      http_loops = std::max(1, std::atoi(need("--http-loops")));
     else if (std::strcmp(argv[i], "--probe-interval") == 0)
       probe_interval_s = std::atof(need("--probe-interval"));
     else if (std::strcmp(argv[i], "--probe-failures") == 0)
@@ -87,7 +81,6 @@ int main(int argc, char** argv) {
 
   cluster::RouterOptions options;
   options.http.port = port;
-  options.http.loops = static_cast<std::size_t>(http_loops);
   options.probe_interval_s = probe_interval_s;
   options.probe_failures = probe_failures;
   options.client.connect_timeout_s = upstream_timeout_s;

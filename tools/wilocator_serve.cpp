@@ -12,8 +12,6 @@
 //
 // Usage: wilocator_serve [options]
 //   --port N               bind port (default 0 = ephemeral)
-//   --http-loops N         SO_REUSEPORT event loops (default 1; see
-//                          DESIGN.md §15 for the multi-core path)
 //   --persist-dir PATH     enable durable state under PATH
 //   --history-days N       training days before serving (default 3)
 //   --workers N            ingest worker threads (default 2)
@@ -60,7 +58,7 @@ void on_signal(int sig) { g_signal.store(sig); }
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--port N] [--http-loops N] [--persist-dir PATH]"
+            << " [--port N] [--persist-dir PATH]"
                " [--history-days N]"
                " [--workers N] [--snapshot-interval S]"
                " [--checkpoint-poll S] [--no-train] [--metrics-period S]"
@@ -86,7 +84,6 @@ int main(int argc, char** argv) {
   bool train = true;
   double metrics_period_s = 60.0;
   double request_deadline_s = 0.0;
-  int http_loops = 1;
   double stall_timeout_s = 10.0;
   double shed_latency_us = 0.0;
   std::size_t shed_inflight = 0;
@@ -107,9 +104,6 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--port") == 0)
       port = static_cast<std::uint16_t>(std::atoi(need("--port")));
-    else if (std::strcmp(argv[i], "--http-loops") == 0)
-      http_loops = std::max(
-          1, std::atoi(need("--http-loops")));
     else if (std::strcmp(argv[i], "--persist-dir") == 0)
       persist_dir = need("--persist-dir");
     else if (std::strcmp(argv[i], "--history-days") == 0)
@@ -181,7 +175,6 @@ int main(int argc, char** argv) {
 
   net::ServiceOptions options;
   options.http.port = port;
-  options.http.loops = static_cast<std::size_t>(http_loops);
   options.http.request_deadline_s = request_deadline_s;
   options.http.stall_timeout_s = stall_timeout_s;
   options.http.admission_latency_watermark_us = shed_latency_us;
