@@ -60,24 +60,39 @@ StatePersistence::StatePersistence(PersistenceConfig config)
 
 void StatePersistence::append(JournalRecord type,
                               const TravelObservation& obs) {
+  append(type, std::span<const TravelObservation>(&obs, 1));
+}
+
+void StatePersistence::append(JournalRecord type,
+                              std::span<const TravelObservation> batch) {
+  if (batch.empty()) return;
   if (poisoned())
     throw StateError("persist: manager poisoned by an earlier failure");
-  BinWriter frame;
-  frame.put_u64(++seq_);
-  frame.put_u8(static_cast<std::uint8_t>(type));
-  encode_observation(frame, obs);
+  payloads_.clear();
+  sizes_.clear();
+  for (const TravelObservation& obs : batch) {
+    const std::size_t start = payloads_.size();
+    payloads_.put_u64(++seq_);
+    payloads_.put_u8(static_cast<std::uint8_t>(type));
+    encode_observation(payloads_, obs);
+    sizes_.push_back(static_cast<std::uint32_t>(payloads_.size() - start));
+  }
+  const std::uint64_t writes_before = writer_->writes();
   try {
-    writer_->append(frame.bytes());
+    writer_->append_batch(payloads_.bytes(), sizes_);
   } catch (...) {
     poisoned_.store(true, std::memory_order_release);
     throw;
   }
+  if (metrics_.journal_writes != nullptr)
+    metrics_.journal_writes->inc(writer_->writes() - writes_before);
   {
     const std::lock_guard<std::mutex> lock(time_mu_);
     if (!last_checkpoint_time_.has_value())
-      last_checkpoint_time_ = obs.exit_time;
+      last_checkpoint_time_ = batch.front().exit_time;
   }
-  if (metrics_.journal_appends != nullptr) metrics_.journal_appends->inc();
+  if (metrics_.journal_appends != nullptr)
+    metrics_.journal_appends->inc(batch.size());
   if (metrics_.journal_bytes != nullptr)
     metrics_.journal_bytes->set(static_cast<double>(writer_->size_bytes()));
 }

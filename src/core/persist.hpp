@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "core/travel_time.hpp"
+#include "util/binio.hpp"
 #include "util/journal.hpp"
 #include "util/obs.hpp"
 
@@ -80,6 +81,7 @@ struct PersistenceConfig {
 struct PersistMetrics {
   obs::Counter* snapshots = nullptr;        ///< persist.snapshots
   obs::Counter* journal_appends = nullptr;  ///< persist.journal_appends
+  obs::Counter* journal_writes = nullptr;   ///< persist.journal_writes
   obs::Counter* recovered = nullptr;        ///< persist.recovered
   obs::Counter* skipped = nullptr;          ///< persist.skipped
   obs::Counter* corrupt = nullptr;          ///< persist.corrupt
@@ -144,6 +146,9 @@ class StatePersistence {
   /// Appends one seq-stamped observation record to the journal. Throws
   /// StateError once poisoned.
   void append(JournalRecord type, const TravelObservation& obs);
+  /// Appends one record per observation, in order, with one journal
+  /// write(2). A no-op for an empty batch.
+  void append(JournalRecord type, std::span<const TravelObservation> batch);
 
   /// True once a persistence operation failed (I/O error or injected
   /// crash). A poisoned manager refuses every further append and seal
@@ -252,6 +257,9 @@ class StatePersistence {
   PersistMetrics metrics_;
   /// Control thread only; null after a failed seal (then poisoned).
   std::unique_ptr<journal::Writer> writer_;
+  /// append()'s encoded payloads and their sizes; reused per call.
+  BinWriter payloads_;
+  std::vector<std::uint32_t> sizes_;
   std::uint64_t seq_ = 0;
   /// Highest seq in the sealed segment (captured by seal_journal;
   /// promoted to covered_seq_ when the commit removes the segment).

@@ -20,11 +20,13 @@ WiLocatorServer::WiLocatorServer(
       arrival_table_(store_, predictor_, traffic_builder_, config.arrival) {
   WILOC_EXPECTS(!routes.empty());
   init_obs();
+  const double build_start = wall_clock_s();
   for (const roadnet::BusRoute* route : routes) {
     WILOC_EXPECTS(route != nullptr);
     adopt_route(*route, std::make_unique<svd::RouteSvd>(*route, aps, model,
                                                         config_.svd));
   }
+  registry_.gauge("server.svd_build_s").set(wall_clock_s() - build_start);
   init_arrival_table();
   init_persistence();
 }
@@ -111,6 +113,8 @@ void WiLocatorServer::init_obs() {
   persist_metrics_.snapshots = &registry_.counter("persist.snapshots");
   persist_metrics_.journal_appends =
       &registry_.counter("persist.journal_appends");
+  persist_metrics_.journal_writes =
+      &registry_.counter("persist.journal_writes");
   persist_metrics_.recovered = &registry_.counter("persist.recovered");
   persist_metrics_.skipped = &registry_.counter("persist.skipped");
   persist_metrics_.corrupt = &registry_.counter("persist.corrupt");
@@ -379,15 +383,20 @@ void WiLocatorServer::drain() {
 }
 
 void WiLocatorServer::publish_pending() {
-  for (const TravelObservation& obs : engine_->take_ready_observations()) {
+  std::vector<TravelObservation> ready = engine_->take_ready_observations();
+  std::size_t fresh = 0;
+  for (const TravelObservation& obs : ready) {
     const bool added = fold(JournalRecord::recent_obs, obs);
     if (obs_published_ != nullptr) obs_published_->inc();
     note_event(obs.exit_time);  // a re-delivered duplicate is an event too
     // Journal only genuinely new observations: a duplicate the store
     // dropped must not resurface on the next replay.
-    if (added && persist_ != nullptr)
-      persist_->append(JournalRecord::recent_obs, obs);
+    if (added) ready[fresh++] = obs;
   }
+  // The whole fold batch goes to the journal in one write.
+  if (persist_ != nullptr)
+    persist_->append(JournalRecord::recent_obs,
+                     std::span<const TravelObservation>(ready.data(), fresh));
   maybe_refresh_arrivals();
   maybe_checkpoint();
   if (reporter_ != nullptr && has_event_)

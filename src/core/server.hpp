@@ -316,9 +316,10 @@ class WiLocatorServer {
   const RouteRuntime& runtime_for(roadnet::RouteId route) const;
   /// Moves order-finalized segment observations from the engine into the
   /// recent store (serial submission order). Cheap when nothing is
-  /// pending. Only mutators call it. This is also where journaling and
-  /// interval checkpoints happen — always on the calling (control)
-  /// thread, never on the engine's shard workers.
+  /// pending. Only mutators call it. This is also where journaling (one
+  /// write for the whole batch) and interval checkpoints happen — always
+  /// on the calling (control) thread, never on the engine's shard
+  /// workers.
   void publish_pending();
   /// The one fold of an observation record into learned state, shared
   /// by publishing, history loading, recovery and replication. A recent

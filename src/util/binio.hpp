@@ -55,6 +55,9 @@ class BinWriter {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
+  /// Empties the buffer, keeping its capacity for reuse.
+  void clear() { buf_.clear(); }
+
   std::size_t size() const { return buf_.size(); }
   std::span<const std::byte> bytes() const { return buf_; }
   std::vector<std::byte> take() { return std::move(buf_); }

@@ -31,11 +31,14 @@ std::array<std::uint32_t, 256> make_crc_table() {
   throw Error(what + ": " + std::strerror(errno));
 }
 
-/// Full write(2) loop (handles partial writes and EINTR).
-void write_all(int fd, const void* data, std::size_t n,
-               const std::string& path) {
+/// Full write(2) loop (handles partial writes and EINTR). Returns the
+/// number of write(2) calls made.
+std::uint64_t write_all(int fd, const void* data, std::size_t n,
+                        const std::string& path) {
   const char* p = static_cast<const char*>(data);
+  std::uint64_t calls = 0;
   while (n > 0) {
+    ++calls;
     const ssize_t w = ::write(fd, p, n);
     if (w < 0) {
       if (errno == EINTR) continue;
@@ -44,6 +47,27 @@ void write_all(int fd, const void* data, std::size_t n,
     p += w;
     n -= static_cast<std::size_t>(w);
   }
+  return calls;
+}
+
+/// Reads the whole file behind `fd`.
+std::vector<std::byte> read_all(int fd, const std::string& what) {
+  std::vector<std::byte> data;
+  std::array<std::byte, 64 * 1024> chunk;
+  for (;;) {
+    const ssize_t r = ::read(fd, chunk.data(), chunk.size());
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      throw_errno(what);
+    }
+    if (r == 0) return data;
+    data.insert(data.end(), chunk.begin(), chunk.begin() + r);
+  }
+}
+
+void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
 }
 
 void fsync_or_throw(int fd, const std::string& path) {
@@ -58,10 +82,8 @@ void fsync_parent_dir(const std::string& path) {
   const std::string dir = slash == std::string::npos
                               ? std::string(".")
                               : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
+  const UniqueFd fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
+  if (fd.get() >= 0) ::fsync(fd.get());
 }
 
 }  // namespace
@@ -83,58 +105,72 @@ const char* to_string(FsyncPolicy policy) {
   return "?";
 }
 
-// -- Writer ----------------------------------------------------------------
-
-Writer::Writer(std::string path, FsyncPolicy fsync, FailureHook hook)
-    : path_(std::move(path)), fsync_(fsync), hook_(std::move(hook)) {
-  fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (fd_ < 0) throw_errno("journal: cannot open " + path_);
-  struct stat st{};
-  if (::fstat(fd_, &st) != 0) throw_errno("journal: fstat " + path_);
-  bytes_ = static_cast<std::uint64_t>(st.st_size);
-}
-
-Writer::~Writer() {
+UniqueFd::~UniqueFd() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Writer::fire(std::string_view site) {
-  if (!hook_) return;
+// -- Writer ----------------------------------------------------------------
+
+Writer::Writer(std::string path, FsyncPolicy fsync, FailureHook hook)
+    : path_(std::move(path)), fsync_(fsync), hook_(std::move(hook)),
+      fd_(::open(path_.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644)) {
+  if (fd_.get() < 0) throw_errno("journal: cannot open " + path_);
+  struct stat st{};
+  if (::fstat(fd_.get(), &st) != 0) throw_errno("journal: fstat " + path_);
+  bytes_ = static_cast<std::uint64_t>(st.st_size);
+}
+
+void Writer::fire(std::string_view site, std::size_t offset) {
   try {
     hook_(site);
   } catch (...) {
     dead_ = true;  // simulated process death: nothing more reaches disk
+    write_buffered(offset);
     throw;
   }
 }
 
-void Writer::write_raw(const void* data, std::size_t n) {
-  write_all(fd_, data, n, path_);
+void Writer::write_buffered(std::size_t n) {
+  writes_ += write_all(fd_.get(), buf_.data(), n, path_);
   bytes_ += n;
 }
 
 void Writer::append(std::span<const std::byte> payload) {
   WILOC_EXPECTS(payload.size() <= kMaxFrameBytes);
+  const auto size = static_cast<std::uint32_t>(payload.size());
+  append_batch(payload, {&size, 1});
+}
+
+void Writer::append_batch(std::span<const std::byte> payloads,
+                          std::span<const std::uint32_t> sizes) {
   if (dead_)
     throw StateError("journal: writer poisoned by simulated crash");
+  buf_.clear();
+  for (const std::uint32_t size : sizes) {
+    WILOC_EXPECTS(size <= payloads.size());
+    append_frame(buf_, payloads.first(size));
+    payloads = payloads.subspan(size);
+  }
+  WILOC_EXPECTS(payloads.empty());
 
-  BinWriter header;
-  header.put_u32(static_cast<std::uint32_t>(payload.size()));
-  header.put_u32(crc32(payload));
-  write_raw(header.bytes().data(), header.size());
-  fire(kSiteAppendMid);
-
-  const std::size_t half = payload.size() / 2;
-  write_raw(payload.data(), half);
-  fire(kSiteAppendTorn);
-  write_raw(payload.data() + half, payload.size() - half);
+  if (hook_) {
+    // The sites of a one-frame append: after the header, and halfway
+    // through the payload (a torn final frame).
+    std::size_t frame = 0;
+    for (const std::uint32_t size : sizes) {
+      fire(kSiteAppendMid, frame + 8);
+      fire(kSiteAppendTorn, frame + 8 + size / 2);
+      frame += 8 + size;
+    }
+  }
+  write_buffered(buf_.size());
 
   if (fsync_ == FsyncPolicy::every_append) sync();
 }
 
 void Writer::sync() {
   if (dead_) return;
-  fsync_or_throw(fd_, path_);
+  fsync_or_throw(fd_.get(), path_);
 }
 
 // -- replay ----------------------------------------------------------------
@@ -142,27 +178,10 @@ void Writer::sync() {
 ReplayStats replay(const std::string& path,
                    const std::function<void(std::span<const std::byte>)>&
                        on_frame) {
-  ReplayStats stats;
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return stats;  // missing journal == empty journal
-
-  std::vector<std::byte> data;
-  {
-    std::array<std::byte, 64 * 1024> chunk;
-    for (;;) {
-      const ssize_t r = ::read(fd, chunk.data(), chunk.size());
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        throw_errno("journal: read failed on " + path);
-      }
-      if (r == 0) break;
-      data.insert(data.end(), chunk.begin(), chunk.begin() + r);
-    }
-  }
-  ::close(fd);
-
-  return scan_frames(data, on_frame);
+  const UniqueFd fd(::open(path.c_str(), O_RDONLY));
+  if (fd.get() < 0) return {};  // missing journal == empty journal
+  return scan_frames(read_all(fd.get(), "journal: read failed on " + path),
+                     on_frame);
 }
 
 ReplayStats scan_frames(std::span<const std::byte> data,
@@ -203,11 +222,8 @@ ReplayStats scan_frames(std::span<const std::byte> data,
 void append_frame(std::vector<std::byte>& out,
                   std::span<const std::byte> payload) {
   WILOC_EXPECTS(payload.size() <= kMaxFrameBytes);
-  BinWriter header;
-  header.put_u32(static_cast<std::uint32_t>(payload.size()));
-  header.put_u32(crc32(payload));
-  const auto head = header.bytes();
-  out.insert(out.end(), head.begin(), head.end());
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u32(out, crc32(payload));
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
@@ -218,22 +234,18 @@ void write_snapshot_file(const std::string& path, std::uint32_t magic,
                          std::span<const std::byte> body, bool do_fsync,
                          const FailureHook& hook) {
   const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) throw_errno("snapshot: cannot open " + tmp);
-  try {
+  {
+    const UniqueFd fd(::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644));
+    if (fd.get() < 0) throw_errno("snapshot: cannot open " + tmp);
     BinWriter header;
     header.put_u32(magic);
     header.put_u32(version);
     header.put_u32(crc32(body));
     header.put_u64(body.size());
-    write_all(fd, header.bytes().data(), header.size(), tmp);
-    write_all(fd, body.data(), body.size(), tmp);
-    if (do_fsync) fsync_or_throw(fd, tmp);
-  } catch (...) {
-    ::close(fd);
-    throw;
+    write_all(fd.get(), header.bytes().data(), header.size(), tmp);
+    write_all(fd.get(), body.data(), body.size(), tmp);
+    if (do_fsync) fsync_or_throw(fd.get(), tmp);
   }
-  ::close(fd);
 
   // The temp file is complete and durable; dying here leaves the old
   // snapshot untouched (the crash-injection site the recovery test
@@ -247,24 +259,10 @@ void write_snapshot_file(const std::string& path, std::uint32_t magic,
 
 std::optional<SnapshotData> read_snapshot_file(const std::string& path,
                                                std::uint32_t magic) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return std::nullopt;
-
-  std::vector<std::byte> data;
-  {
-    std::array<std::byte, 64 * 1024> chunk;
-    for (;;) {
-      const ssize_t r = ::read(fd, chunk.data(), chunk.size());
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        throw_errno("snapshot: read failed on " + path);
-      }
-      if (r == 0) break;
-      data.insert(data.end(), chunk.begin(), chunk.begin() + r);
-    }
-  }
-  ::close(fd);
+  const UniqueFd fd(::open(path.c_str(), O_RDONLY));
+  if (fd.get() < 0) return std::nullopt;
+  const std::vector<std::byte> data =
+      read_all(fd.get(), "snapshot: read failed on " + path);
 
   BinReader reader(data);
   if (reader.remaining() < 20)

@@ -7,8 +7,9 @@
 // checkpoint + write-ahead discipline:
 //
 //  - Journal: an append-only file of length-prefixed, CRC32-guarded
-//    frames. Appends are raw unbuffered write(2) calls so a crash leaves
-//    at most one torn frame at the tail; replay verifies every frame and
+//    frames. Each append lays its frames out in one buffer and issues
+//    one unbuffered write(2), so a crash leaves at most one torn frame
+//    at the tail; replay verifies every frame and
 //    *skips* a corrupt record (bad CRC) or stops at a torn/implausible
 //    tail instead of aborting — recovery always returns the readable
 //    prefix.
@@ -18,10 +19,12 @@
 //    version and a body CRC reject foreign or corrupt files.
 //
 // Crash injection: both paths accept a FailureHook that is invoked at
-// named internal sites *after* the bytes written so far are on disk.
-// A hook that throws simulates the process dying at exactly that point
-// (sim::CrashInjector uses this); the writer poisons itself so no
-// destructor flush can "un-tear" the file.
+// named internal sites. A hook that throws simulates the process dying
+// at exactly that point (sim::CrashInjector uses this): the bytes before
+// the site reach disk, nothing after it does. A journal site is a byte
+// offset inside the append's buffer: the writer writes exactly that
+// prefix and poisons itself, so no destructor flush can "un-tear" the
+// file.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +51,7 @@ enum class FsyncPolicy {
 const char* to_string(FsyncPolicy policy);
 
 /// Test hook invoked at named internal sites; throwing simulates a
-/// process crash at that exact point (bytes written so far stay on
+/// process crash at that exact point (the bytes before the site are on
 /// disk, nothing after the site is written).
 using FailureHook = std::function<void(std::string_view site)>;
 
@@ -65,23 +68,47 @@ inline constexpr std::string_view kSiteSnapshotPreRename =
 /// unreadable (treated as a torn tail).
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 24;
 
-/// Append-only journal writer. One frame per append():
-/// [u32 payload_len][u32 payload_crc][payload]. Appends go through
-/// unbuffered write(2); FsyncPolicy::every_append adds an fsync per
-/// frame. Throws wiloc::Error on I/O failure.
+/// An owned file descriptor, closed on destruction (-1 when none).
+class UniqueFd {
+ public:
+  explicit UniqueFd(int fd = -1) : fd_(fd) {}
+  ~UniqueFd();
+  UniqueFd(const UniqueFd&) = delete;
+  UniqueFd& operator=(const UniqueFd&) = delete;
+
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Append-only journal writer. Each frame is
+/// [u32 payload_len][u32 payload_crc][payload]. Every append, of one
+/// frame or of a batch, is one unbuffered write(2) of a reused buffer;
+/// nothing is held back between calls. FsyncPolicy::every_append adds
+/// an fsync before each append returns. Throws wiloc::Error on I/O
+/// failure.
 class Writer {
  public:
   /// Opens (creating if needed) `path` for appending.
   explicit Writer(std::string path,
                   FsyncPolicy fsync = FsyncPolicy::on_checkpoint,
                   FailureHook hook = {});
-  ~Writer();
 
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
   /// Appends one frame. Requires payload.size() <= kMaxFrameBytes.
   void append(std::span<const std::byte> payload);
+
+  /// Appends one frame per entry of `sizes`, whose payloads lie back to
+  /// back in `payloads`, with one write(2). Each frame keeps its own
+  /// crash sites, so a crash at frame k leaves frames 1..k-1 plus the
+  /// prefix of frame k that a one-frame append would have left.
+  /// Requires every size <= kMaxFrameBytes and their sum ==
+  /// payloads.size().
+  void append_batch(std::span<const std::byte> payloads,
+                    std::span<const std::uint32_t> sizes);
 
   /// fsync(2) the journal file.
   void sync();
@@ -90,21 +117,28 @@ class Writer {
   std::uint64_t size_bytes() const { return bytes_; }
   const std::string& path() const { return path_; }
 
+  /// write(2) calls this writer has made.
+  std::uint64_t writes() const { return writes_; }
+
   /// True once a failure hook "killed" this writer; every further
   /// append throws and nothing more reaches disk.
   bool dead() const { return dead_; }
 
  private:
-  void write_raw(const void* data, std::size_t n);
-  /// Fires the failure hook at `site`; a throwing hook poisons the
-  /// writer (simulated crash) before the exception propagates.
-  void fire(std::string_view site);
+  /// Writes the first `n` bytes of buf_.
+  void write_buffered(std::size_t n);
+  /// Fires the failure hook at `site`, `offset` bytes into buf_. A
+  /// throwing hook poisons the writer and writes exactly that prefix
+  /// (the simulated crash) before the exception propagates.
+  void fire(std::string_view site, std::size_t offset);
 
   std::string path_;
   FsyncPolicy fsync_;
   FailureHook hook_;
-  int fd_ = -1;
+  UniqueFd fd_;
+  std::vector<std::byte> buf_;  ///< one append's frames; reused
   std::uint64_t bytes_ = 0;
+  std::uint64_t writes_ = 0;
   bool dead_ = false;
 };
 

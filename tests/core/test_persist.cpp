@@ -398,6 +398,54 @@ TEST(ServerPersist, CheckpointAndRecover) {
               value);
 }
 
+TEST(ServerPersist, JournalWritesOnePerLoadAndPublishBatch) {
+  // Work-budget pin: persist.journal_writes counts write(2) calls on the
+  // journal. A history load is one frame in one write (three writes per
+  // frame would fail here), and each publish journals its whole fold
+  // batch in at most one write.
+  PersistServerFixture f;
+  TempDir tmp;
+  ServerConfig config = f.config_with(tmp.path());
+  config.persist.snapshot_interval_s = 1e12;
+  config.persist.journal_trigger_bytes = 1ull << 40;
+  auto server = f.make_server(config);
+  const auto counter = [&](const char* name) {
+    return server->metrics_snapshot().counter(name);
+  };
+
+  const auto training = f.training_set(1);
+  for (const auto& o : training) server->load_history(o);
+  EXPECT_GT(counter("persist.journal_appends"), 0u);
+  EXPECT_EQ(counter("persist.journal_writes"),
+            counter("persist.journal_appends"));
+  EXPECT_LE(counter("persist.journal_writes"), training.size());
+  server->finalize_history();
+
+  const std::uint64_t writes0 = counter("persist.journal_writes");
+  const std::uint64_t appends0 = counter("persist.journal_appends");
+  Rng rng(9);
+  const auto trip =
+      sim::simulate_trip(TripId(77), f.city.route_a(), f.city.profiles[0],
+                         f.traffic, at_day_time(3, hms(9)), rng);
+  const auto reports = sim::sense_trip(trip, f.city.route_a(), f.city.aps,
+                                       f.city.model, rf::Scanner{}, rng);
+  server->begin_trip(TripId(77), f.city.route_a().id());
+  std::uint64_t publishes = 0;
+  for (std::size_t i = 0; i < reports.size(); i += 50) {
+    std::vector<ScanSubmission> batch;
+    for (std::size_t j = i; j < std::min(i + 50, reports.size()); ++j)
+      batch.push_back({TripId(77), reports[j].scan});
+    server->ingest_batch(batch);
+    ++publishes;
+  }
+  server->drain();
+  ++publishes;
+  const std::uint64_t writes = counter("persist.journal_writes") - writes0;
+  const std::uint64_t appends = counter("persist.journal_appends") - appends0;
+  EXPECT_LE(writes, publishes);
+  EXPECT_GT(appends, writes);  // some batch carried several frames
+}
+
 TEST(ServerPersist, JournalAloneRecoversWithoutSnapshot) {
   PersistServerFixture f;
   TempDir tmp;

@@ -187,6 +187,40 @@ TEST(PersistTail, CommitPromotesCompactionWatermarkAndDropsSealed) {
   EXPECT_EQ(persist.tail_segments(0, 1 << 20).records, 0u);
 }
 
+TEST(PersistTail, BatchAppendTailsAndRecoversLikePerRecordAppends) {
+  std::vector<TravelObservation> batch;
+  for (std::uint32_t n = 1; n <= 9; ++n) batch.push_back(obs_n(n));
+
+  TempDir one_dir;
+  TempDir batch_dir;
+  StatePersistence one(config_for(one_dir));
+  StatePersistence batched(config_for(batch_dir));
+  for (const TravelObservation& obs : batch)
+    one.append(JournalRecord::recent_obs, obs);
+  batched.append(JournalRecord::recent_obs, batch);
+  EXPECT_EQ(batched.last_seq(), one.last_seq());
+  EXPECT_EQ(batched.journal_bytes(), one.journal_bytes());
+
+  for (const std::uint64_t after : {0u, 4u}) {
+    SCOPED_TRACE(after);
+    const auto want = one.tail_segments(after, 1 << 20);
+    const auto got = batched.tail_segments(after, 1 << 20);
+    EXPECT_EQ(got.frames, want.frames);
+    EXPECT_EQ(got.first_seq, want.first_seq);
+    EXPECT_EQ(got.last_seq, want.last_seq);
+    EXPECT_EQ(got.records, want.records);
+  }
+  const auto want = one.recover();
+  const auto got = batched.recover();
+  ASSERT_EQ(got.records.size(), batch.size());
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (std::size_t i = 0; i < got.records.size(); ++i) {
+    EXPECT_EQ(got.records[i].seq, want.records[i].seq);
+    EXPECT_EQ(got.records[i].obs, batch[i]);
+  }
+  EXPECT_TRUE(got.replay.clean());
+}
+
 TEST(PersistTail, TornTailFrameIsNotShippedUntilComplete) {
   TempDir tmp;
   PersistenceConfig config = config_for(tmp);

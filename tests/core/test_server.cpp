@@ -142,6 +142,12 @@ TEST(WiLocatorServer, IndexPerRoute) {
   EXPECT_EQ(&f.server.route(f.city.route_a().id()), &f.city.route_a());
 }
 
+TEST(WiLocatorServer, ExportsSvdBuildTime) {
+  // The constructor built both routes' SVDs; /metrics shows how long.
+  ServerFixture f;
+  EXPECT_GT(f.server.metrics_snapshot().gauge("server.svd_build_s"), 0.0);
+}
+
 TEST(WiLocatorServer, RequiresRoutes) {
   testing::MiniCity city;
   EXPECT_THROW(WiLocatorServer({}, city.ap_snapshot(), city.model,

@@ -247,6 +247,129 @@ TEST(Journal, CrashHookMidAppendLeavesHeaderOnly) {
   EXPECT_TRUE(stats.torn_tail);
 }
 
+/// Payloads of assorted sizes: empty, odd and even halves.
+std::vector<std::vector<std::byte>> batch_payloads() {
+  return {bytes_of("first frame"), bytes_of(""), bytes_of("x"),
+          bytes_of("an odd-length fourth payload"),
+          bytes_of("the last frame of the batch")};
+}
+
+/// The batch as append_batch takes it: payloads back to back + sizes.
+struct PackedBatch {
+  std::vector<std::byte> payloads;
+  std::vector<std::uint32_t> sizes;
+};
+
+PackedBatch pack(const std::vector<std::vector<std::byte>>& frames) {
+  PackedBatch batch;
+  for (const auto& frame : frames) {
+    batch.payloads.insert(batch.payloads.end(), frame.begin(), frame.end());
+    batch.sizes.push_back(static_cast<std::uint32_t>(frame.size()));
+  }
+  return batch;
+}
+
+std::string text_of(std::span<const std::byte> bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+std::vector<std::string> replayed(const std::string& path,
+                                  ReplayStats* stats = nullptr) {
+  std::vector<std::string> seen;
+  const ReplayStats s = replay(
+      path, [&](std::span<const std::byte> p) { seen.push_back(text_of(p)); });
+  if (stats != nullptr) *stats = s;
+  return seen;
+}
+
+TEST(Journal, BatchIsOneWriteWithPerFrameBytes) {
+  TempDir tmp;
+  const auto frames = batch_payloads();
+  const PackedBatch batch = pack(frames);
+  for (const FsyncPolicy fsync :
+       {FsyncPolicy::never, FsyncPolicy::every_append}) {
+    SCOPED_TRACE(to_string(fsync));
+    const std::string per_frame =
+        tmp.path(std::string("one_") + to_string(fsync));
+    const std::string batched =
+        tmp.path(std::string("batch_") + to_string(fsync));
+    {
+      Writer w(per_frame, fsync);
+      for (const auto& frame : frames) w.append(frame);
+      EXPECT_EQ(w.writes(), frames.size());  // one write(2) per frame
+    }
+    {
+      Writer w(batched, fsync);
+      w.append_batch(batch.payloads, batch.sizes);
+      EXPECT_EQ(w.writes(), 1u);  // the whole batch in one write(2)
+      EXPECT_EQ(w.size_bytes(), read_file(per_frame).size());
+    }
+    EXPECT_EQ(read_file(batched), read_file(per_frame));
+    ReplayStats stats;
+    EXPECT_EQ(replayed(batched, &stats), replayed(per_frame));
+    EXPECT_EQ(stats.frames_ok, frames.size());
+    EXPECT_TRUE(stats.clean());
+  }
+}
+
+TEST(Journal, BatchCrashAtFrameSiteLeavesPerFramePrefix) {
+  // A crash at frame k's site must leave frames 1..k-1 plus exactly the
+  // prefix a one-frame append leaves: the header at the mid site, the
+  // header and the first half of the payload at the torn site.
+  const auto frames = batch_payloads();
+  const PackedBatch batch = pack(frames);
+  struct Boom {};
+  for (const std::string_view site : {kSiteAppendMid, kSiteAppendTorn}) {
+    for (std::size_t k = 1; k <= frames.size(); ++k) {
+      SCOPED_TRACE(std::string(site) + " at frame " + std::to_string(k));
+      TempDir tmp;
+      std::size_t hits = 0;
+      const FailureHook hook = [&hits, site, k](std::string_view at) {
+        if (at == site && ++hits == k) throw Boom{};
+      };
+
+      std::vector<std::byte> want;
+      for (std::size_t i = 0; i + 1 < k; ++i) append_frame(want, frames[i]);
+      std::vector<std::byte> torn;
+      append_frame(torn, frames[k - 1]);
+      const std::size_t keep =
+          8 + (site == kSiteAppendTorn ? frames[k - 1].size() / 2 : 0);
+      want.insert(want.end(), torn.begin(),
+                  torn.begin() + static_cast<std::ptrdiff_t>(keep));
+
+      const std::string batched = tmp.path("batch");
+      {
+        Writer w(batched, FsyncPolicy::never, hook);
+        EXPECT_THROW(w.append_batch(batch.payloads, batch.sizes), Boom);
+        EXPECT_TRUE(w.dead());
+        EXPECT_EQ(w.size_bytes(), want.size());
+        EXPECT_THROW(w.append_batch(batch.payloads, batch.sizes), Error);
+      }
+      EXPECT_EQ(read_file(batched), want);
+
+      // The same crash through one-frame appends leaves the same bytes.
+      hits = 0;
+      const std::string per_frame = tmp.path("one");
+      {
+        Writer w(per_frame, FsyncPolicy::never, hook);
+        for (std::size_t i = 0; i + 1 < k; ++i) w.append(frames[i]);
+        EXPECT_THROW(w.append(frames[k - 1]), Boom);
+      }
+      EXPECT_EQ(read_file(per_frame), want);
+
+      // Replay keeps the complete frames; an empty payload's header is
+      // already a whole frame.
+      const bool whole = keep == torn.size();
+      ReplayStats stats;
+      const std::vector<std::string> seen = replayed(batched, &stats);
+      ASSERT_EQ(seen.size(), k - 1 + (whole ? 1 : 0));
+      for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], text_of(frames[i]));
+      EXPECT_EQ(stats.torn_tail, !whole);
+    }
+  }
+}
+
 TEST(Snapshot, RoundTrip) {
   TempDir tmp;
   const std::string path = tmp.path("snap");

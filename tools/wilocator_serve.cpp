@@ -159,12 +159,19 @@ int main(int argc, char** argv) {
   if (server.recovered())
     std::cerr << "recovered learned state from " << persist_dir << "\n";
 
+  double history_s = 0.0;
   if (train && !server.recovered()) {
     Rng rng(7);
+    const double history_start = core::wall_clock_s();
     bench::train_server(server, city, traffic, plan, /*first_day=*/0,
                         history_days, rng);
+    history_s = core::wall_clock_s() - history_start;
     std::cerr << "trained on " << history_days << " history days\n";
   }
+  // Where start-up time went; /metrics also carries server.svd_build_s.
+  std::cerr << "start-up: svd build "
+            << server.metrics_snapshot().gauge("server.svd_build_s")
+            << " s, history load " << history_s << " s\n";
 
   obs::ReporterOptions reporter_options;
   reporter_options.period_s = metrics_period_s;
