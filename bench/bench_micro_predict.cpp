@@ -1,12 +1,9 @@
 // Microbenchmarks (google-benchmark): travel-time store and arrival
-// prediction throughput — per-query server cost — and the arrival
-// table refresh that materializes Eq. 9 for every (trip, stop).
+// prediction throughput — per-query server cost. servebench's
+// `core.arrival_refresh_us_p50` times the serving refresh built on them.
 
 #include <benchmark/benchmark.h>
 
-#include <unordered_map>
-
-#include "core/arrival_table.hpp"
 #include "core/predictor.hpp"
 #include "sim/city.hpp"
 #include "util/rng.hpp"
@@ -137,36 +134,6 @@ void BM_PredictArrivalsAllStops(benchmark::State& state) {
                           static_cast<std::int64_t>(route.stop_count()));
 }
 BENCHMARK(BM_PredictArrivalsAllStops)->Arg(0)->Arg(1);
-
-/// One serving refresh: `arg` active trips spread over the four routes,
-/// every one moved since the last refresh, so every (trip, stop) answer
-/// is predicted, encoded and published again.
-void BM_ArrivalTableRefresh(benchmark::State& state) {
-  const CityStore& cs = shared_city_store();
-  const core::ArrivalPredictor predictor(cs.store);
-  const core::TrafficMapBuilder traffic(cs.store, predictor);
-  core::ArrivalTable table(cs.store, predictor, traffic);
-  std::unordered_map<std::uint32_t, double> offsets;
-  const auto trips = static_cast<std::uint32_t>(state.range(0));
-  for (std::uint32_t t = 0; t < trips; ++t) {
-    const roadnet::BusRoute& route = cs.city.routes[t % cs.city.routes.size()];
-    table.track(roadnet::TripId(t), &route);
-    offsets[t] = route.length() * (t + 0.5) / trips;
-  }
-  const auto position = [&offsets](roadnet::TripId trip) {
-    return std::optional<double>(offsets.at(trip.value()));
-  };
-  for (auto _ : state) {
-    for (auto& [trip, offset] : offsets) offset += 1.0;
-    table.refresh(cs.now, position);
-    benchmark::DoNotOptimize(table.snapshot().get());
-  }
-  std::size_t answers = 0;
-  for (const auto& [trip, ta] : table.snapshot()->trips)
-    answers += ta->body.size();
-  state.counters["answers"] = static_cast<double>(answers);
-}
-BENCHMARK(BM_ArrivalTableRefresh)->Arg(46)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,7 @@
-// Microbenchmarks (google-benchmark): SVD construction and locate
-// throughput — the back-end server's hot paths.
+// Microbenchmarks (google-benchmark): SVD construction, the
+// rank-consistency kernel and the full noisy-scan positioner — the
+// back-end server's hot paths. servebench's `svd.locate_ns` times
+// `RouteSvd::locate` itself.
 
 #include <benchmark/benchmark.h>
 
@@ -52,75 +54,6 @@ void BM_GridSvdConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_GridSvdConstruction)->Arg(8)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-void BM_LocateExact(benchmark::State& state) {
-  const sim::City& city = shared_city();
-  const auto& route = city.route_by_name("Rapid");
-  const svd::RouteSvd index(route, city.ap_snapshot(), *city.rf_model, {});
-  // Clean observed rankings (exact-signature fast path).
-  std::vector<std::vector<rf::ApId>> observations;
-  for (const auto& interval : index.intervals())
-    if (interval.signature.order() >= 2)
-      observations.push_back(interval.signature.aps());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.locate(observations[i]));
-    i = (i + 1) % observations.size();
-  }
-}
-BENCHMARK(BM_LocateExact);
-
-// Degraded rankings (strongest AP dropped -> the exact-signature hash
-// misses and locate falls back to consistency scoring).
-std::vector<std::vector<rf::ApId>> degraded_observations(
-    const svd::RouteSvd& index) {
-  std::vector<std::vector<rf::ApId>> observations;
-  for (const auto& interval : index.intervals()) {
-    if (interval.signature.order() < 3) continue;
-    const auto& aps = interval.signature.aps();
-    observations.emplace_back(aps.begin() + 1, aps.end());
-  }
-  return observations;
-}
-
-void BM_LocateDegraded(benchmark::State& state) {
-  // The posting-list prefilter path: candidate intervals come from the
-  // union of the observed APs' posting lists.
-  const sim::City& city = shared_city();
-  const auto& route = city.route_by_name("Rapid");
-  svd::RouteSvdParams params;
-  params.order = 3;
-  const svd::RouteSvd index(route, city.ap_snapshot(), *city.rf_model,
-                            params);
-  const auto observations = degraded_observations(index);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.locate(observations[i]));
-    i = (i + 1) % observations.size();
-  }
-  state.counters["intervals"] =
-      static_cast<double>(index.intervals().size());
-}
-BENCHMARK(BM_LocateDegraded);
-
-void BM_LocateDegradedFullScan(benchmark::State& state) {
-  // Reference: a zero fallback floor admits zero-score intervals, which
-  // forces the pre-inverted-index behavior of scoring every interval.
-  const sim::City& city = shared_city();
-  const auto& route = city.route_by_name("Rapid");
-  svd::RouteSvdParams params;
-  params.order = 3;
-  params.min_fallback_score = 0.0;
-  const svd::RouteSvd index(route, city.ap_snapshot(), *city.rf_model,
-                            params);
-  const auto observations = degraded_observations(index);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.locate(observations[i]));
-    i = (i + 1) % observations.size();
-  }
-}
-BENCHMARK(BM_LocateDegradedFullScan);
 
 // The rank_consistency inner loop in isolation: score every stored
 // signature against one real noisy full-scan ranking, exactly what the

@@ -8,6 +8,9 @@ namespace wiloc::core {
 
 namespace {
 
+/// Jobs a worker drains per shard-state lock acquisition (see worker_loop).
+constexpr std::size_t kMaxBatch = 128;
+
 // splitmix64 finalizer: sequential trip ids must spread across shards.
 std::uint64_t mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -36,10 +39,8 @@ IngestEngine::IngestEngine(MobilityFilterParams filter,
     m_processed_ = &reg->counter("engine.processed");
     m_backpressure_ = &reg->counter("engine.rejected_backpressure");
     m_observations_ = &reg->counter("engine.observations");
-    m_queue_depth_ = &reg->histogram(
-        "engine.queue_depth", 0.0,
-        static_cast<double>(params_.queue_capacity), 32);
-    m_latency_us_ = &reg->histogram("engine.latency_us", 0.0, 5000.0, 50);
+    m_queue_depth_ = &reg->histogram("engine.queue_depth");
+    m_latency_us_ = &reg->histogram("engine.latency_us");
     for (std::size_t i = 0; i < shards_.size(); ++i)
       shards_[i]->depth_gauge = &reg->gauge(
           "engine.shard" + std::to_string(i) + ".queue_depth");
@@ -205,7 +206,6 @@ void IngestEngine::flush_trip(roadnet::TripId trip) {
 
 void IngestEngine::worker_loop(Shard& shard) {
   std::vector<Job> batch;
-  const std::size_t max_batch = std::max<std::size_t>(1, params_.max_batch);
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(shard.queue_mu);
@@ -215,10 +215,10 @@ void IngestEngine::worker_loop(Shard& shard) {
         if (shard.stop) return;
         continue;
       }
-      // Drain up to max_batch jobs; the cap bounds how long one batch
+      // Drain up to kMaxBatch jobs; the cap bounds how long one batch
       // can hold the shard state lock (queries, sync submissions).
       batch.clear();
-      while (!shard.queue.empty() && batch.size() < max_batch) {
+      while (!shard.queue.empty() && batch.size() < kMaxBatch) {
         batch.push_back(std::move(shard.queue.front()));
         shard.queue.pop_front();
       }

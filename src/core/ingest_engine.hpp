@@ -65,12 +65,6 @@ struct IngestEngineParams {
   std::size_t queue_capacity = 1024;  ///< waiting jobs per shard
   bool block_on_full = true;  ///< false: reject overflow (backpressure)
   bool record_latency = false;  ///< sample enqueue->processed latency
-  /// Jobs a worker drains and processes per shard-state lock acquisition.
-  /// Batching amortizes the state mutex and keeps the locate scratch
-  /// (posting-list stamps, candidate sets, result memo) hot across
-  /// consecutive scans; the cap bounds how long queries and sync
-  /// submissions can stall behind one batch. Ignored in serial mode.
-  std::size_t max_batch = 128;
 };
 
 /// Optional observability wiring. Both pointers may be null (the engine

@@ -83,8 +83,7 @@ void WiLocatorServer::init_obs() {
   PredictorMetrics pm;
   pm.predictions = &registry_.counter("predictor.predictions");
   pm.fallbacks = &registry_.counter("predictor.fallbacks");
-  pm.correction_s =
-      &registry_.histogram("predictor.correction_s", -60.0, 60.0, 24);
+  pm.correction_s = &registry_.histogram("predictor.correction_s");
   predictor_.set_metrics(pm);
 
   TrafficMetrics tm;
@@ -105,9 +104,7 @@ void WiLocatorServer::init_obs() {
   am.rebuilds = &registry_.counter("arrival_cache.rebuilds");
   am.entries = &registry_.gauge("arrival_cache.entries");
   am.epoch = &registry_.gauge("arrival_cache.epoch");
-  // 0.5 ms bins to 25 ms: a serving refresh is 1-10 ms.
-  am.refresh_us =
-      &registry_.histogram("arrival_cache.refresh_us", 0.0, 25000.0, 50);
+  am.refresh_us = &registry_.histogram("arrival_cache.refresh_us");
   arrival_table_.set_metrics(am);
 
   persist_metrics_.snapshots = &registry_.counter("persist.snapshots");
@@ -297,7 +294,7 @@ void WiLocatorServer::adopt_route(
   lm.fast_path_hits = &registry_.counter("locate.fast_path_hits");
   lm.fallback_hits = &registry_.counter("locate.fallback_hits");
   lm.misses = &registry_.counter("locate.misses");
-  lm.candidates = &registry_.histogram("locate.candidates", 0.0, 16.0, 16);
+  lm.candidates = &registry_.histogram("locate.candidates");
   lm.memo_hits = &registry_.counter("locate.memo_hits");
   rt.index->set_metrics(lm);
   rt.positioner =

@@ -57,7 +57,7 @@ HttpServer::HttpServer(HttpHandler handler, HttpServerOptions options)
     open_gauge_ = &r.gauge("http.connections_open");
     inflight_gauge_ = &r.gauge("http.inflight_responses");
     latency_ewma_gauge_ = &r.gauge("http.latency_ewma_us");
-    handler_us_ = &r.histogram("http.handler_us", 0.0, 50000.0, 50);
+    handler_us_ = &r.histogram("http.handler_us");
   }
 }
 

@@ -1,8 +1,10 @@
 #include "util/obs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/contracts.hpp"
@@ -12,48 +14,57 @@ namespace wiloc::obs {
 
 // -- HistogramMetric -------------------------------------------------------
 
-HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
-    : lo_(lo),
-      hi_(hi),
-      inv_width_(static_cast<double>(bins) / (hi - lo)),
-      counts_(bins) {
-  WILOC_EXPECTS(lo < hi);
-  WILOC_EXPECTS(bins >= 1);
+std::size_t HistogramMetric::bucket_of(double x) {
+  constexpr int kMantissaBits = 52;
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const int exponent =
+      static_cast<int>((bits >> kMantissaBits) & 0x7ff) - 1023;
+  if (exponent < kMinExponent) return kZeroBucket;
+  const std::size_t magnitude =
+      exponent >= kMaxExponent
+          ? kSideBuckets - 1
+          : (static_cast<std::size_t>(exponent - kMinExponent)
+             << kSubBucketBits) |
+                ((bits >> (kMantissaBits - kSubBucketBits)) &
+                 (kSubBuckets - 1));
+  return (bits >> 63) != 0 ? kZeroBucket - 1 - magnitude
+                           : kZeroBucket + 1 + magnitude;
+}
+
+double HistogramMetric::upper_edge(std::size_t bucket) {
+  // A negative bucket is its positive mirror negated, so its upper edge
+  // is minus the mirror's lower edge.
+  if (bucket < kZeroBucket) return -upper_edge(kBucketCount - 2 - bucket);
+  const std::size_t k = bucket - kZeroBucket;
+  if (k == kSideBuckets) return std::numeric_limits<double>::infinity();
+  return std::ldexp(1.0 + static_cast<double>(k % kSubBuckets) / kSubBuckets,
+                    static_cast<int>(k / kSubBuckets) + kMinExponent);
+}
+
+double HistogramMetric::midpoint(std::size_t bucket) {
+  if (bucket < kZeroBucket) return -midpoint(kBucketCount - 1 - bucket);
+  if (bucket == kZeroBucket) return 0.0;
+  const double hi = bucket + 1 == kBucketCount
+                        ? std::ldexp(1.0, kMaxExponent)
+                        : upper_edge(bucket);
+  return 0.5 * (upper_edge(bucket - 1) + hi);
 }
 
 void HistogramMetric::record(double x) {
-  if (!std::isfinite(x)) return;  // poisoned samples never skew the bins
-  // Clamp before the cast: a double outside the integer's range is
-  // undefined behaviour to convert.
-  const std::size_t bin = static_cast<std::size_t>(
-      std::clamp((x - lo_) * inv_width_, 0.0,
-                 static_cast<double>(counts_.size() - 1)));
-  counts_[bin].fetch_add(1, std::memory_order_relaxed);
+  if (!std::isfinite(x)) return;  // poisoned samples never skew the buckets
+  counts_[bucket_of(x)].fetch_add(1, std::memory_order_relaxed);
   total_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(x, std::memory_order_relaxed);
 }
 
 HistogramSnapshot HistogramMetric::snapshot() const {
   HistogramSnapshot snap;
-  snap.lo = lo_;
-  snap.hi = hi_;
-  snap.counts.reserve(counts_.size());
-  for (const auto& c : counts_)
-    snap.counts.push_back(c.load(std::memory_order_relaxed));
+  for (std::size_t i = 0; i < kBucketCount; ++i) {
+    const std::uint64_t count = counts_[i].load(std::memory_order_relaxed);
+    if (count != 0) snap.buckets.push_back({i, count});
+  }
   snap.total = total_.load(std::memory_order_relaxed);
   snap.sum = sum_.load(std::memory_order_relaxed);
-  return snap;
-}
-
-HistogramSnapshot HistogramMetric::snapshot_and_reset() {
-  HistogramSnapshot snap;
-  snap.lo = lo_;
-  snap.hi = hi_;
-  snap.counts.reserve(counts_.size());
-  for (auto& c : counts_)
-    snap.counts.push_back(c.exchange(0, std::memory_order_relaxed));
-  snap.total = total_.exchange(0, std::memory_order_relaxed);
-  snap.sum = sum_.exchange(0.0, std::memory_order_relaxed);
   return snap;
 }
 
@@ -62,17 +73,15 @@ double HistogramSnapshot::mean() const {
 }
 
 double HistogramSnapshot::quantile(double q) const {
-  if (total == 0 || counts.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  const double width = (hi - lo) / static_cast<double>(counts.size());
+  if (total == 0 || buckets.empty()) return 0.0;
+  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    cumulative += counts[i];
+  for (const Bucket& b : buckets) {
+    cumulative += b.count;
     if (static_cast<double>(cumulative) >= target)
-      return lo + (static_cast<double>(i) + 0.5) * width;
+      return HistogramMetric::midpoint(b.index);
   }
-  return lo + (static_cast<double>(counts.size()) - 0.5) * width;
+  return HistogramMetric::midpoint(buckets.back().index);
 }
 
 // -- Snapshot --------------------------------------------------------------
@@ -144,11 +153,7 @@ void Snapshot::write_json(std::ostream& out) const {
     if (!first) out << ',';
     first = false;
     write_escaped(out, name);
-    out << ":{\"lo\":";
-    write_number(out, h.lo);
-    out << ",\"hi\":";
-    write_number(out, h.hi);
-    out << ",\"total\":" << h.total << ",\"sum\":";
+    out << ":{\"total\":" << h.total << ",\"sum\":";
     write_number(out, h.sum);
     out << ",\"mean\":";
     write_number(out, h.mean());
@@ -156,9 +161,12 @@ void Snapshot::write_json(std::ostream& out) const {
     write_number(out, h.quantile(0.5));
     out << ",\"p99\":";
     write_number(out, h.quantile(0.99));
-    out << ",\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i)
-      out << (i ? "," : "") << h.counts[i];
+    out << ",\"buckets\":[";
+    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+      out << (i ? ",[" : "[");
+      write_number(out, HistogramMetric::upper_edge(h.buckets[i].index));
+      out << ',' << h.buckets[i].count << ']';
+    }
     out << "]}";
   }
   out << "}}";
@@ -213,18 +221,13 @@ void Snapshot::write_prometheus(std::ostream& out) const {
   for (const auto& [name, h] : histograms) {
     const std::string prom = prometheus_name(name);
     out << "# TYPE " << prom << " histogram\n";
-    const double width = h.counts.empty()
-                             ? 0.0
-                             : (h.hi - h.lo) /
-                                   static_cast<double>(h.counts.size());
     std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      cumulative += h.counts[i];
-      // The last bin also absorbs clamped overflow, so its upper edge
-      // is reported as +Inf below rather than a misleading finite `hi`.
-      if (i + 1 == h.counts.size()) break;
+    for (const HistogramSnapshot::Bucket& b : h.buckets) {
+      cumulative += b.count;
+      // The top bucket's edge is +Inf, written once below.
+      if (b.index + 1 == HistogramMetric::kBucketCount) break;
       out << prom << "_bucket{le=\"";
-      write_prom_number(out, h.lo + width * static_cast<double>(i + 1));
+      write_prom_number(out, HistogramMetric::upper_edge(b.index));
       out << "\"} " << cumulative << '\n';
     }
     out << prom << "_bucket{le=\"+Inf\"} " << h.total << '\n';
@@ -257,18 +260,10 @@ Gauge& Registry::gauge(const std::string& name) {
   return *slot;
 }
 
-HistogramMetric& Registry::histogram(const std::string& name, double lo,
-                                     double hi, std::size_t bins) {
-  WILOC_EXPECTS(lo < hi);
-  WILOC_EXPECTS(bins >= 1);
+HistogramMetric& Registry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<HistogramMetric>(lo, hi, bins);
-  } else {
-    WILOC_EXPECTS(slot->lo() == lo && slot->hi() == hi &&
-                  slot->bins() == bins);
-  }
+  if (!slot) slot = std::make_unique<HistogramMetric>();
   return *slot;
 }
 
@@ -279,17 +274,6 @@ Snapshot Registry::snapshot() const {
   for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
   for (const auto& [name, h] : histograms_)
     snap.histograms[name] = h->snapshot();
-  return snap;
-}
-
-Snapshot Registry::snapshot_and_reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Snapshot snap;
-  for (auto& [name, c] : counters_)
-    snap.counters[name] = c->exchange_zero();
-  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
-  for (auto& [name, h] : histograms_)
-    snap.histograms[name] = h->snapshot_and_reset();
   return snap;
 }
 
@@ -375,9 +359,7 @@ void Reporter::report(double now) {
 }
 
 void Reporter::report_locked(double now) {
-  const Snapshot snap = options_.reset_each
-                            ? registry_->snapshot_and_reset()
-                            : registry_->snapshot();
+  const Snapshot snap = registry_->snapshot();
   *out_ << "{\"t\":" << json_num(now) << ",\"snapshot\":";
   snap.write_json(*out_);
   *out_ << "}\n";

@@ -13,9 +13,8 @@
 //    Components resolve their handles once at construction and then
 //    update through raw pointers, so an un-instrumented build path costs
 //    a null check.
-//  - Snapshot: a point-in-time copy of every metric, either cumulative
-//    (`snapshot()`) or reset-on-read (`snapshot_and_reset()`, for
-//    periodic delta reporting). Serializes to a single JSON object.
+//  - Snapshot: a point-in-time copy of every metric (cumulative).
+//    Serializes to a single JSON object or the Prometheus text format.
 //  - Reporter: writes newline-delimited JSON snapshots to an ostream on
 //    a fixed period — the /metrics-style report ROADMAP asks for.
 //  - Tracer: a bounded ring of per-scan stage events (ingest -> locate
@@ -41,10 +40,6 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  /// Returns the value and zeroes the counter (reset-on-read snapshots).
-  std::uint64_t exchange_zero() {
-    return v_.exchange(0, std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -60,47 +55,65 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Point-in-time copy of one histogram.
+/// Point-in-time copy of one histogram: its non-empty buckets, indexed
+/// into HistogramMetric's one layout and ordered by value.
 struct HistogramSnapshot {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::vector<std::uint64_t> counts;
+  struct Bucket {
+    std::size_t index = 0;
+    std::uint64_t count = 0;
+  };
+  std::vector<Bucket> buckets;  ///< non-empty only, ascending index
   std::uint64_t total = 0;
   double sum = 0.0;
 
   bool empty() const { return total == 0; }
   double mean() const;
-  /// Center of the bin where the cumulative count crosses q * total
-  /// (q in [0, 1]). Returns 0 for an empty histogram.
+  /// Midpoint of the bucket where the cumulative count first reaches
+  /// q * total (q in [0, 1]): q = 0 gives the first non-empty bucket,
+  /// q = 1 the last. Between the zero and top buckets that is at most
+  /// half a bucket, 1/16 of the value, off the exact quantile. Returns 0
+  /// for an empty histogram.
   double quantile(double q) const;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range values are clamped
-/// into the first/last bin so total mass is preserved (same semantics as
-/// wiloc::Histogram, but with wait-free concurrent recording).
+/// Histogram over the one log-linear (HDR-style) bucket layout every
+/// metric shares, so no call site picks bounds. Each power of two from
+/// 2^kMinExponent to 2^kMaxExponent splits into 8 equal buckets, each at
+/// most 1/8 of its lower edge wide. Smaller magnitudes share the zero
+/// bucket, larger ones the top bucket; negative values get mirrored
+/// buckets. Indices ascend with value: positive buckets are [lo, hi),
+/// negative ones (-hi, -lo]. Recording is a bit-cast bucket index plus
+/// three relaxed atomic RMWs (bucket, total, sum).
 class HistogramMetric {
  public:
-  /// Requires lo < hi and bins >= 1 (checked by Registry::histogram).
-  HistogramMetric(double lo, double hi, std::size_t bins);
+  static constexpr int kSubBucketBits = 3;
+  static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBucketBits;
+  static constexpr int kMinExponent = -10;
+  static constexpr int kMaxExponent = 40;
+  static constexpr std::size_t kSideBuckets =
+      static_cast<std::size_t>(kMaxExponent - kMinExponent) * kSubBuckets;
+  static constexpr std::size_t kZeroBucket = kSideBuckets;
+  static constexpr std::size_t kBucketCount = 2 * kSideBuckets + 1;
 
+  /// Bucket of a finite value, from its IEEE-754 exponent and top
+  /// kSubBucketBits mantissa bits.
+  static std::size_t bucket_of(double x);
+  /// Upper edge in value order; +Inf for the top bucket.
+  static double upper_edge(std::size_t bucket);
+  /// What a bucket reads back as: its midpoint (0 for the zero bucket).
+  static double midpoint(std::size_t bucket);
+
+  /// Non-finite samples are dropped.
   void record(double x);
 
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t bins() const { return counts_.size(); }
   std::uint64_t total() const {
     return total_.load(std::memory_order_relaxed);
   }
 
   HistogramSnapshot snapshot() const;
-  /// Snapshot + zero all bins (reset-on-read reporting).
-  HistogramSnapshot snapshot_and_reset();
 
  private:
-  double lo_;
-  double hi_;
-  double inv_width_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
+  std::array<std::atomic<std::uint64_t>, kBucketCount> counts_{};
   std::atomic<std::uint64_t> total_{0};
   std::atomic<double> sum_{0.0};
 };
@@ -122,13 +135,16 @@ struct Snapshot {
   /// Histogram by name; nullptr when absent.
   const HistogramSnapshot* histogram(const std::string& name) const;
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
+  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}};
+  /// each histogram lists its non-empty buckets as [upper_edge,count]
+  /// pairs (the top bucket's edge is null: JSON has no infinity).
   void write_json(std::ostream& out) const;
   std::string json() const;
 
   /// Prometheus text exposition format (version 0.0.4): counters and
-  /// gauges as single samples, histograms as cumulative `_bucket{le=}`
-  /// series plus `_sum`/`_count`. Metric names are prefixed "wiloc_"
+  /// gauges as single samples, histograms as one cumulative
+  /// `_bucket{le=}` line per non-empty bucket, then `+Inf`, `_sum` and
+  /// `_count`. Metric names are prefixed "wiloc_"
   /// and sanitized (characters outside [a-zA-Z0-9_] become '_'), so
   /// "ingest.accepted" scrapes as wiloc_ingest_accepted.
   void write_prometheus(std::ostream& out) const;
@@ -142,16 +158,10 @@ class Registry {
  public:
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Throws ContractViolation when an existing histogram of the same
-  /// name was registered with different bounds/bins.
-  HistogramMetric& histogram(const std::string& name, double lo, double hi,
-                             std::size_t bins);
+  HistogramMetric& histogram(const std::string& name);
 
   /// Cumulative snapshot: metrics keep counting.
   Snapshot snapshot() const;
-  /// Delta snapshot: counters and histograms are zeroed after reading
-  /// (gauges are instantaneous and keep their value).
-  Snapshot snapshot_and_reset();
 
  private:
   mutable std::mutex mu_;
@@ -219,8 +229,7 @@ class Tracer {
 // -- periodic reporting ----------------------------------------------------
 
 struct ReporterOptions {
-  double period_s = 60.0;    ///< min spacing between maybe_report emits
-  bool reset_each = false;   ///< delta snapshots instead of cumulative
+  double period_s = 60.0;  ///< min spacing between maybe_report emits
 };
 
 /// Writes newline-delimited JSON snapshots ("{"t":...,"counters":...}")

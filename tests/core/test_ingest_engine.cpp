@@ -318,19 +318,18 @@ TEST(IngestEngine, LiveQueriesDuringConcurrentIngestDoNotThrow) {
 }
 
 TEST(IngestEngine, BatchedWorkerDrainMatchesOneAtATime) {
-  // The worker's batched state-lock path (max_batch > 1, the default)
-  // must produce byte-identical fixes and stats to both the serial
-  // inline engine and a threaded engine forced to process one job per
-  // lock acquisition (max_batch = 1). Exercises the locate memo +
-  // shared-scratch reuse across a drained batch.
+  // The worker's batched state-lock path must produce byte-identical
+  // fixes and stats to both the serial inline engine and a threaded
+  // engine forced to process one job per lock acquisition: with one
+  // queue slot per shard a worker never finds more than one job to
+  // drain. Exercises the locate memo + shared-scratch reuse across a
+  // drained batch.
   const Workload w;
   const auto submissions = w.interleaved();
 
   ServerConfig serial_cfg = engine_config(0);
-  ServerConfig one_at_a_time = engine_config(4, /*queue_capacity=*/32);
-  one_at_a_time.engine.max_batch = 1;
+  ServerConfig one_at_a_time = engine_config(4, /*queue_capacity=*/1);
   ServerConfig batched = engine_config(4, /*queue_capacity=*/32);
-  batched.engine.max_batch = 128;
 
   WiLocatorServer serial({&w.city.route_a(), &w.city.route_b()},
                          w.city.ap_snapshot(), w.city.model,

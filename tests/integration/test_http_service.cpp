@@ -10,7 +10,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <limits>
+#include <map>
+#include <sstream>
 #include <thread>
 
 #include "../helpers.hpp"
@@ -388,8 +392,51 @@ TEST(HttpService, FailedCheckpointIsCountedAndServiceKeepsServing) {
   service.stop();
 }
 
+/// One histogram of a Prometheus text body: its `_bucket` lines in
+/// order and its `_count`.
+struct PromHistogram {
+  std::vector<std::pair<double, std::uint64_t>> buckets;  ///< (le, cumulative)
+  std::uint64_t count = 0;
+  bool has_count = false;
+};
+
+std::map<std::string, PromHistogram> parse_prometheus_histograms(
+    const std::string& body) {
+  std::map<std::string, PromHistogram> out;
+  std::istringstream lines(body);
+  std::string line;
+  const std::string type_prefix = "# TYPE ";
+  while (std::getline(lines, line)) {
+    if (line.rfind(type_prefix, 0) == 0) {
+      const std::size_t space = line.find(' ', type_prefix.size());
+      if (line.substr(space + 1) == "histogram")
+        out[line.substr(type_prefix.size(), space - type_prefix.size())];
+      continue;
+    }
+    for (auto& [name, h] : out) {
+      const std::string bucket = name + "_bucket{le=\"";
+      const std::string count = name + "_count ";
+      if (line.rfind(bucket, 0) == 0) {
+        const std::size_t quote = line.find('"', bucket.size());
+        const std::string le = line.substr(bucket.size(), quote - bucket.size());
+        h.buckets.emplace_back(
+            le == "+Inf" ? std::numeric_limits<double>::infinity()
+                         : std::stod(le),
+            std::stoull(line.substr(line.find("} ") + 2)));
+      } else if (line.rfind(count, 0) == 0) {
+        h.count = std::stoull(line.substr(count.size()));
+        h.has_count = true;
+      }
+    }
+  }
+  return out;
+}
+
 TEST(HttpService, SocketedEndToEnd) {
-  ServiceFixture f;
+  core::ServerConfig config;
+  config.engine.workers = 2;  // threaded: samples the engine histograms
+  config.engine.record_latency = true;
+  ServiceFixture f(config);
   f.train(1);
   WiLocatorService service(f.server);
   service.start();
@@ -408,6 +455,53 @@ TEST(HttpService, SocketedEndToEnd) {
   const auto doc = parse_json(scans.body);
   EXPECT_EQ(doc->get_number("submitted").value_or(-1), 1.0);
   EXPECT_GE(f.server.metrics_snapshot().counter("service.scans_posted"), 1u);
+
+  // Ingest a whole live trip and read an arrival back, then check every
+  // histogram the served Prometheus exposition carries.
+  EXPECT_EQ(client.post("/v1/trips", R"({"trip":5,"route":0})").status, 200);
+  const auto reports = f.live_reports(TripId(5), hms(9));
+  ASSERT_FALSE(reports.empty());
+  for (std::size_t i = 0; i < reports.size(); i += 50) {
+    std::vector<core::ScanSubmission> batch;
+    for (std::size_t j = i; j < std::min(i + 50, reports.size()); ++j)
+      batch.push_back({reports[j].trip, reports[j].scan});
+    ASSERT_EQ(client.post("/v1/scans", encode_scan_batch(batch)).status, 200);
+  }
+  f.server.drain();
+  EXPECT_EQ(client
+                .get("/v1/arrival?trip=5&stop=3&now=" +
+                     std::to_string(reports.back().scan.time))
+                .status,
+            200);
+  const auto prom = client.get("/metrics?format=prometheus");
+  ASSERT_EQ(prom.status, 200);
+  const auto histograms = parse_prometheus_histograms(prom.body);
+  for (const char* name :
+       {"wiloc_http_handler_us", "wiloc_locate_candidates",
+        "wiloc_engine_latency_us", "wiloc_engine_queue_depth",
+        "wiloc_predictor_correction_s", "wiloc_arrival_cache_refresh_us"})
+    EXPECT_EQ(histograms.count(name), 1u) << name << "\n" << prom.body;
+  for (const auto& [name, h] : histograms) {
+    ASSERT_FALSE(h.buckets.empty()) << name;
+    ASSERT_TRUE(h.has_count) << name;
+    // The last line is +Inf and equals _count.
+    EXPECT_TRUE(std::isinf(h.buckets.back().first)) << name;
+    EXPECT_EQ(h.buckets.back().second, h.count) << name;
+    for (std::size_t i = 0; i + 1 < h.buckets.size(); ++i) {
+      EXPECT_LT(h.buckets[i].first, h.buckets[i + 1].first) << name << " " << i;
+      EXPECT_LE(h.buckets[i].second, h.buckets[i + 1].second)
+          << name << " " << i;
+      // Sparse: each finite line adds a non-empty bucket, so the
+      // cumulative count strictly grows from line to line.
+      EXPECT_LT(i == 0 ? 0u : h.buckets[i - 1].second, h.buckets[i].second)
+          << name << " " << i;
+    }
+  }
+  // The run filled the request, locate and engine histograms.
+  EXPECT_GT(histograms.at("wiloc_http_handler_us").buckets.size(), 1u);
+  EXPECT_GT(histograms.at("wiloc_locate_candidates").count, 0u);
+  EXPECT_GT(histograms.at("wiloc_engine_latency_us").count, 0u);
+  EXPECT_GT(histograms.at("wiloc_engine_queue_depth").count, 0u);
 
   service.stop();
   EXPECT_FALSE(service.running());

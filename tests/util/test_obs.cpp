@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
-
-#include "util/contracts.hpp"
 
 namespace wiloc::obs {
 namespace {
@@ -39,14 +38,12 @@ bool balanced_json(const std::string& s) {
   return depth == 0 && !in_string && !s.empty() && s.front() == '{';
 }
 
-TEST(ObsCounter, IncrementAndExchange) {
+TEST(ObsCounter, IncrementsAccumulate) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.inc(4);
   EXPECT_EQ(c.value(), 5u);
-  EXPECT_EQ(c.exchange_zero(), 5u);
-  EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(ObsGauge, LastWriteWins) {
@@ -56,42 +53,138 @@ TEST(ObsGauge, LastWriteWins) {
   EXPECT_DOUBLE_EQ(g.value(), -1.25);
 }
 
+using H = HistogramMetric;
+
 TEST(ObsHistogram, BinsAndClamping) {
-  HistogramMetric h(0.0, 10.0, 5);
-  h.record(1.0);    // bin 0
-  h.record(9.9);    // bin 4
-  h.record(-50.0);  // clamped into bin 0
-  h.record(50.0);   // clamped into bin 4
+  HistogramMetric h;
+  h.record(1.0);    // [1, 1.125)
+  h.record(9.9);    // [9, 10)
+  h.record(-50.0);  // (-52, -48]
+  h.record(50.0);   // [48, 52)
+  // Past 2^40: clamped into the top bucket without converting an
+  // out-of-range double (the sanitizer build traps float-cast-overflow).
+  h.record(1e15);
   const HistogramSnapshot snap = h.snapshot();
-  EXPECT_EQ(snap.total, 4u);
-  EXPECT_EQ(snap.counts[0], 2u);
-  EXPECT_EQ(snap.counts[4], 2u);
-  EXPECT_DOUBLE_EQ(snap.sum, 1.0 + 9.9 - 50.0 + 50.0);
+  EXPECT_EQ(snap.total, 5u);
+  EXPECT_DOUBLE_EQ(snap.sum, 1.0 + 9.9 - 50.0 + 50.0 + 1e15);
+  ASSERT_EQ(snap.buckets.size(), 5u);
+  // Non-empty buckets only, in value order.
+  const double values[] = {-50.0, 1.0, 9.9, 50.0, 1e15};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(snap.buckets[i].index, H::bucket_of(values[i])) << i;
+    EXPECT_EQ(snap.buckets[i].count, 1u) << i;
+  }
+  EXPECT_EQ(H::upper_edge(H::bucket_of(1.0)), 1.125);
+  EXPECT_EQ(H::upper_edge(H::bucket_of(9.9)), 10.0);
+  EXPECT_EQ(H::upper_edge(H::bucket_of(-50.0)), -48.0);
+  EXPECT_EQ(H::upper_edge(H::bucket_of(50.0)), 52.0);
+  EXPECT_EQ(snap.buckets.back().index, H::kBucketCount - 1);
+  EXPECT_EQ(H::upper_edge(H::kBucketCount - 1),
+            std::numeric_limits<double>::infinity());
+  // The top bucket reads back inside [2^39 * 15/8, 2^40).
+  EXPECT_GE(snap.quantile(1.0), std::ldexp(1.0, 39) * 1.875);
+  EXPECT_LT(snap.quantile(1.0), std::ldexp(1.0, 40));
+  // The largest magnitudes of either sign share the outermost buckets.
+  EXPECT_EQ(H::bucket_of(std::numeric_limits<double>::max()),
+            H::kBucketCount - 1);
+  EXPECT_EQ(H::bucket_of(-1e15), 0u);
+  EXPECT_EQ(H::bucket_of(-std::numeric_limits<double>::max()), 0u);
+}
+
+TEST(ObsHistogram, LayoutIsOrderedAndEightPerOctave) {
+  // Upper edges strictly increase with the index, and every finite
+  // bucket is at most 1/8 of its smaller edge wide.
+  for (std::size_t i = 1; i + 1 < H::kBucketCount; ++i) {
+    const double lo = H::upper_edge(i - 1);
+    const double hi = H::upper_edge(i);
+    ASSERT_LT(lo, hi) << i;
+    if (i != H::kZeroBucket) {
+      EXPECT_LE(hi - lo, std::min(std::abs(lo), std::abs(hi)) / 8.0) << i;
+    }
+  }
+  // Each bucket's own edges map back to it: the lower edge of a
+  // positive bucket and the upper edge of a negative one are inclusive.
+  for (std::size_t i = H::kZeroBucket + 1; i < H::kBucketCount; ++i)
+    ASSERT_EQ(H::bucket_of(H::upper_edge(i - 1)), i) << i;
+  for (std::size_t i = 0; i < H::kZeroBucket; ++i)
+    ASSERT_EQ(H::bucket_of(H::upper_edge(i)), i) << i;
+  EXPECT_EQ(H::upper_edge(H::kZeroBucket), std::ldexp(1.0, -10));
+  EXPECT_EQ(H::bucket_of(std::ldexp(1.0, 40)), H::kBucketCount - 1);
+  EXPECT_EQ(H::bucket_of(std::nextafter(std::ldexp(1.0, 40), 0.0)),
+            H::kBucketCount - 1);
+  EXPECT_EQ(H::bucket_of(std::ldexp(1.0, 39) * 1.875), H::kBucketCount - 1);
+  EXPECT_EQ(H::bucket_of(std::nextafter(std::ldexp(1.0, 39) * 1.875, 0.0)),
+            H::kBucketCount - 2);
+}
+
+TEST(ObsHistogram, SingleValueReadsBackWithinHalfABucket) {
+  // From 1e-3 to 1e9 and the mirrored negatives, a single-valued
+  // histogram's p50 is within 1/16 of the value.
+  for (double v = 1e-3; v <= 1e9; v *= 1.37) {
+    for (const double x : {v, -v}) {
+      HistogramMetric h;
+      h.record(x);
+      const double p50 = h.snapshot().quantile(0.5);
+      EXPECT_LE(std::abs(p50 - x), std::abs(x) / 16.0) << x;
+      EXPECT_EQ(p50 > 0, x > 0) << x;
+    }
+  }
+  // A 36 us snapshot hit reads 36 +- 2.25 us, not a 1 ms bin centre.
+  HistogramMetric hit;
+  hit.record(36.0);
+  EXPECT_NEAR(hit.snapshot().quantile(0.5), 36.0, 2.25);
+}
+
+TEST(ObsHistogram, ZeroAndTinyValuesLandInTheZeroBucket) {
+  for (const double x : {0.0, -0.0, 1e-4, -1e-4, 5e-324,
+                         std::nextafter(std::ldexp(1.0, -10), 0.0)}) {
+    HistogramMetric h;
+    h.record(x);
+    const HistogramSnapshot snap = h.snapshot();
+    ASSERT_EQ(snap.buckets.size(), 1u) << x;
+    EXPECT_EQ(snap.buckets[0].index, H::kZeroBucket) << x;
+    EXPECT_EQ(snap.quantile(0.5), 0.0) << x;
+  }
+  EXPECT_EQ(H::bucket_of(std::ldexp(1.0, -10)), H::kZeroBucket + 1);
+  EXPECT_EQ(H::bucket_of(-std::ldexp(1.0, -10)), H::kZeroBucket - 1);
 }
 
 TEST(ObsHistogram, IgnoresNonFinite) {
-  HistogramMetric h(0.0, 1.0, 2);
+  HistogramMetric h;
   h.record(std::numeric_limits<double>::quiet_NaN());
+  h.record(-std::numeric_limits<double>::quiet_NaN());
   h.record(std::numeric_limits<double>::infinity());
+  h.record(-std::numeric_limits<double>::infinity());
   EXPECT_EQ(h.total(), 0u);
+  EXPECT_TRUE(h.snapshot().buckets.empty());
+  EXPECT_DOUBLE_EQ(h.snapshot().sum, 0.0);
 }
 
 TEST(ObsHistogram, MeanAndQuantiles) {
-  HistogramMetric h(0.0, 100.0, 10);
-  for (int i = 0; i < 99; ++i) h.record(5.0);  // bin 0, center 5
-  h.record(95.0);                              // bin 9, center 95
+  HistogramMetric h;
+  for (int i = 0; i < 99; ++i) h.record(5.0);  // [5, 5.5), midpoint 5.25
+  h.record(95.0);                              // [88, 96), midpoint 92
   const HistogramSnapshot snap = h.snapshot();
   EXPECT_NEAR(snap.mean(), (99.0 * 5.0 + 95.0) / 100.0, 1e-9);
-  EXPECT_DOUBLE_EQ(snap.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 95.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.5), 5.25);
+  EXPECT_DOUBLE_EQ(snap.quantile(0.99), 5.25);
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 92.0);
   EXPECT_DOUBLE_EQ(HistogramSnapshot{}.quantile(0.5), 0.0);
 }
 
-TEST(ObsHistogram, SnapshotAndResetZeroes) {
-  HistogramMetric h(0.0, 1.0, 2);
-  h.record(0.25);
-  EXPECT_EQ(h.snapshot_and_reset().total, 1u);
-  EXPECT_EQ(h.snapshot().total, 0u);
+TEST(ObsHistogram, QuantileEndsAreNonEmptyBuckets) {
+  // q = 0 reads the first non-empty bucket, not the layout's first
+  // bucket; q = 1 reads the last non-empty one.
+  HistogramMetric h;
+  h.record(-3.0);  // (-3.25, -3]
+  h.record(7.0);   // [7, 7.5)
+  h.record(100.0);  // [96, 104)
+  const HistogramSnapshot snap = h.snapshot();
+  EXPECT_DOUBLE_EQ(snap.quantile(0.0), -3.125);
+  EXPECT_DOUBLE_EQ(snap.quantile(-1.0), -3.125);  // clamped to q = 0
+  EXPECT_DOUBLE_EQ(snap.quantile(0.5), 7.25);
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 100.0);
+  EXPECT_DOUBLE_EQ(snap.quantile(2.0), 100.0);  // clamped to q = 1
 }
 
 TEST(ObsRegistry, HandlesAreStableAndShared) {
@@ -101,17 +194,16 @@ TEST(ObsRegistry, HandlesAreStableAndShared) {
   EXPECT_EQ(&a, &b);
   a.inc();
   EXPECT_EQ(reg.snapshot().counter("x"), 1u);
-  HistogramMetric& h1 = reg.histogram("h", 0.0, 1.0, 4);
-  EXPECT_EQ(&h1, &reg.histogram("h", 0.0, 1.0, 4));
-  EXPECT_THROW(reg.histogram("h", 0.0, 2.0, 4), ContractViolation);
-  EXPECT_THROW(reg.histogram("bad", 1.0, 0.0, 4), ContractViolation);
+  HistogramMetric& h1 = reg.histogram("h");
+  EXPECT_EQ(&h1, &reg.histogram("h"));
+  EXPECT_NE(&h1, &reg.histogram("other"));
 }
 
 TEST(ObsRegistry, SnapshotIsPointInTime) {
   Registry reg;
   reg.counter("c").inc(7);
   reg.gauge("g").set(2.5);
-  reg.histogram("h", 0.0, 10.0, 5).record(3.0);
+  reg.histogram("h").record(3.0);
   const Snapshot snap = reg.snapshot();
   reg.counter("c").inc();  // must not affect the copy
   EXPECT_EQ(snap.counter("c"), 7u);
@@ -122,21 +214,10 @@ TEST(ObsRegistry, SnapshotIsPointInTime) {
   EXPECT_EQ(snap.histogram("absent"), nullptr);
 }
 
-TEST(ObsRegistry, SnapshotAndResetIsDelta) {
-  Registry reg;
-  reg.counter("c").inc(3);
-  reg.gauge("g").set(1.0);
-  EXPECT_EQ(reg.snapshot_and_reset().counter("c"), 3u);
-  const Snapshot after = reg.snapshot();
-  EXPECT_EQ(after.counter("c"), 0u);
-  // Gauges are instantaneous and survive the reset.
-  EXPECT_DOUBLE_EQ(after.gauge("g"), 1.0);
-}
-
 TEST(ObsRegistry, ConcurrentIncrementsAreLossless) {
   Registry reg;
   Counter& c = reg.counter("hits");
-  HistogramMetric& h = reg.histogram("lat", 0.0, 100.0, 10);
+  HistogramMetric& h = reg.histogram("lat");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
@@ -151,18 +232,32 @@ TEST(ObsRegistry, ConcurrentIncrementsAreLossless) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(c.value(), kThreads * kPerThread);
   EXPECT_EQ(h.total(), kThreads * kPerThread);
+  std::uint64_t bucketed = 0;
+  for (const auto& b : h.snapshot().buckets) bucketed += b.count;
+  EXPECT_EQ(bucketed, kThreads * kPerThread);
 }
 
 TEST(ObsSnapshot, JsonShape) {
   Registry reg;
   reg.counter("a.b").inc(2);
   reg.gauge("g").set(1.5);
-  reg.histogram("h", 0.0, 2.0, 2).record(0.5);
+  auto& h = reg.histogram("h");
+  h.record(0.5);    // [0.5, 0.5625)
+  h.record(0.5);
+  h.record(-3.0);   // (-3.25, -3]
+  h.record(1e15);   // top bucket
   const std::string json = reg.snapshot().json();
   EXPECT_TRUE(balanced_json(json)) << json;
   EXPECT_NE(json.find("\"counters\":{\"a.b\":2}"), std::string::npos) << json;
   EXPECT_NE(json.find("\"gauges\":{\"g\":1.5}"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"counts\":[1,0]"), std::string::npos) << json;
+  // Non-empty buckets only, as [upper_edge,count] in value order; the
+  // top bucket's +Inf edge is null.
+  EXPECT_NE(json.find("\"h\":{\"total\":4,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"buckets\":[[-3,1],[0.5625,2],[null,1]]}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"lo\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"counts\""), std::string::npos) << json;
 }
 
 TEST(ObsSnapshot, JsonEscapesAndEmpty) {
@@ -277,18 +372,6 @@ TEST(ObsReporter, DestructorFlushesLastWindow) {
   EXPECT_NE(out.str().find("\"teardown\":3"), std::string::npos) << out.str();
 }
 
-TEST(ObsReporter, ResetEachEmitsDeltas) {
-  Registry reg;
-  std::ostringstream out;
-  Reporter reporter(reg, out, {.period_s = 0.0, .reset_each = true});
-  reg.counter("c").inc(5);
-  reporter.report(1.0);
-  reporter.report(2.0);  // counter was zeroed by the first report
-  const std::string text = out.str();
-  EXPECT_NE(text.find("\"c\":5"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"c\":0"), std::string::npos) << text;
-}
-
 TEST(ObsPrometheus, CountersAndGauges) {
   Registry reg;
   reg.counter("ingest.submitted").inc(7);
@@ -307,31 +390,31 @@ TEST(ObsPrometheus, CountersAndGauges) {
 
 TEST(ObsPrometheus, HistogramBucketsAreCumulativeWithInf) {
   Registry reg;
-  auto& h = reg.histogram("engine.latency_us", 0.0, 40.0, 4);
-  h.record(5.0);    // bin 0
-  h.record(15.0);   // bin 1
-  h.record(16.0);   // bin 1
-  h.record(999.0);  // clamped into the last bin
+  auto& h = reg.histogram("engine.latency_us");
+  h.record(5.0);    // [5, 5.5)
+  h.record(15.0);   // [15, 16)
+  h.record(16.0);   // [16, 18): a value on an edge opens the next bucket
+  h.record(999.0);  // [960, 1024)
+  h.record(1e15);   // top bucket
   const std::string text = reg.snapshot().prometheus();
   EXPECT_NE(text.find("# TYPE wiloc_engine_latency_us histogram"),
             std::string::npos)
       << text;
-  // Cumulative counts; the last finite edge is elided in favour of +Inf
-  // because the top bin absorbs clamped overflow.
-  EXPECT_NE(text.find("wiloc_engine_latency_us_bucket{le=\"10\"} 1\n"),
+  // One cumulative line per non-empty bucket; the top bucket's edge is
+  // +Inf, written once.
+  EXPECT_NE(text.find("wiloc_engine_latency_us_bucket{le=\"5.5\"} 1\n"
+                      "wiloc_engine_latency_us_bucket{le=\"16\"} 2\n"
+                      "wiloc_engine_latency_us_bucket{le=\"18\"} 3\n"
+                      "wiloc_engine_latency_us_bucket{le=\"1024\"} 4\n"
+                      "wiloc_engine_latency_us_bucket{le=\"+Inf\"} 5\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("wiloc_engine_latency_us_bucket{le=\"20\"} 3\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("wiloc_engine_latency_us_bucket{le=\"30\"} 3\n"),
-            std::string::npos)
-      << text;
-  EXPECT_EQ(text.find("le=\"40\""), std::string::npos) << text;
-  EXPECT_NE(text.find("wiloc_engine_latency_us_bucket{le=\"+Inf\"} 4\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("wiloc_engine_latency_us_count 4\n"),
+  std::size_t lines = 0;
+  for (std::size_t at = text.find("_bucket{"); at != std::string::npos;
+       at = text.find("_bucket{", at + 1))
+    ++lines;
+  EXPECT_EQ(lines, 5u) << text;
+  EXPECT_NE(text.find("wiloc_engine_latency_us_count 5\n"),
             std::string::npos)
       << text;
 }
@@ -348,7 +431,7 @@ TEST(ObsSnapshot, LargeNumbersReadBackExactly) {
   // rounded, or rate(_sum)/rate(_count) moves in quantized steps.
   Registry reg;
   reg.gauge("persist.journal_bytes").set(12345678.0);
-  reg.histogram("ingest.batch_us", 0.0, 2e6, 4).record(1234567.25);
+  reg.histogram("ingest.batch_us").record(1234567.25);
   const Snapshot snap = reg.snapshot();
   const auto number_after = [](const std::string& text,
                                const std::string& key) {
