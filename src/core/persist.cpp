@@ -58,41 +58,36 @@ StatePersistence::StatePersistence(PersistenceConfig config)
     metrics_.journal_bytes->set(static_cast<double>(writer_->size_bytes()));
 }
 
-void StatePersistence::append(JournalRecord type,
-                              const TravelObservation& obs) {
-  append(type, std::span<const TravelObservation>(&obs, 1));
-}
-
-void StatePersistence::append(JournalRecord type,
-                              std::span<const TravelObservation> batch) {
-  if (batch.empty()) return;
+void StatePersistence::stage(JournalRecord type,
+                             const TravelObservation& obs) {
   if (poisoned())
     throw StateError("persist: manager poisoned by an earlier failure");
-  payloads_.clear();
-  sizes_.clear();
-  for (const TravelObservation& obs : batch) {
-    const std::size_t start = payloads_.size();
-    payloads_.put_u64(++seq_);
-    payloads_.put_u8(static_cast<std::uint8_t>(type));
-    encode_observation(payloads_, obs);
-    sizes_.push_back(static_cast<std::uint32_t>(payloads_.size() - start));
-  }
+  payload_.clear();
+  payload_.put_u64(++seq_);
+  payload_.put_u8(static_cast<std::uint8_t>(type));
+  encode_observation(payload_, obs);
+  writer_->stage(payload_.bytes());
+  const std::lock_guard<std::mutex> lock(time_mu_);
+  if (!last_checkpoint_time_.has_value())
+    last_checkpoint_time_ = obs.exit_time;
+}
+
+void StatePersistence::flush() {
+  if (staged_bytes() == 0) return;
+  if (poisoned())
+    throw StateError("persist: manager poisoned by an earlier failure");
+  const std::uint64_t frames = writer_->staged_frames();
   const std::uint64_t writes_before = writer_->writes();
   try {
-    writer_->append_batch(payloads_.bytes(), sizes_);
+    writer_->flush();
   } catch (...) {
     poisoned_.store(true, std::memory_order_release);
     throw;
   }
   if (metrics_.journal_writes != nullptr)
     metrics_.journal_writes->inc(writer_->writes() - writes_before);
-  {
-    const std::lock_guard<std::mutex> lock(time_mu_);
-    if (!last_checkpoint_time_.has_value())
-      last_checkpoint_time_ = batch.front().exit_time;
-  }
   if (metrics_.journal_appends != nullptr)
-    metrics_.journal_appends->inc(batch.size());
+    metrics_.journal_appends->inc(frames);
   if (metrics_.journal_bytes != nullptr)
     metrics_.journal_bytes->set(static_cast<double>(writer_->size_bytes()));
 }
@@ -105,6 +100,7 @@ bool StatePersistence::should_checkpoint(SimTime now) const {
 }
 
 void StatePersistence::seal_journal() {
+  flush();
   if (poisoned())
     throw StateError("persist: manager poisoned by an earlier failure");
   try {
@@ -176,7 +172,7 @@ void StatePersistence::finish_checkpoint(SimTime now) {
 }
 
 std::uint64_t StatePersistence::journal_bytes() const {
-  return writer_ != nullptr ? writer_->size_bytes() : 0;
+  return writer_ != nullptr ? writer_->size_bytes() + staged_bytes() : 0;
 }
 
 StatePersistence::TailResult StatePersistence::tail_segments(
@@ -188,7 +184,8 @@ StatePersistence::TailResult StatePersistence::tail_segments(
     // An undecodable record is skipped by recovery, so peers never see it.
     if (!entry.has_value() || entry->seq <= after) return;
     const std::uint64_t seq = entry->seq;
-    if (!out.frames.empty() && out.frames.size() + payload.size() + 8 >
+    if (!out.frames.empty() && out.frames.size() + payload.size() +
+                                       journal::kFrameHeaderBytes >
                                    max_bytes) {
       out.truncated = true;  // page full; peer re-tails from last_seq
       return;

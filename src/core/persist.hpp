@@ -6,8 +6,10 @@
 // that state crash-tolerant with the classic checkpoint + write-ahead
 // split:
 //
-//  - every observation entering the store is appended to a CRC-framed
-//    journal (util/journal), stamped with a monotonic sequence number;
+//  - every observation entering the store is staged for a CRC-framed
+//    journal (util/journal), stamped with a monotonic sequence number,
+//    and written by the next flush (each publish batch flushes at its
+//    end; the history load every kHistoryFlushBytes; every seal first);
 //  - periodically (sim-time interval or journal-size trigger; the server
 //    consults only the size trigger while history loads) the whole
 //    store is serialized into an atomic snapshot file embedding the
@@ -24,15 +26,17 @@
 // corrupt snapshot bumps the metric and recovery continues from the
 // journal alone. Recovery never aborts the server.
 //
-// Journal appends always run on the control thread (the server's
-// publish/query side), never on the ingest engine's shard workers.
+// Journal staging and flushes always run on the control thread (the
+// server's publish/query side), never on the ingest engine's shard
+// workers.
 // Every checkpoint takes one two-phase protocol, whether it runs inline
 // (shutdown, finalize, the recovery fold, the interval trigger) or on a
 // background thread:
 //
-//  - seal_journal(), control thread: atomically rotates the active
-//    journal to a sealed side file (appends continue into a fresh
-//    journal, ordering preserved by the seq watermark);
+//  - seal_journal(), control thread: flushes staged frames, then
+//    atomically rotates the active journal to a sealed side file
+//    (appends continue into a fresh journal, ordering preserved by the
+//    seq watermark);
 //  - commit_checkpoint(), any thread: writes the snapshot (+ fsync) and
 //    deletes the sealed file it supersedes. A crash anywhere in the
 //    window leaves snapshot+sealed+active journals whose overlap
@@ -143,12 +147,29 @@ class StatePersistence {
     return config_.dir + "/state.journal.sealed";
   }
 
-  /// Appends one seq-stamped observation record to the journal. Throws
+  /// Stages one seq-stamped observation record: its frame waits in the
+  /// journal writer's buffer and reaches the file at the next flush().
+  /// Sequence numbers are assigned here, so staged and flushed records
+  /// stay contiguous and in order. Frames still staged when the manager
+  /// is destroyed are dropped, as a crash would drop them. Throws
   /// StateError once poisoned.
-  void append(JournalRecord type, const TravelObservation& obs);
-  /// Appends one record per observation, in order, with one journal
-  /// write(2). A no-op for an empty batch.
-  void append(JournalRecord type, std::span<const TravelObservation> batch);
+  void stage(JournalRecord type, const TravelObservation& obs);
+
+  /// Writes every staged frame, in order, with one journal write(2); a
+  /// no-op when nothing is staged. seal_journal() flushes first. Throws
+  /// StateError once poisoned; a failed write poisons the manager.
+  void flush();
+
+  /// Framed bytes staged and not yet flushed.
+  std::uint64_t staged_bytes() const {
+    return writer_ != nullptr ? writer_->staged_bytes() : 0;
+  }
+
+  /// Staged bytes at which the server's history load flushes. A
+  /// constant, not a setting: large enough that a multi-day load makes
+  /// one write per ~1,600 observations, small enough that the one
+  /// staging buffer stays a small resident cost.
+  static constexpr std::uint64_t kHistoryFlushBytes = 64u << 10;
 
   /// True once a persistence operation failed (I/O error or injected
   /// crash). A poisoned manager refuses every further append and seal
@@ -159,7 +180,7 @@ class StatePersistence {
            (writer_ != nullptr && writer_->dead());
   }
 
-  /// True when the journal-size trigger has fired.
+  /// True when the journal-size trigger has fired (staged bytes count).
   bool journal_full() const {
     return journal_bytes() >= config_.journal_trigger_bytes;
   }
@@ -169,9 +190,10 @@ class StatePersistence {
 
   // -- checkpointing: seal, then commit ----------------------------------
 
-  /// Phase 1, control thread: rotates the active journal into the
-  /// sealed side file (concatenating when a crashed checkpoint left one
-  /// behind) and reopens a fresh journal for subsequent appends. After
+  /// Phase 1, control thread: flushes staged frames, then rotates the
+  /// active journal into the sealed side file (concatenating when a
+  /// crashed checkpoint left one behind) and reopens a fresh journal
+  /// for subsequent appends. After
   /// this the caller serializes the state body covering last_seq() and
   /// hands it to commit_checkpoint() on any thread. Throws StateError
   /// once poisoned; a failure here poisons the manager.
@@ -184,12 +206,14 @@ class StatePersistence {
   /// journal, so control-thread appends proceed concurrently.
   void commit_checkpoint(std::span<const std::byte> body, SimTime now);
 
-  /// Sequence number of the most recently appended record (0 before the
-  /// first append); the watermark embedded in snapshots.
+  /// Sequence number of the most recently staged record (0 before the
+  /// first one); the watermark embedded in snapshots, which are only
+  /// ever taken after seal_journal() has flushed it.
   std::uint64_t last_seq() const { return seq_; }
   /// Continues the sequence after recovery.
   void resume_seq(std::uint64_t seq) { seq_ = std::max(seq_, seq); }
 
+  /// Active journal bytes, staged frames included.
   std::uint64_t journal_bytes() const;
 
   // -- segment tailing (replication read path) ---------------------------
@@ -210,8 +234,9 @@ class StatePersistence {
 
   /// Reads every decodable journal record with seq > `after` from the
   /// sealed segment and the active journal (in append order), stopping
-  /// once `max_bytes` of frames are collected. Read-only on the files —
-  /// safe to call between appends on the control thread while a
+  /// once `max_bytes` of frames are collected. Sees flushed frames only
+  /// (WiLocatorServer::tail_journal flushes first). Read-only on the
+  /// files — safe to call between appends on the control thread while a
   /// background commit runs; a torn in-progress tail frame is simply
   /// not included yet (the next tail picks it up). Sequence numbers are
   /// contiguous per node, so a gap between `after` and first_seq means
@@ -257,16 +282,15 @@ class StatePersistence {
   PersistMetrics metrics_;
   /// Control thread only; null after a failed seal (then poisoned).
   std::unique_ptr<journal::Writer> writer_;
-  /// append()'s encoded payloads and their sizes; reused per call.
-  BinWriter payloads_;
-  std::vector<std::uint32_t> sizes_;
+  /// stage()'s encoded payload; reused per frame.
+  BinWriter payload_;
   std::uint64_t seq_ = 0;
   /// Highest seq in the sealed segment (captured by seal_journal;
   /// promoted to covered_seq_ when the commit removes the segment).
   std::atomic<std::uint64_t> sealed_through_{0};
   std::atomic<std::uint64_t> covered_seq_{0};  ///< see compacted_through()
   /// Guards the checkpoint-cadence bookkeeping shared between the
-  /// control thread (append / should_checkpoint) and a background
+  /// control thread (stage / should_checkpoint) and a background
   /// committer (commit_checkpoint).
   mutable std::mutex time_mu_;
   std::optional<SimTime> last_checkpoint_time_;

@@ -1,10 +1,59 @@
 #include "core/server.hpp"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
+#include <exception>
+#include <thread>
 
 #include "util/contracts.hpp"
 
 namespace wiloc::core {
+
+namespace {
+
+/// Builds one RouteSvd per route on min(routes, cores) threads, the
+/// caller being one of them; threads claim routes through an atomic
+/// index. The build is pure (the routes, APs and model are only read),
+/// so result i is bit-identical to a serial build of routes[i]. Rethrows
+/// the first failure in route order.
+std::vector<std::unique_ptr<svd::RouteSvd>> build_route_indexes(
+    const std::vector<const roadnet::BusRoute*>& routes,
+    const std::vector<rf::AccessPoint>& aps,
+    const rf::LogDistanceModel& model, const svd::RouteSvdParams& params) {
+  std::vector<std::unique_ptr<svd::RouteSvd>> built(routes.size());
+  std::vector<std::exception_ptr> errors(routes.size());
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < routes.size(); i = next++) {
+      try {
+        built[i] =
+            std::make_unique<svd::RouteSvd>(*routes[i], aps, model, params);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t threads = std::min<std::size_t>(
+      routes.size(), std::max(1u, std::thread::hardware_concurrency()));
+  {
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(work);
+    work();
+  }  // joins the helpers
+#ifdef __GLIBC__
+  // Each helper's freed build scratch stays resident in its own malloc
+  // arena, where nothing on this thread reuses it; hand it back.
+  if (threads > 1) malloc_trim(0);
+#endif
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+  return built;
+}
+
+}  // namespace
 
 WiLocatorServer::WiLocatorServer(
     std::vector<const roadnet::BusRoute*> routes,
@@ -20,12 +69,13 @@ WiLocatorServer::WiLocatorServer(
       arrival_table_(store_, predictor_, traffic_builder_, config.arrival) {
   WILOC_EXPECTS(!routes.empty());
   init_obs();
-  const double build_start = wall_clock_s();
-  for (const roadnet::BusRoute* route : routes) {
+  for (const roadnet::BusRoute* route : routes)
     WILOC_EXPECTS(route != nullptr);
-    adopt_route(*route, std::make_unique<svd::RouteSvd>(*route, aps, model,
-                                                        config_.svd));
-  }
+  const double build_start = wall_clock_s();
+  std::vector<std::unique_ptr<svd::RouteSvd>> indexes =
+      build_route_indexes(routes, aps, model, config_.svd);
+  for (std::size_t i = 0; i < routes.size(); ++i)
+    adopt_route(*routes[i], std::move(indexes[i]));
   registry_.gauge("server.svd_build_s").set(wall_clock_s() - build_start);
   init_arrival_table();
   init_persistence();
@@ -312,7 +362,9 @@ void WiLocatorServer::load_history(const TravelObservation& obs) {
     return;
   }
   if (persist_ != nullptr) {
-    persist_->append(JournalRecord::history_obs, obs);
+    persist_->stage(JournalRecord::history_obs, obs);
+    if (persist_->staged_bytes() >= StatePersistence::kHistoryFlushBytes)
+      persist_->flush();
     maybe_checkpoint();
   }
 }
@@ -338,6 +390,17 @@ bool WiLocatorServer::fold(JournalRecord type, const TravelObservation& obs) {
   }
   if (added) note_event(obs.exit_time);
   return added;
+}
+
+StatePersistence::TailResult WiLocatorServer::tail_journal(
+    std::uint64_t after, std::size_t max_bytes) {
+  WILOC_EXPECTS(persist_ != nullptr);
+  // Every publish flushes its batch, so only an unfinished history load
+  // leaves frames staged between calls; once finalized the read path
+  // touches no writer state. A poisoned manager's staged frames never
+  // reach disk: peers get the flushed prefix, as recovery would.
+  if (!store_.finalized() && !persist_->poisoned()) persist_->flush();
+  return persist_->tail_segments(after, max_bytes);
 }
 
 void WiLocatorServer::finalize_history() {
@@ -391,9 +454,11 @@ void WiLocatorServer::publish_pending() {
     if (added) ready[fresh++] = obs;
   }
   // The whole fold batch goes to the journal in one write.
-  if (persist_ != nullptr)
-    persist_->append(JournalRecord::recent_obs,
-                     std::span<const TravelObservation>(ready.data(), fresh));
+  if (persist_ != nullptr) {
+    for (std::size_t i = 0; i < fresh; ++i)
+      persist_->stage(JournalRecord::recent_obs, ready[i]);
+    persist_->flush();
+  }
   maybe_refresh_arrivals();
   maybe_checkpoint();
   if (reporter_ != nullptr && has_event_)

@@ -54,8 +54,10 @@ struct ServerConfig {
 
 class WiLocatorServer {
  public:
-  /// Builds one RouteSvd index per route from the AP snapshot. The
-  /// routes and model must outlive the server; APs are copied.
+  /// Builds one RouteSvd index per route from the AP snapshot, the
+  /// routes in parallel on up to one thread per core (the result does
+  /// not depend on the thread count). The routes and model must outlive
+  /// the server; APs are copied.
   WiLocatorServer(std::vector<const roadnet::BusRoute*> routes,
                   std::vector<rf::AccessPoint> aps,
                   const rf::LogDistanceModel& model, DaySlots slots,
@@ -83,7 +85,11 @@ class WiLocatorServer {
 
   // -- offline training --------------------------------------------------
 
-  /// Feeds one historical observation (ground truth or tracked).
+  /// Feeds one historical observation (ground truth or tracked). With
+  /// persistence its journal frame is staged and written once
+  /// StatePersistence::kHistoryFlushBytes accumulate (or at the next
+  /// checkpoint, finalize_history() or tail_journal()), so a crash
+  /// mid-load keeps the flushed prefix and a rerun of the load converges.
   /// Idempotent: an observation identical to one already loaded (same
   /// edge, route, exit time and travel time) is dropped — re-feeding a
   /// training file, or replaying a journal over a restored snapshot,
@@ -257,6 +263,14 @@ class WiLocatorServer {
   /// The persistence manager, or nullptr when disabled (tests, benches).
   const StatePersistence* persistence() const { return persist_.get(); }
 
+  /// One page of journal records after `after` for a tailing peer
+  /// (StatePersistence::tail_segments). Frames a history load left
+  /// staged are flushed first, so the page reaches last_seq(); after
+  /// finalize_history() nothing is ever left staged and the call only
+  /// reads. Requires persistence to be enabled.
+  StatePersistence::TailResult tail_journal(std::uint64_t after,
+                                            std::size_t max_bytes);
+
   /// Serializes the full learned state (the travel-time store) to an
   /// arbitrary snapshot file — works with persistence disabled (e.g. to
   /// ship a warmed-up state to another server).
@@ -316,10 +330,10 @@ class WiLocatorServer {
   const RouteRuntime& runtime_for(roadnet::RouteId route) const;
   /// Moves order-finalized segment observations from the engine into the
   /// recent store (serial submission order). Cheap when nothing is
-  /// pending. Only mutators call it. This is also where journaling (one
-  /// write for the whole batch) and interval checkpoints happen — always
-  /// on the calling (control) thread, never on the engine's shard
-  /// workers.
+  /// pending. Only mutators call it. This is also where journaling (the
+  /// batch is staged, then flushed in one write) and interval
+  /// checkpoints happen — always on the calling (control) thread, never
+  /// on the engine's shard workers.
   void publish_pending();
   /// The one fold of an observation record into learned state, shared
   /// by publishing, history loading, recovery and replication. A recent

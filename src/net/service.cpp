@@ -398,7 +398,7 @@ HttpResponse WiLocatorService::handle_replication(const HttpRequest& request) {
     // seal_journal() on the checkpoint prepare path (commit runs
     // off-lock but only ever *removes* a fully-snapshot-covered file).
     std::lock_guard<std::mutex> lock(mu_);
-    tail = persist->tail_segments(*after, max_bytes);
+    tail = server_.tail_journal(*after, max_bytes);
     head_seq = persist->last_seq();
   }
   if (repl_pages_served_ != nullptr) repl_pages_served_->inc();

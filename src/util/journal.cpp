@@ -135,37 +135,42 @@ void Writer::write_buffered(std::size_t n) {
   bytes_ += n;
 }
 
-void Writer::append(std::span<const std::byte> payload) {
-  WILOC_EXPECTS(payload.size() <= kMaxFrameBytes);
-  const auto size = static_cast<std::uint32_t>(payload.size());
-  append_batch(payload, {&size, 1});
-}
-
-void Writer::append_batch(std::span<const std::byte> payloads,
-                          std::span<const std::uint32_t> sizes) {
+void Writer::stage(std::span<const std::byte> payload) {
   if (dead_)
     throw StateError("journal: writer poisoned by simulated crash");
-  buf_.clear();
-  for (const std::uint32_t size : sizes) {
-    WILOC_EXPECTS(size <= payloads.size());
-    append_frame(buf_, payloads.first(size));
-    payloads = payloads.subspan(size);
-  }
-  WILOC_EXPECTS(payloads.empty());
+  WILOC_EXPECTS(payload.size() <= kMaxFrameBytes);
+  append_frame(buf_, payload);
+  sizes_.push_back(static_cast<std::uint32_t>(payload.size()));
+}
 
+void Writer::flush() {
+  if (sizes_.empty()) return;
   if (hook_) {
     // The sites of a one-frame append: after the header, and halfway
     // through the payload (a torn final frame).
     std::size_t frame = 0;
-    for (const std::uint32_t size : sizes) {
-      fire(kSiteAppendMid, frame + 8);
-      fire(kSiteAppendTorn, frame + 8 + size / 2);
-      frame += 8 + size;
+    try {
+      for (const std::uint32_t size : sizes_) {
+        fire(kSiteAppendMid, frame + kFrameHeaderBytes);
+        fire(kSiteAppendTorn, frame + kFrameHeaderBytes + size / 2);
+        frame += kFrameHeaderBytes + size;
+      }
+    } catch (...) {
+      buf_.clear();
+      sizes_.clear();
+      throw;
     }
   }
   write_buffered(buf_.size());
+  buf_.clear();
+  sizes_.clear();
 
   if (fsync_ == FsyncPolicy::every_append) sync();
+}
+
+void Writer::append(std::span<const std::byte> payload) {
+  stage(payload);
+  flush();
 }
 
 void Writer::sync() {

@@ -7,9 +7,9 @@
 // checkpoint + write-ahead discipline:
 //
 //  - Journal: an append-only file of length-prefixed, CRC32-guarded
-//    frames. Each append lays its frames out in one buffer and issues
-//    one unbuffered write(2), so a crash leaves at most one torn frame
-//    at the tail; replay verifies every frame and
+//    frames. The writer stages frames in one buffer and each flush
+//    makes one unbuffered write(2), so a crash leaves at most one torn
+//    frame at the tail; replay verifies every frame and
 //    *skips* a corrupt record (bad CRC) or stops at a torn/implausible
 //    tail instead of aborting — recovery always returns the readable
 //    prefix.
@@ -22,7 +22,7 @@
 // named internal sites. A hook that throws simulates the process dying
 // at exactly that point (sim::CrashInjector uses this): the bytes before
 // the site reach disk, nothing after it does. A journal site is a byte
-// offset inside the append's buffer: the writer writes exactly that
+// offset inside the flush's buffer: the writer writes exactly that
 // prefix and poisons itself, so no destructor flush can "un-tear" the
 // file.
 #pragma once
@@ -63,6 +63,9 @@ inline constexpr std::string_view kSiteAppendTorn = "journal.append.torn";
 inline constexpr std::string_view kSiteSnapshotPreRename =
     "snapshot.pre_rename";
 
+/// Bytes of a frame's [u32 len][u32 crc] header.
+inline constexpr std::size_t kFrameHeaderBytes = 8;
+
 /// Replay refuses frames larger than this: an implausible length field
 /// means the framing itself is corrupt and the rest of the file is
 /// unreadable (treated as a torn tail).
@@ -83,10 +86,10 @@ class UniqueFd {
 };
 
 /// Append-only journal writer. Each frame is
-/// [u32 payload_len][u32 payload_crc][payload]. Every append, of one
-/// frame or of a batch, is one unbuffered write(2) of a reused buffer;
-/// nothing is held back between calls. FsyncPolicy::every_append adds
-/// an fsync before each append returns. Throws wiloc::Error on I/O
+/// [u32 payload_len][u32 payload_crc][payload]. stage() lays frames out
+/// back to back in one reused buffer and flush() writes them with one
+/// unbuffered write(2); append() is both. FsyncPolicy::every_append
+/// adds an fsync before each flush returns. Throws wiloc::Error on I/O
 /// failure.
 class Writer {
  public:
@@ -98,17 +101,25 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  /// Appends one frame. Requires payload.size() <= kMaxFrameBytes.
+  /// Frames one payload into the pending buffer; nothing reaches the
+  /// file until flush(), and frames still staged when the writer is
+  /// destroyed are dropped, as a crash would drop them. Requires
+  /// payload.size() <= kMaxFrameBytes.
+  void stage(std::span<const std::byte> payload);
+
+  /// Writes every staged frame with one write(2); a no-op when nothing
+  /// is staged. Each frame keeps its own crash sites, so a crash at
+  /// frame k leaves frames 1..k-1 plus the prefix of frame k that a
+  /// one-frame append would have left.
+  void flush();
+
+  /// Appends one frame: stage(), then flush().
   void append(std::span<const std::byte> payload);
 
-  /// Appends one frame per entry of `sizes`, whose payloads lie back to
-  /// back in `payloads`, with one write(2). Each frame keeps its own
-  /// crash sites, so a crash at frame k leaves frames 1..k-1 plus the
-  /// prefix of frame k that a one-frame append would have left.
-  /// Requires every size <= kMaxFrameBytes and their sum ==
-  /// payloads.size().
-  void append_batch(std::span<const std::byte> payloads,
-                    std::span<const std::uint32_t> sizes);
+  /// Framed bytes staged and not yet written.
+  std::size_t staged_bytes() const { return buf_.size(); }
+  /// Frames staged and not yet written.
+  std::size_t staged_frames() const { return sizes_.size(); }
 
   /// fsync(2) the journal file.
   void sync();
@@ -121,7 +132,7 @@ class Writer {
   std::uint64_t writes() const { return writes_; }
 
   /// True once a failure hook "killed" this writer; every further
-  /// append throws and nothing more reaches disk.
+  /// stage throws and nothing more reaches disk.
   bool dead() const { return dead_; }
 
  private:
@@ -136,7 +147,8 @@ class Writer {
   FsyncPolicy fsync_;
   FailureHook hook_;
   UniqueFd fd_;
-  std::vector<std::byte> buf_;  ///< one append's frames; reused
+  std::vector<std::byte> buf_;  ///< staged frames; reused
+  std::vector<std::uint32_t> sizes_;  ///< payload size per staged frame
   std::uint64_t bytes_ = 0;
   std::uint64_t writes_ = 0;
   bool dead_ = false;
@@ -170,7 +182,7 @@ ReplayStats scan_frames(std::span<const std::byte> data,
                         const std::function<void(std::span<const std::byte>)>&
                             on_frame);
 
-/// Re-frames one payload exactly as Writer::append would lay it on
+/// Re-frames one payload exactly as Writer::stage would lay it on
 /// disk ([u32 len][u32 crc][payload] appended to `out`) — used to build
 /// wire-format replication batches from decoded journal records.
 void append_frame(std::vector<std::byte>& out,

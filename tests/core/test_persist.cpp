@@ -4,6 +4,8 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "core/seasonal.hpp"
 #include "core/server.hpp"
 #include "core/traffic_map.hpp"
+#include "sim/fault_injector.hpp"
 
 namespace wiloc::core {
 namespace {
@@ -181,9 +184,10 @@ TEST(StatePersistence, JournalRecoverRoundTrip) {
   config.dir = tmp.path();
 
   StatePersistence persistence(config);
-  persistence.append(JournalRecord::history_obs, obs_at(1, 0, hms(8), 60.0));
-  persistence.append(JournalRecord::recent_obs, obs_at(2, 1, hms(9), 75.0));
+  persistence.stage(JournalRecord::history_obs, obs_at(1, 0, hms(8), 60.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(2, 1, hms(9), 75.0));
   EXPECT_EQ(persistence.last_seq(), 2u);
+  persistence.flush();
 
   StatePersistence fresh(config);
   const auto rec = fresh.recover();
@@ -198,13 +202,54 @@ TEST(StatePersistence, JournalRecoverRoundTrip) {
   EXPECT_EQ(rec.records[1].obs, obs_at(2, 1, hms(9), 75.0));
 }
 
+TEST(StatePersistence, StagedFramesReachDiskAtFlushInOneWrite) {
+  TempDir tmp;
+  PersistenceConfig config;
+  config.dir = tmp.path();
+  obs::Registry registry;
+  PersistMetrics metrics;
+  metrics.journal_writes = &registry.counter("persist.journal_writes");
+  metrics.journal_appends = &registry.counter("persist.journal_appends");
+
+  StatePersistence persistence(config);
+  persistence.set_metrics(metrics);
+  for (std::uint32_t e = 1; e <= 3; ++e)
+    persistence.stage(JournalRecord::history_obs,
+                      obs_at(e, 0, hms(8), 60.0 + e));
+  EXPECT_EQ(persistence.last_seq(), 3u);
+  // Staged frames count toward the size trigger but are not on disk.
+  const std::uint64_t staged = persistence.staged_bytes();
+  EXPECT_GT(staged, 0u);
+  EXPECT_EQ(persistence.journal_bytes(), staged);
+  EXPECT_EQ(std::filesystem::file_size(persistence.journal_path()), 0u);
+  EXPECT_TRUE(StatePersistence(config).recover().records.empty());
+  EXPECT_EQ(registry.counter("persist.journal_writes").value(), 0u);
+
+  persistence.flush();
+  EXPECT_EQ(persistence.staged_bytes(), 0u);
+  EXPECT_EQ(persistence.journal_bytes(), staged);
+  EXPECT_EQ(std::filesystem::file_size(persistence.journal_path()), staged);
+  EXPECT_EQ(registry.counter("persist.journal_writes").value(), 1u);
+  EXPECT_EQ(registry.counter("persist.journal_appends").value(), 3u);
+  persistence.flush();  // nothing staged: no write
+  EXPECT_EQ(registry.counter("persist.journal_writes").value(), 1u);
+
+  const auto rec = StatePersistence(config).recover();
+  EXPECT_TRUE(rec.replay.clean());
+  ASSERT_EQ(rec.records.size(), 3u);
+  for (std::uint32_t e = 1; e <= 3; ++e) {
+    EXPECT_EQ(rec.records[e - 1].seq, e);
+    EXPECT_EQ(rec.records[e - 1].obs, obs_at(e, 0, hms(8), 60.0 + e));
+  }
+}
+
 TEST(StatePersistence, CheckpointTruncatesJournal) {
   TempDir tmp;
   PersistenceConfig config;
   config.dir = tmp.path();
 
   StatePersistence persistence(config);
-  persistence.append(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
   EXPECT_GT(persistence.journal_bytes(), 0u);
 
   persistence.seal_journal();
@@ -227,13 +272,13 @@ TEST(StatePersistence, FailedSealPoisonsAndRefusesAppend) {
   config.dir = tmp.path();
 
   StatePersistence persistence(config);
-  persistence.append(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
   // A directory squatting on the sealed path makes the seal fail.
   std::filesystem::create_directory(persistence.sealed_journal_path());
   EXPECT_ANY_THROW(persistence.seal_journal());
   EXPECT_TRUE(persistence.poisoned());
   EXPECT_THROW(
-      persistence.append(JournalRecord::recent_obs, obs_at(2, 0, hms(9), 61.0)),
+      persistence.stage(JournalRecord::recent_obs, obs_at(2, 0, hms(9), 61.0)),
       StateError);
   EXPECT_THROW(persistence.seal_journal(), StateError);
   EXPECT_EQ(persistence.journal_bytes(), 0u);
@@ -248,8 +293,8 @@ TEST(StatePersistence, SizeTriggerForcesCheckpoint) {
   config.snapshot_interval_s = 1e9;   // interval never fires
 
   StatePersistence persistence(config);
-  persistence.append(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
-  persistence.append(JournalRecord::recent_obs, obs_at(1, 0, hms(8) + 30.0,
+  persistence.stage(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(1, 0, hms(8) + 30.0,
                                                        61.0));
   EXPECT_TRUE(persistence.should_checkpoint(hms(8) + 30.0));
 }
@@ -398,11 +443,13 @@ TEST(ServerPersist, CheckpointAndRecover) {
               value);
 }
 
-TEST(ServerPersist, JournalWritesOnePerLoadAndPublishBatch) {
+TEST(ServerPersist, JournalWritesBoundedPerLoadAndOnePerPublishBatch) {
   // Work-budget pin: persist.journal_writes counts write(2) calls on the
-  // journal. A history load is one frame in one write (three writes per
-  // frame would fail here), and each publish journals its whole fold
-  // batch in at most one write.
+  // journal. A history load stages its frames and flushes each time
+  // kHistoryFlushBytes accumulate, so loading B frame bytes takes at
+  // most ceil(B / kHistoryFlushBytes) + 1 writes, the last at finalize
+  // (one write per frame would fail here), and each publish journals
+  // its whole fold batch in at most one write.
   PersistServerFixture f;
   TempDir tmp;
   ServerConfig config = f.config_with(tmp.path());
@@ -413,13 +460,22 @@ TEST(ServerPersist, JournalWritesOnePerLoadAndPublishBatch) {
     return server->metrics_snapshot().counter(name);
   };
 
-  const auto training = f.training_set(1);
+  // Ten days of history: enough frames for flushes during the load.
+  const auto training = f.training_set(10);
   for (const auto& o : training) server->load_history(o);
-  EXPECT_GT(counter("persist.journal_appends"), 0u);
-  EXPECT_EQ(counter("persist.journal_writes"),
-            counter("persist.journal_appends"));
-  EXPECT_LE(counter("persist.journal_writes"), training.size());
+  // Every load frame is on disk or staged; none is checkpointed away.
+  const std::uint64_t load_bytes = server->persistence()->journal_bytes();
+  const std::uint64_t flush_bytes = StatePersistence::kHistoryFlushBytes;
+  const std::uint64_t budget = (load_bytes + flush_bytes - 1) / flush_bytes;
+  // Each flush during the load writes at least flush_bytes.
+  EXPECT_LE(counter("persist.journal_writes"), load_bytes / flush_bytes);
+  EXPECT_GT(counter("persist.journal_writes"), 0u);  // not all held back
   server->finalize_history();
+  const std::uint64_t frames =
+      training.size() - counter("server.history_duplicates");
+  EXPECT_EQ(counter("persist.journal_appends"), frames);
+  EXPECT_LE(counter("persist.journal_writes"), budget + 1);
+  EXPECT_GT(frames, budget + 1);  // the bound is far below one per frame
 
   const std::uint64_t writes0 = counter("persist.journal_writes");
   const std::uint64_t appends0 = counter("persist.journal_appends");
@@ -444,6 +500,174 @@ TEST(ServerPersist, JournalWritesOnePerLoadAndPublishBatch) {
   const std::uint64_t appends = counter("persist.journal_appends") - appends0;
   EXPECT_LE(writes, publishes);
   EXPECT_GT(appends, writes);  // some batch carried several frames
+}
+
+// -- staged history frames -------------------------------------------------
+
+/// The bytes of the snapshot file a server writes for its current state:
+/// [fingerprint][journal watermark][store], as checkpoints embed it.
+std::string snapshot_bytes(WiLocatorServer& server, const std::string& path) {
+  server.save_snapshot(path);
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// A history load that never crashed, in its own state directory: the
+/// unique observations in load order, and its finalized snapshot.
+struct CleanLoad {
+  std::vector<TravelObservation> history;
+  std::uint64_t frame_bytes = 0;  ///< one history frame, header included
+  std::string snapshot;
+};
+
+CleanLoad clean_load(PersistServerFixture& f,
+                     const std::vector<TravelObservation>& training) {
+  TempDir tmp;
+  auto server = f.make_server(f.config_with(tmp.path("state")));
+  for (const auto& o : training) server->load_history(o);
+  CleanLoad out;
+  out.history = server->store().raw_history();
+  out.frame_bytes =
+      server->persistence()->journal_bytes() / out.history.size();
+  server->finalize_history();
+  out.snapshot = snapshot_bytes(*server, tmp.path("clean.snapshot"));
+  return out;
+}
+
+/// Recovers the directory, checks it holds exactly the first `prefix`
+/// history observations, then reloads the full history and checks the
+/// finalized state is byte-identical to the clean load's.
+void expect_prefix_then_convergence(
+    PersistServerFixture& f, const std::string& dir, std::size_t prefix,
+    const std::vector<TravelObservation>& training, const CleanLoad& clean) {
+  auto restarted = f.make_server(f.config_with(dir));
+  EXPECT_TRUE(restarted->recovered());
+  EXPECT_FALSE(restarted->store().finalized());
+  const auto& recovered = restarted->store().raw_history();
+  ASSERT_EQ(recovered.size(), prefix);
+  for (std::size_t i = 0; i < prefix; ++i)
+    ASSERT_EQ(recovered[i], clean.history[i]) << i;
+  EXPECT_EQ(restarted->persistence()->last_seq(), prefix);
+
+  for (const auto& o : training) restarted->load_history(o);  // the rerun
+  restarted->finalize_history();
+  EXPECT_EQ(snapshot_bytes(*restarted, dir + "/rerun.snapshot"),
+            clean.snapshot);
+}
+
+TEST(ServerPersist, KillInsideStagedFlushKeepsFramePrefix) {
+  // Ten days of history stage ~2300 frames: one 64 KiB flush during the
+  // load, the rest flushed by finalize's seal. A kill at frame k of
+  // either flush leaves frames 1..k-1 plus a torn frame k on disk.
+  PersistServerFixture f;
+  const auto training = f.training_set(10);
+  const CleanLoad clean = clean_load(f, training);
+  const std::uint64_t per_flush =
+      (StatePersistence::kHistoryFlushBytes + clean.frame_bytes - 1) /
+      clean.frame_bytes;
+  ASSERT_GT(clean.history.size(), per_flush + 100);
+  ASSERT_LT(clean.history.size(), 2 * per_flush);
+
+  for (const std::uint64_t kill_at :
+       {std::uint64_t{700}, std::uint64_t{per_flush + 50}}) {
+    SCOPED_TRACE(kill_at);
+    TempDir tmp;
+    sim::CrashInjector crash(sim::CrashPoint::mid_journal_append, kill_at);
+    ServerConfig config = f.config_with(tmp.path());
+    config.persist.failure_hook = crash.hook();
+    auto server = f.make_server(config);
+    bool loaded = false;
+    EXPECT_THROW(
+        {
+          for (const auto& o : training) server->load_history(o);
+          loaded = true;
+          server->finalize_history();
+        },
+        sim::CrashError);
+    EXPECT_TRUE(crash.fired());
+    EXPECT_EQ(loaded, kill_at > per_flush);  // which flush the kill hit
+    server.reset();  // poisoned: the destructor writes nothing more
+
+    expect_prefix_then_convergence(f, tmp.path(), kill_at - 1, training,
+                                   clean);
+  }
+}
+
+TEST(ServerPersist, KillWithStagedFramesKeepsFlushedPrefix) {
+  // A kill -9 while frames sit in the stage buffer: the disk holds what
+  // the last flush wrote. Copying the live directory is that disk image.
+  PersistServerFixture f;
+  const auto training = f.training_set(10);
+  const CleanLoad clean = clean_load(f, training);
+  TempDir tmp;
+  auto server = f.make_server(f.config_with(tmp.path("live")));
+  for (const auto& o : training) server->load_history(o);
+  const StatePersistence& persist = *server->persistence();
+  ASSERT_GT(persist.staged_bytes(), 0u);
+  const std::uint64_t flushed =
+      server->metrics_snapshot().counter("persist.journal_appends");
+  ASSERT_GT(flushed, 0u);
+  EXPECT_LT(flushed, persist.last_seq());
+  std::filesystem::copy(tmp.path("live"), tmp.path("killed"));
+
+  expect_prefix_then_convergence(f, tmp.path("killed"), flushed, training,
+                                 clean);
+}
+
+TEST(ServerPersist, TailAndFinalizeSeeEveryStagedFrame) {
+  PersistServerFixture f;
+  TempDir tmp;
+  ServerConfig config = f.config_with(tmp.path("state"));
+  config.persist.snapshot_interval_s = 1e12;
+  auto server = f.make_server(config);
+  const auto training = f.training_set(2);
+  for (const auto& o : training) server->load_history(o);
+  const StatePersistence& persist = *server->persistence();
+  ASSERT_GT(persist.staged_bytes(), 0u);  // nothing flushed yet
+  const std::uint64_t history = persist.last_seq();
+
+  // A tailing peer's read flushes first: it sees every staged frame,
+  // with contiguous sequence numbers.
+  const auto page = server->tail_journal(0, 1 << 20);
+  EXPECT_EQ(persist.staged_bytes(), 0u);
+  EXPECT_EQ(page.records, history);
+  std::uint64_t next = 1;
+  journal::scan_frames(page.frames, [&](std::span<const std::byte> p) {
+    const auto entry = decode_journal_entry(p);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->seq, next++);
+    EXPECT_EQ(entry->type, JournalRecord::history_obs);
+  });
+  EXPECT_EQ(next, history + 1);
+
+  // Frames staged after the tail are flushed by finalize's seal: its
+  // snapshot covers every one of them.
+  const TravelObservation extra{f.city.route_a().edges()[0],
+                                f.city.route_a().id(),
+                                at_day_time(5, hms(9)), 55.0};
+  server->load_history(extra);
+  EXPECT_GT(persist.staged_bytes(), 0u);
+  server->finalize_history();
+  EXPECT_EQ(persist.staged_bytes(), 0u);
+  EXPECT_EQ(persist.last_seq(), history + 1);
+  EXPECT_EQ(persist.compacted_through(), history + 1);
+
+  // Live recent observations continue the sequence without a gap.
+  Rng rng(9);
+  const auto trip =
+      sim::simulate_trip(TripId(77), f.city.route_a(), f.city.profiles[0],
+                         f.traffic, at_day_time(6, hms(9)), rng);
+  const auto reports = sim::sense_trip(trip, f.city.route_a(), f.city.aps,
+                                       f.city.model, rf::Scanner{}, rng);
+  server->begin_trip(TripId(77), f.city.route_a().id());
+  for (const auto& report : reports) server->ingest(TripId(77), report.scan);
+  server->end_trip(TripId(77));
+  const auto recent = server->tail_journal(persist.compacted_through(),
+                                           1 << 20);
+  ASSERT_GT(recent.records, 0u);
+  EXPECT_EQ(recent.first_seq, history + 2);
+  EXPECT_EQ(recent.last_seq, persist.last_seq());
+  EXPECT_EQ(recent.records, recent.last_seq - recent.first_seq + 1);
 }
 
 TEST(ServerPersist, JournalAloneRecoversWithoutSnapshot) {
@@ -577,8 +801,9 @@ TEST(ServerPersist, UnknownSnapshotVersionFallsBackToJournal) {
   {
     StatePersistence persistence(config.persist);
     for (std::uint32_t e = 1; e <= 3; ++e)
-      persistence.append(JournalRecord::history_obs,
-                         obs_at(e, 0, hms(8), 60.0));
+      persistence.stage(JournalRecord::history_obs,
+                        obs_at(e, 0, hms(8), 60.0));
+    persistence.flush();
   }
   journal::write_snapshot_file(tmp.path("state") + "/state.snapshot",
                                StatePersistence::kSnapshotMagic, 99,
@@ -646,15 +871,16 @@ TEST(StatePersistence, SealThenCommitDropsCoveredRecords) {
   config.dir = tmp.path();
 
   StatePersistence persistence(config);
-  persistence.append(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
-  persistence.append(JournalRecord::recent_obs, obs_at(2, 0, hms(8), 61.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(2, 0, hms(8), 61.0));
 
   // Phase 1 (control thread): rotate the journal aside.
   persistence.seal_journal();
   EXPECT_TRUE(std::filesystem::exists(persistence.sealed_journal_path()));
   EXPECT_EQ(persistence.journal_bytes(), 0u);  // fresh active journal
   // Appends continue into the fresh journal while the snapshot writes.
-  persistence.append(JournalRecord::recent_obs, obs_at(3, 0, hms(9), 62.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(3, 0, hms(9), 62.0));
+  persistence.flush();
   EXPECT_EQ(persistence.last_seq(), 3u);
 
   // Phase 2 (background thread): snapshot lands, sealed segment drops.
@@ -677,10 +903,11 @@ TEST(StatePersistence, CrashBetweenSealAndCommitLosesNothing) {
   config.dir = tmp.path();
   {
     StatePersistence persistence(config);
-    persistence.append(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
-    persistence.append(JournalRecord::recent_obs, obs_at(2, 0, hms(8), 61.0));
+    persistence.stage(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
+    persistence.stage(JournalRecord::recent_obs, obs_at(2, 0, hms(8), 61.0));
     persistence.seal_journal();
-    persistence.append(JournalRecord::recent_obs, obs_at(3, 0, hms(9), 62.0));
+    persistence.stage(JournalRecord::recent_obs, obs_at(3, 0, hms(9), 62.0));
+    persistence.flush();
     // Crash here: the snapshot write never happened. Both the sealed
     // segment and the active journal survive on disk.
   }
@@ -702,11 +929,12 @@ TEST(StatePersistence, RepeatedSealConcatenatesLeftoverSegment) {
   config.dir = tmp.path();
 
   StatePersistence persistence(config);
-  persistence.append(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(1, 0, hms(8), 60.0));
   persistence.seal_journal();           // sealed: [1]
-  persistence.append(JournalRecord::recent_obs, obs_at(2, 0, hms(9), 61.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(2, 0, hms(9), 61.0));
   persistence.seal_journal();           // sealed: [1, 2]
-  persistence.append(JournalRecord::recent_obs, obs_at(3, 0, hms(9), 62.0));
+  persistence.stage(JournalRecord::recent_obs, obs_at(3, 0, hms(9), 62.0));
+  persistence.flush();
 
   StatePersistence fresh(config);
   const auto rec = fresh.recover();
@@ -739,6 +967,11 @@ TEST(ServerPersist, PreparedCheckpointMatchesSynchronous) {
                                 at_day_time(2, hms(9)), 55.0};
   server->load_history(extra);
   server->commit_prepared(std::move(prepared));
+  // The extra history frame is staged; a tailing peer's read flushes it
+  // into the fresh journal (and ships it) before the restart.
+  const auto page = server->tail_journal(0, 1 << 20);
+  EXPECT_EQ(page.records, 1u);
+  EXPECT_EQ(page.last_seq, server->persistence()->last_seq());
 
   auto restarted = f.make_server(f.config_with(tmp.path()));
   EXPECT_TRUE(restarted->recovered());

@@ -74,9 +74,10 @@ TEST(PersistTail, PageAfterWatermarkReturnsExactSuffix) {
   TempDir tmp;
   StatePersistence persist(config_for(tmp));
   for (std::uint32_t n = 1; n <= 10; ++n)
-    persist.append(n % 2 == 0 ? JournalRecord::recent_obs
-                              : JournalRecord::history_obs,
-                   obs_n(n));
+    persist.stage(n % 2 == 0 ? JournalRecord::recent_obs
+                             : JournalRecord::history_obs,
+                  obs_n(n));
+  persist.flush();
 
   const auto all = persist.tail_segments(0, 1 << 20);
   EXPECT_EQ(all.records, 10u);
@@ -106,7 +107,8 @@ TEST(PersistTail, SmallPagesPaginateWithoutLossOrDuplication) {
   TempDir tmp;
   StatePersistence persist(config_for(tmp));
   for (std::uint32_t n = 1; n <= 40; ++n)
-    persist.append(JournalRecord::recent_obs, obs_n(n));
+    persist.stage(JournalRecord::recent_obs, obs_n(n));
+  persist.flush();
 
   std::vector<std::uint64_t> seen;
   std::uint64_t after = 0;
@@ -136,13 +138,14 @@ TEST(PersistTail, RepeatedSealsStayVisibleInOrder) {
   // segment (the crashed-checkpoint path); a tailer must see one
   // ordered stream across sealed + active regardless.
   for (std::uint32_t n = 1; n <= 5; ++n)
-    persist.append(JournalRecord::recent_obs, obs_n(n));
+    persist.stage(JournalRecord::recent_obs, obs_n(n));
   persist.seal_journal();
   for (std::uint32_t n = 6; n <= 9; ++n)
-    persist.append(JournalRecord::recent_obs, obs_n(n));
+    persist.stage(JournalRecord::recent_obs, obs_n(n));
   persist.seal_journal();
   for (std::uint32_t n = 10; n <= 12; ++n)
-    persist.append(JournalRecord::recent_obs, obs_n(n));
+    persist.stage(JournalRecord::recent_obs, obs_n(n));
+  persist.flush();
 
   EXPECT_TRUE(std::filesystem::exists(persist.sealed_journal_path()));
   const auto all = persist.tail_segments(0, 1 << 20);
@@ -163,10 +166,11 @@ TEST(PersistTail, CommitPromotesCompactionWatermarkAndDropsSealed) {
   TempDir tmp;
   StatePersistence persist(config_for(tmp));
   for (std::uint32_t n = 1; n <= 6; ++n)
-    persist.append(JournalRecord::recent_obs, obs_n(n));
+    persist.stage(JournalRecord::recent_obs, obs_n(n));
   persist.seal_journal();
   for (std::uint32_t n = 7; n <= 8; ++n)
-    persist.append(JournalRecord::recent_obs, obs_n(n));
+    persist.stage(JournalRecord::recent_obs, obs_n(n));
+  persist.flush();
 
   const std::vector<std::byte> body(16, std::byte{0x5a});
   persist.commit_checkpoint(body, at_day_time(0, 4000.0));
@@ -180,8 +184,8 @@ TEST(PersistTail, CommitPromotesCompactionWatermarkAndDropsSealed) {
   EXPECT_EQ(page.records, 2u);
 
   // Sealing with nothing in flight covers everything journaled so far.
-  persist.append(JournalRecord::recent_obs, obs_n(9));
-  persist.seal_journal();
+  persist.stage(JournalRecord::recent_obs, obs_n(9));
+  persist.seal_journal();  // flushes record 9 into the sealed segment
   persist.commit_checkpoint(body, at_day_time(0, 4100.0));
   EXPECT_EQ(persist.compacted_through(), 9u);
   EXPECT_EQ(persist.tail_segments(0, 1 << 20).records, 0u);
@@ -195,9 +199,13 @@ TEST(PersistTail, BatchAppendTailsAndRecoversLikePerRecordAppends) {
   TempDir batch_dir;
   StatePersistence one(config_for(one_dir));
   StatePersistence batched(config_for(batch_dir));
+  for (const TravelObservation& obs : batch) {
+    one.stage(JournalRecord::recent_obs, obs);
+    one.flush();
+  }
   for (const TravelObservation& obs : batch)
-    one.append(JournalRecord::recent_obs, obs);
-  batched.append(JournalRecord::recent_obs, batch);
+    batched.stage(JournalRecord::recent_obs, obs);
+  batched.flush();
   EXPECT_EQ(batched.last_seq(), one.last_seq());
   EXPECT_EQ(batched.journal_bytes(), one.journal_bytes());
 
@@ -231,9 +239,11 @@ TEST(PersistTail, TornTailFrameIsNotShippedUntilComplete) {
   };
   StatePersistence persist(config);
   for (std::uint32_t n = 1; n <= 4; ++n)
-    persist.append(JournalRecord::recent_obs, obs_n(n));
+    persist.stage(JournalRecord::recent_obs, obs_n(n));
+  persist.flush();
   arm.store(true);
-  EXPECT_THROW(persist.append(JournalRecord::recent_obs, obs_n(5)), Boom);
+  persist.stage(JournalRecord::recent_obs, obs_n(5));
+  EXPECT_THROW(persist.flush(), Boom);
   EXPECT_TRUE(persist.poisoned());
 
   // The torn frame sits at the journal tail; a tailer gets only the
@@ -272,8 +282,10 @@ TEST(PersistTail, ConcurrentAppendsNeverYieldTornOrOutOfOrderPages) {
     }
   });
 
-  for (std::uint32_t n = 1; n <= kTotal; ++n)
-    persist.append(JournalRecord::recent_obs, obs_n(n));
+  for (std::uint32_t n = 1; n <= kTotal; ++n) {
+    persist.stage(JournalRecord::recent_obs, obs_n(n));
+    persist.flush();
+  }
   done.store(true, std::memory_order_release);
   reader.join();
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../helpers.hpp"
+#include "sim/city.hpp"
 
 namespace wiloc::core {
 namespace {
@@ -152,6 +153,50 @@ TEST(WiLocatorServer, RequiresRoutes) {
   testing::MiniCity city;
   EXPECT_THROW(WiLocatorServer({}, city.ap_snapshot(), city.model,
                                DaySlots::paper_five_slots()),
+               ContractViolation);
+}
+
+// -- parallel route-index build --------------------------------------------
+
+TEST(ParallelRouteBuild, IndexesMatchSerialConstruction) {
+  // The paper corridor: four routes built concurrently. Each index must
+  // equal a RouteSvd built alone on this thread, metre by metre.
+  const sim::City city = sim::build_paper_city();
+  ASSERT_GE(city.routes.size(), 2u);
+  for (const std::size_t order : {2u, 3u}) {
+    ServerConfig config;
+    config.svd.order = order;
+    const WiLocatorServer server(city.route_pointers(), city.ap_snapshot(),
+                                 *city.rf_model,
+                                 DaySlots::paper_five_slots(), config);
+    for (const roadnet::BusRoute* route : city.route_pointers()) {
+      SCOPED_TRACE(route->name() + " order " + std::to_string(order));
+      const auto* built = dynamic_cast<const svd::RouteSvd*>(
+          &server.index_for(route->id()));
+      ASSERT_NE(built, nullptr);
+      const svd::RouteSvd serial(*route, city.ap_snapshot(), *city.rf_model,
+                                 config.svd);
+      ASSERT_EQ(built->intervals().size(), serial.intervals().size());
+      for (std::size_t i = 0; i < serial.intervals().size(); ++i) {
+        ASSERT_EQ(built->intervals()[i].begin, serial.intervals()[i].begin);
+        ASSERT_EQ(built->intervals()[i].end, serial.intervals()[i].end);
+      }
+      for (double offset = 0.0; offset <= route->length(); offset += 1.0)
+        ASSERT_EQ(built->signature_at(offset), serial.signature_at(offset))
+            << offset;
+    }
+  }
+}
+
+TEST(ParallelRouteBuild, BuildFailureKeepsItsExceptionType) {
+  // The precondition fails inside the build threads; the constructor
+  // rethrows it unchanged.
+  const sim::City city = sim::build_paper_city();
+  ServerConfig config;
+  config.svd.order = 0;
+  EXPECT_THROW(WiLocatorServer(city.route_pointers(), city.ap_snapshot(),
+                               *city.rf_model, DaySlots::paper_five_slots(),
+                               config),
                ContractViolation);
 }
 

@@ -251,11 +251,15 @@ TEST(ConcurrentDeterminism, FourWorkersMatchSerialOnChaosWorkload) {
     const auto pa = serial.position(trip);
     const auto pb = threaded.position(trip);
     ASSERT_EQ(pa.has_value(), pb.has_value());
-    if (pa.has_value()) EXPECT_EQ(*pa, *pb);
+    if (pa.has_value()) {
+      EXPECT_EQ(*pa, *pb);
+    }
     const auto ea = serial.eta(trip, 2, now);
     const auto eb = threaded.eta(trip, 2, now);
     ASSERT_EQ(ea.has_value(), eb.has_value());
-    if (ea.has_value()) EXPECT_EQ(*ea, *eb);
+    if (ea.has_value()) {
+      EXPECT_EQ(*ea, *eb);
+    }
   }
 }
 

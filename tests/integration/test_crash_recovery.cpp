@@ -251,8 +251,9 @@ TEST(CrashRecovery, TenThousandScansWithThreeCrashPoints) {
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(actual[i].has_value(), expected[i].has_value()) << i;
-    if (expected[i].has_value())
+    if (expected[i].has_value()) {
       EXPECT_NEAR(*actual[i], *expected[i], 1.0) << "edge probe " << i;
+    }
   }
 }
 

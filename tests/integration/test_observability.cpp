@@ -219,9 +219,12 @@ TEST(Observability, TracingRecordsCoherentSpans) {
   EXPECT_EQ(n_observe,
             server.metrics_snapshot().counter("engine.observations"));
   // Non-ingest events belong to spans that started with an ingest event.
-  for (const obs::TraceEvent& e : events)
-    if (e.stage == obs::TraceStage::locate || e.stage == obs::TraceStage::fix)
+  for (const obs::TraceEvent& e : events) {
+    if (e.stage == obs::TraceStage::locate ||
+        e.stage == obs::TraceStage::fix) {
       EXPECT_TRUE(ingest_ids.count(e.id)) << e.id;
+    }
+  }
 
   // The ring was drained; with tracing toggled off nothing is recorded.
   EXPECT_TRUE(server.take_trace_events().empty());

@@ -254,19 +254,9 @@ std::vector<std::vector<std::byte>> batch_payloads() {
           bytes_of("the last frame of the batch")};
 }
 
-/// The batch as append_batch takes it: payloads back to back + sizes.
-struct PackedBatch {
-  std::vector<std::byte> payloads;
-  std::vector<std::uint32_t> sizes;
-};
-
-PackedBatch pack(const std::vector<std::vector<std::byte>>& frames) {
-  PackedBatch batch;
-  for (const auto& frame : frames) {
-    batch.payloads.insert(batch.payloads.end(), frame.begin(), frame.end());
-    batch.sizes.push_back(static_cast<std::uint32_t>(frame.size()));
-  }
-  return batch;
+/// Stages every frame of the batch; the caller flushes.
+void stage_all(Writer& w, const std::vector<std::vector<std::byte>>& frames) {
+  for (const auto& frame : frames) w.stage(frame);
 }
 
 std::string text_of(std::span<const std::byte> bytes) {
@@ -285,7 +275,6 @@ std::vector<std::string> replayed(const std::string& path,
 TEST(Journal, BatchIsOneWriteWithPerFrameBytes) {
   TempDir tmp;
   const auto frames = batch_payloads();
-  const PackedBatch batch = pack(frames);
   for (const FsyncPolicy fsync :
        {FsyncPolicy::never, FsyncPolicy::every_append}) {
     SCOPED_TRACE(to_string(fsync));
@@ -300,8 +289,13 @@ TEST(Journal, BatchIsOneWriteWithPerFrameBytes) {
     }
     {
       Writer w(batched, fsync);
-      w.append_batch(batch.payloads, batch.sizes);
+      stage_all(w, frames);
+      EXPECT_EQ(w.writes(), 0u);  // staged frames wait for the flush
+      EXPECT_EQ(w.staged_frames(), frames.size());
+      EXPECT_EQ(w.staged_bytes(), read_file(per_frame).size());
+      w.flush();
       EXPECT_EQ(w.writes(), 1u);  // the whole batch in one write(2)
+      EXPECT_EQ(w.staged_bytes(), 0u);
       EXPECT_EQ(w.size_bytes(), read_file(per_frame).size());
     }
     EXPECT_EQ(read_file(batched), read_file(per_frame));
@@ -317,7 +311,6 @@ TEST(Journal, BatchCrashAtFrameSiteLeavesPerFramePrefix) {
   // prefix a one-frame append leaves: the header at the mid site, the
   // header and the first half of the payload at the torn site.
   const auto frames = batch_payloads();
-  const PackedBatch batch = pack(frames);
   struct Boom {};
   for (const std::string_view site : {kSiteAppendMid, kSiteAppendTorn}) {
     for (std::size_t k = 1; k <= frames.size(); ++k) {
@@ -340,10 +333,12 @@ TEST(Journal, BatchCrashAtFrameSiteLeavesPerFramePrefix) {
       const std::string batched = tmp.path("batch");
       {
         Writer w(batched, FsyncPolicy::never, hook);
-        EXPECT_THROW(w.append_batch(batch.payloads, batch.sizes), Boom);
+        stage_all(w, frames);
+        EXPECT_THROW(w.flush(), Boom);
         EXPECT_TRUE(w.dead());
         EXPECT_EQ(w.size_bytes(), want.size());
-        EXPECT_THROW(w.append_batch(batch.payloads, batch.sizes), Error);
+        EXPECT_EQ(w.staged_bytes(), 0u);  // the crash dropped the rest
+        EXPECT_THROW(w.stage(frames[0]), Error);
       }
       EXPECT_EQ(read_file(batched), want);
 
