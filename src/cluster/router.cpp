@@ -137,8 +137,7 @@ net::HttpResponse ClusterRouter::handle_scans(
   auto batch = net::decode_scan_batch(request.body, &decode_error);
   if (!batch.has_value()) return error_json(400, decode_error);
   if (batch->empty())
-    return net::HttpResponse::json(
-        200, "{\"submitted\":0,\"enqueued\":0,\"rejected_backpressure\":0}");
+    return net::HttpResponse::json(200, "{\"submitted\":0,\"enqueued\":0}");
 
   // Split by each trip's first live replica and forward per node. Nodes
   // that fail mid-request are excluded and their slice re-split — the
@@ -154,7 +153,7 @@ net::HttpResponse ClusterRouter::handle_scans(
     return std::nullopt;
   };
 
-  std::uint64_t submitted = 0, enqueued = 0, rejected = 0;
+  std::uint64_t submitted = 0, enqueued = 0;
   std::vector<std::uint64_t> acked(nodes_.size(), 0);
   std::vector<core::ScanSubmission> pending = std::move(*batch);
   for (std::size_t attempt = 0;
@@ -209,7 +208,6 @@ net::HttpResponse ClusterRouter::handle_scans(
         };
         submitted += count(doc->get_number("submitted"));
         enqueued += count(doc->get_number("enqueued"));
-        rejected += count(doc->get_number("rejected_backpressure"));
         acked[node] += count(doc->get_number("submitted"));
       }
     }
@@ -225,8 +223,7 @@ net::HttpResponse ClusterRouter::handle_scans(
     if (acked[node] != 0)
       acked_scans_[node]->fetch_add(acked[node], std::memory_order_relaxed);
   std::ostringstream out;
-  out << "{\"submitted\":" << submitted << ",\"enqueued\":" << enqueued
-      << ",\"rejected_backpressure\":" << rejected << "}";
+  out << "{\"submitted\":" << submitted << ",\"enqueued\":" << enqueued << "}";
   return net::HttpResponse::json(200, out.str());
 }
 

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <chrono>
 #include <string_view>
+#include <utility>
 
 #include "util/json_num.hpp"
 
@@ -205,7 +206,14 @@ void ArrivalTable::publish(SimTime now, std::uint64_t epoch) {
         it->second = t.current;
     }
   }
-  published_.store(std::move(snap), std::memory_order_release);
+  // The swap is the whole critical section: the retired generation is
+  // freed (once no reader holds it) when `retired` leaves scope, off the
+  // lock.
+  std::shared_ptr<const ArrivalSnapshot> retired;
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    retired = std::exchange(published_, std::move(snap));
+  }
   if (metrics_.rebuilds != nullptr) metrics_.rebuilds->inc();
   if (metrics_.entries != nullptr)
     metrics_.entries->set(static_cast<double>(entries));

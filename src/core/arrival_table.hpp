@@ -7,10 +7,11 @@
 // the Eq.-9 prediction chain under the service lock per request, the
 // control side materializes every (trip, downstream-stop) arrival
 // answer once, pre-encodes the JSON bytes, and publishes the whole
-// table as an immutable snapshot behind one atomic pointer. Readers
-// load the pointer (RCU-style: no mutex, no seqlock retry loop) and
-// copy a pre-encoded body; the snapshot they hold stays alive until
-// the last reader drops it.
+// table as an immutable snapshot behind one shared pointer. Readers copy
+// the pointer under a small mutex of its own — never the service lock,
+// and never across any computation — then read a pre-encoded body with
+// no lock held; the snapshot they hold stays alive until the last
+// reader drops it.
 //
 // Incrementality rides on TravelTimeStore's segment-update epochs: a
 // trip's entries are recomputed only when its position moved or a
@@ -20,10 +21,10 @@
 // the X-Epoch response header exposes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -80,7 +81,7 @@ struct TripArrivals {
 };
 
 /// One published generation of the read path: everything a rider GET
-/// needs, immutable, reachable through a single atomic load.
+/// needs, immutable, reachable through a single pointer copy.
 struct ArrivalSnapshot {
   std::uint64_t epoch = 0;  ///< store epoch at publication
   SimTime now = 0.0;
@@ -115,7 +116,7 @@ struct ArrivalTableMetrics {
 
 /// Control-thread-owned materializer. All mutators (track/drop/refresh)
 /// run under whatever serializes server control calls; snapshot() is
-/// safe from any thread, lock-free.
+/// safe from any thread and takes only the publication mutex.
 class ArrivalTable {
  public:
   ArrivalTable(const TravelTimeStore& store, const ArrivalPredictor& predictor,
@@ -151,9 +152,12 @@ class ArrivalTable {
   void refresh(SimTime now, const PositionFn& position_of);
 
   /// The current published generation (nullptr before the first
-  /// refresh). Lock-free: one atomic shared_ptr load.
+  /// refresh). Copies the pointer under the publication mutex, which
+  /// guards nothing else: the one writer (publish) holds it only to swap
+  /// the pointer.
   std::shared_ptr<const ArrivalSnapshot> snapshot() const {
-    return published_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(published_mu_);
+    return published_;
   }
 
  private:
@@ -184,7 +188,8 @@ class ArrivalTable {
   std::uint64_t traffic_epoch_ = 0;  ///< store epoch of traffic_body_
   bool dirty_ = false;
 
-  std::atomic<std::shared_ptr<const ArrivalSnapshot>> published_{nullptr};
+  mutable std::mutex published_mu_;
+  std::shared_ptr<const ArrivalSnapshot> published_;  ///< published_mu_
 };
 
 }  // namespace wiloc::core

@@ -1,6 +1,7 @@
 #include "core/ingest_engine.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/contracts.hpp"
 
@@ -17,6 +18,16 @@ std::uint64_t mix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+/// The runtime of a registered trip in its shard's map (const or not);
+/// throws NotFound when the trip was never begun.
+template <class Trips>
+auto& find_trip(Trips& trips, roadnet::TripId trip) {
+  const auto it = trips.find(trip);
+  if (it == trips.end())
+    throw NotFound("unknown trip " + std::to_string(trip.value()));
+  return it->second;
 }
 
 }  // namespace
@@ -37,13 +48,9 @@ IngestEngine::IngestEngine(MobilityFilterParams filter,
     guard_metrics_ = GuardMetrics::registered(*reg);
     m_enqueued_ = &reg->counter("engine.enqueued");
     m_processed_ = &reg->counter("engine.processed");
-    m_backpressure_ = &reg->counter("engine.rejected_backpressure");
     m_observations_ = &reg->counter("engine.observations");
     m_queue_depth_ = &reg->histogram("engine.queue_depth");
     m_latency_us_ = &reg->histogram("engine.latency_us");
-    for (std::size_t i = 0; i < shards_.size(); ++i)
-      shards_[i]->depth_gauge = &reg->gauge(
-          "engine.shard" + std::to_string(i) + ".queue_depth");
   }
   if (threaded()) {
     for (auto& shard : shards_) {
@@ -84,122 +91,99 @@ const IngestEngine::Shard& IngestEngine::shard_of(
 
 // -- submission ----------------------------------------------------------
 
-bool IngestEngine::enqueue(Shard& shard, Job&& job) {
+void IngestEngine::enqueue(Shard& shard, Job&& job) {
   std::unique_lock<std::mutex> lock(shard.queue_mu);
-  if (shard.queue.size() >= params_.queue_capacity) {
-    const bool block = params_.block_on_full || job.kind != JobKind::scan ||
-                       job.slot != nullptr;
-    if (!block) return false;  // backpressure: caller counts the drop
-    shard.cv_room.wait(lock, [&] {
-      return shard.queue.size() < params_.queue_capacity;
-    });
-  }
+  shard.cv_room.wait(lock, [&] {
+    return shard.queue.size() < params_.queue_capacity;
+  });
   const std::uint64_t seq = job.seq;
   shard.queue.push_back(std::move(job));
   ++shard.enqueued;
-  if (m_queue_depth_ != nullptr) {
-    const auto depth = static_cast<double>(shard.queue.size());
-    m_queue_depth_->record(depth);
-    shard.depth_gauge->set(depth);
-  }
+  if (m_queue_depth_ != nullptr)
+    m_queue_depth_->record(static_cast<double>(shard.queue.size()));
   // An idle shard's frontier snaps down to the new head-of-queue. A busy
   // worker's frontier is already below any freshly assigned seq.
   if (seq < shard.frontier.load(std::memory_order_relaxed))
     shard.frontier.store(seq, std::memory_order_release);
   shard.cv_work.notify_one();
-  return true;
-}
-
-IngestResult IngestEngine::ingest(roadnet::TripId trip,
-                                  const rf::WifiScan& scan) {
-  Job job;
-  job.kind = JobKind::scan;
-  job.trip = trip;
-  job.scan = scan;
-  SyncSlot slot;
-  job.slot = &slot;
-  run_sync(std::move(job));
-  return slot.result;
 }
 
 BatchIngestResult IngestEngine::ingest_batch(
     std::span<const ScanSubmission> batch) {
-  BatchIngestResult out;
-  out.submitted = batch.size();
   std::lock_guard<std::mutex> seq_lock(submit_mu_);
   for (const ScanSubmission& sub : batch) {
-    Job job;
-    job.kind = JobKind::scan;
-    job.trip = sub.trip;
-    job.scan = sub.scan;
-    job.seq = next_seq_++;
-    if (params_.record_latency) job.enqueued_at = Clock::now();
+    const std::uint64_t seq = next_seq_++;
+    const Clock::time_point now =
+        params_.record_latency ? Clock::now() : Clock::time_point{};
+    if (m_enqueued_ != nullptr) m_enqueued_->inc();
     Shard& shard = shard_of(sub.trip);
-    if (!threaded()) {
-      if (m_enqueued_ != nullptr) m_enqueued_->inc();
-      process(shard, job);
-      ++out.enqueued;
-    } else if (enqueue(shard, std::move(job))) {
-      if (m_enqueued_ != nullptr) m_enqueued_->inc();
-      ++out.enqueued;
+    if (threaded()) {
+      enqueue(shard, {sub.trip, sub.scan, seq, now});
     } else {
-      if (m_backpressure_ != nullptr) m_backpressure_->inc();
-      ++out.rejected_backpressure;
+      std::lock_guard<std::mutex> state_lock(shard.state_mu);
+      process_scan(shard, sub.trip, sub.scan, seq, now);
     }
   }
-  return out;
+  return {batch.size(), batch.size()};
 }
 
-void IngestEngine::run_sync(Job job) {
-  SyncSlot local;
-  if (job.slot == nullptr) job.slot = &local;
-  SyncSlot& slot = *job.slot;
-  Shard& shard = shard_of(job.trip);
-  if (m_enqueued_ != nullptr && job.kind == JobKind::scan) m_enqueued_->inc();
-  if (!threaded()) {
-    {
-      std::lock_guard<std::mutex> seq_lock(submit_mu_);
-      job.seq = next_seq_++;
-    }
-    if (params_.record_latency && job.kind == JobKind::scan)
-      job.enqueued_at = Clock::now();
-    process(shard, job);
-    slot.done = true;
-  } else {
-    {
-      std::lock_guard<std::mutex> seq_lock(submit_mu_);
-      job.seq = next_seq_++;
-      if (params_.record_latency && job.kind == JobKind::scan)
-        job.enqueued_at = Clock::now();
-      enqueue(shard, std::move(job));  // sync jobs always block for room
-    }
-    std::unique_lock<std::mutex> lock(shard.queue_mu);
-    shard.cv_done.wait(lock, [&] { return slot.done; });
-  }
-  if (slot.error == 1) throw NotFound(slot.message);
-  if (slot.error == 2) throw StateError(slot.message);
+template <class Op>
+auto IngestEngine::run_inline(roadnet::TripId trip, Op&& op) {
+  std::lock_guard<std::mutex> seq_lock(submit_mu_);
+  const std::uint64_t seq = next_seq_++;
+  Shard& shard = shard_of(trip);
+  drain_shard(shard);
+  std::lock_guard<std::mutex> state_lock(shard.state_mu);
+  return op(shard, seq);
+}
+
+IngestResult IngestEngine::ingest(roadnet::TripId trip,
+                                  const rf::WifiScan& scan) {
+  const Clock::time_point now =
+      params_.record_latency ? Clock::now() : Clock::time_point{};
+  if (m_enqueued_ != nullptr) m_enqueued_->inc();
+  return run_inline(trip, [&](Shard& shard, std::uint64_t seq) {
+    return process_scan(shard, trip, scan, seq, now);
+  });
 }
 
 void IngestEngine::begin_trip(roadnet::TripId trip, roadnet::RouteId route) {
-  Job job;
-  job.kind = JobKind::begin;
-  job.trip = trip;
-  job.route = route;
-  run_sync(std::move(job));
+  run_inline(trip, [&](Shard& shard, std::uint64_t) {
+    const auto rb = routes_.find(route);
+    if (rb == routes_.end())
+      throw NotFound("unknown route " + std::to_string(route.value()));
+    if (shard.trips.count(trip) != 0)
+      throw StateError("trip " + std::to_string(trip.value()) +
+                       " already registered");
+    TripRuntime tr;
+    tr.route = route;
+    tr.tracker = std::make_unique<BusTracker>(
+        *rb->second.route, *rb->second.positioner, filter_params_);
+    tr.guard = std::make_unique<IngestGuard>(
+        *tr.tracker, *rb->second.index, guard_params_,
+        hooks_.registry != nullptr ? &guard_metrics_ : nullptr);
+    shard.trips.emplace(trip, std::move(tr));
+  });
 }
 
 void IngestEngine::end_trip(roadnet::TripId trip) {
-  Job job;
-  job.kind = JobKind::end;
-  job.trip = trip;
-  run_sync(std::move(job));
+  run_inline(trip, [&](Shard& shard, std::uint64_t seq) {
+    TripRuntime& rt = find_trip(shard.trips, trip);
+    // A closed trip's buffer is already empty: end flushes only once.
+    if (!rt.active) return;
+    rt.guard->flush();
+    harvest(shard, trip, rt, seq);
+    rt.active = false;
+  });
 }
 
 void IngestEngine::flush_trip(roadnet::TripId trip) {
-  Job job;
-  job.kind = JobKind::flush;
-  job.trip = trip;
-  run_sync(std::move(job));
+  run_inline(trip, [&](Shard& shard, std::uint64_t seq) {
+    TripRuntime& rt = find_trip(shard.trips, trip);
+    // Works on closed trips too (the buffer is empty; harmless).
+    rt.guard->flush();
+    harvest(shard, trip, rt, seq);
+  });
 }
 
 // -- worker --------------------------------------------------------------
@@ -216,14 +200,12 @@ void IngestEngine::worker_loop(Shard& shard) {
         continue;
       }
       // Drain up to kMaxBatch jobs; the cap bounds how long one batch
-      // can hold the shard state lock (queries, sync submissions).
+      // can hold the shard state lock (queries, inline ops).
       batch.clear();
       while (!shard.queue.empty() && batch.size() < kMaxBatch) {
         batch.push_back(std::move(shard.queue.front()));
         shard.queue.pop_front();
       }
-      if (shard.depth_gauge != nullptr)
-        shard.depth_gauge->set(static_cast<double>(shard.queue.size()));
       shard.frontier.store(batch.front().seq, std::memory_order_release);
       shard.cv_room.notify_all();
     }
@@ -231,22 +213,16 @@ void IngestEngine::worker_loop(Shard& shard) {
       // One state-lock acquisition per batch: consecutive scans of the
       // same shard share the guard/tracker cachelines and the
       // thread-local locate scratch (posting-list stamps, candidate
-      // sets, memo) without re-locking per job. Lock order is
-      // state_mu -> queue_mu (sync-slot signaling); no other path takes
-      // them in the reverse order.
+      // sets, memo) without re-locking per job.
       std::lock_guard<std::mutex> state_lock(shard.state_mu);
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        process_locked(shard, batch[i]);
+        const Job& job = batch[i];
+        process_scan(shard, job.trip, job.scan, job.seq, job.enqueued_at);
         // Advance the frontier past the finished job so its observations
         // become publishable; the release store pairs with the acquire
         // load in take_ready_observations.
         if (i + 1 < batch.size())
           shard.frontier.store(batch[i + 1].seq, std::memory_order_release);
-        if (batch[i].slot != nullptr) {
-          std::lock_guard<std::mutex> lock(shard.queue_mu);
-          batch[i].slot->done = true;
-          shard.cv_done.notify_all();
-        }
       }
     }
     {
@@ -260,102 +236,39 @@ void IngestEngine::worker_loop(Shard& shard) {
   }
 }
 
-void IngestEngine::process(Shard& shard, Job& job) {
-  std::lock_guard<std::mutex> lock(shard.state_mu);
-  process_locked(shard, job);
-}
-
-void IngestEngine::process_locked(Shard& shard, Job& job) {
-  switch (job.kind) {
-    case JobKind::scan: {
-      const IngestResult result = process_scan(shard, job);
-      if (job.slot != nullptr) job.slot->result = result;
-      if (m_processed_ != nullptr) m_processed_->inc();
-      if (params_.record_latency) {
-        const double dt_s =
-            std::chrono::duration<double>(Clock::now() - job.enqueued_at)
-                .count();
-        shard.latencies_s.push_back(dt_s);
-        if (m_latency_us_ != nullptr) m_latency_us_->record(dt_s * 1e6);
-      }
-      break;
-    }
-    case JobKind::begin: {
-      const auto rb = routes_.find(job.route);
-      if (rb == routes_.end()) {
-        job.slot->error = 1;
-        job.slot->message =
-            "unknown route " + std::to_string(job.route.value());
-        break;
-      }
-      if (shard.trips.count(job.trip) != 0) {
-        job.slot->error = 2;
-        job.slot->message = "trip " + std::to_string(job.trip.value()) +
-                            " already registered";
-        break;
-      }
-      TripRuntime tr;
-      tr.route = job.route;
-      tr.tracker = std::make_unique<BusTracker>(
-          *rb->second.route, *rb->second.positioner, filter_params_);
-      tr.guard = std::make_unique<IngestGuard>(
-          *tr.tracker, *rb->second.index, guard_params_,
-          hooks_.registry != nullptr ? &guard_metrics_ : nullptr);
-      shard.trips.emplace(job.trip, std::move(tr));
-      break;
-    }
-    case JobKind::flush:
-    case JobKind::end: {
-      const auto it = shard.trips.find(job.trip);
-      if (it == shard.trips.end()) {
-        job.slot->error = 1;
-        job.slot->message =
-            "unknown trip " + std::to_string(job.trip.value());
-        break;
-      }
-      // flush works on closed trips too (buffer is empty; harmless);
-      // end flushes only while the trip is still open.
-      if (job.kind == JobKind::flush || it->second.active) {
-        it->second.guard->flush();
-        harvest(shard, job.trip, it->second, job.seq);
-      }
-      if (job.kind == JobKind::end) it->second.active = false;
-      break;
-    }
-  }
-}
-
-IngestResult IngestEngine::process_scan(Shard& shard, const Job& job) {
-  trace(obs::TraceStage::ingest, job.seq, job.trip, job.scan.time);
-  const auto it = shard.trips.find(job.trip);
-  if (it == shard.trips.end()) {
+IngestResult IngestEngine::process_scan(Shard& shard, roadnet::TripId trip,
+                                        const rf::WifiScan& scan,
+                                        std::uint64_t seq,
+                                        Clock::time_point submitted_at) {
+  trace(obs::TraceStage::ingest, seq, trip, scan.time);
+  IngestResult result;
+  const auto it = shard.trips.find(trip);
+  if (it == shard.trips.end() || !it->second.active) {
+    const RejectReason reason = it == shard.trips.end()
+                                    ? RejectReason::unknown_trip
+                                    : RejectReason::closed_trip;
     ++shard.orphan.submitted;
-    ++shard.orphan.rejected_by_reason[static_cast<std::size_t>(
-        RejectReason::unknown_trip)];
+    ++shard.orphan.rejected_by_reason[static_cast<std::size_t>(reason)];
     if (guard_metrics_.submitted != nullptr) {
       guard_metrics_.submitted->inc();
-      guard_metrics_.count_rejected(RejectReason::unknown_trip);
+      guard_metrics_.count_rejected(reason);
     }
-    return {IngestStatus::rejected, RejectReason::unknown_trip,
-            std::nullopt, 0};
+    result = {IngestStatus::rejected, reason, std::nullopt, 0};
+  } else {
+    result = it->second.guard->submit(scan);
+    if (result.released > 0)
+      trace(obs::TraceStage::locate, seq, trip, scan.time);
+    if (result.fix.has_value())
+      trace(obs::TraceStage::fix, seq, trip, result.fix->time);
+    harvest(shard, trip, it->second, seq);
   }
-  if (!it->second.active) {
-    ++shard.orphan.submitted;
-    ++shard.orphan.rejected_by_reason[static_cast<std::size_t>(
-        RejectReason::closed_trip)];
-    if (guard_metrics_.submitted != nullptr) {
-      guard_metrics_.submitted->inc();
-      guard_metrics_.count_rejected(RejectReason::closed_trip);
-    }
-    return {IngestStatus::rejected, RejectReason::closed_trip,
-            std::nullopt, 0};
+  if (m_processed_ != nullptr) m_processed_->inc();
+  if (params_.record_latency) {
+    const double dt_s =
+        std::chrono::duration<double>(Clock::now() - submitted_at).count();
+    shard.latencies_s.push_back(dt_s);
+    if (m_latency_us_ != nullptr) m_latency_us_->record(dt_s * 1e6);
   }
-  const IngestResult result = it->second.guard->submit(job.scan);
-  if (result.released > 0)
-    trace(obs::TraceStage::locate, job.seq, job.trip, job.scan.time);
-  if (result.fix.has_value())
-    trace(obs::TraceStage::fix, job.seq, job.trip, result.fix->time);
-  harvest(shard, job.trip, it->second, job.seq);
   return result;
 }
 
@@ -370,15 +283,16 @@ void IngestEngine::harvest(Shard& shard, roadnet::TripId trip_id,
 
 // -- drain & hand-off ----------------------------------------------------
 
-void IngestEngine::drain() {
+void IngestEngine::drain_shard(Shard& shard) {
   if (!threaded()) return;
-  for (auto& shard : shards_) {
-    Shard& s = *shard;
-    std::unique_lock<std::mutex> lock(s.queue_mu);
-    s.cv_done.wait(lock, [&] {
-      return s.processed == s.enqueued && s.queue.empty();
-    });
-  }
+  std::unique_lock<std::mutex> lock(shard.queue_mu);
+  shard.cv_done.wait(lock, [&] {
+    return shard.processed == shard.enqueued && shard.queue.empty();
+  });
+}
+
+void IngestEngine::drain() {
+  for (auto& shard : shards_) drain_shard(*shard);
 }
 
 std::vector<TravelObservation> IngestEngine::take_ready_observations() {
@@ -423,37 +337,25 @@ bool IngestEngine::has_trip(roadnet::TripId trip) const {
 roadnet::RouteId IngestEngine::route_of(roadnet::TripId trip) const {
   const Shard& shard = shard_of(trip);
   std::lock_guard<std::mutex> lock(shard.state_mu);
-  const auto it = shard.trips.find(trip);
-  if (it == shard.trips.end())
-    throw NotFound("unknown trip " + std::to_string(trip.value()));
-  return it->second.route;
+  return find_trip(shard.trips, trip).route;
 }
 
 std::optional<double> IngestEngine::position(roadnet::TripId trip) const {
   const Shard& shard = shard_of(trip);
   std::lock_guard<std::mutex> lock(shard.state_mu);
-  const auto it = shard.trips.find(trip);
-  if (it == shard.trips.end())
-    throw NotFound("unknown trip " + std::to_string(trip.value()));
-  return it->second.tracker->current_offset();
+  return find_trip(shard.trips, trip).tracker->current_offset();
 }
 
 std::vector<Fix> IngestEngine::fixes(roadnet::TripId trip) const {
   const Shard& shard = shard_of(trip);
   std::lock_guard<std::mutex> lock(shard.state_mu);
-  const auto it = shard.trips.find(trip);
-  if (it == shard.trips.end())
-    throw NotFound("unknown trip " + std::to_string(trip.value()));
-  return it->second.tracker->fixes();
+  return find_trip(shard.trips, trip).tracker->fixes();
 }
 
 IngestStats IngestEngine::trip_stats(roadnet::TripId trip) const {
   const Shard& shard = shard_of(trip);
   std::lock_guard<std::mutex> lock(shard.state_mu);
-  const auto it = shard.trips.find(trip);
-  if (it == shard.trips.end())
-    throw NotFound("unknown trip " + std::to_string(trip.value()));
-  return it->second.guard->stats();
+  return find_trip(shard.trips, trip).guard->stats();
 }
 
 IngestStats IngestEngine::total_stats() const {
@@ -469,10 +371,7 @@ IngestStats IngestEngine::total_stats() const {
 const BusTracker& IngestEngine::tracker(roadnet::TripId trip) const {
   const Shard& shard = shard_of(trip);
   std::lock_guard<std::mutex> lock(shard.state_mu);
-  const auto it = shard.trips.find(trip);
-  if (it == shard.trips.end())
-    throw NotFound("unknown trip " + std::to_string(trip.value()));
-  return *it->second.tracker;
+  return *find_trip(shard.trips, trip).tracker;
 }
 
 std::vector<double> IngestEngine::take_latency_samples() {

@@ -14,22 +14,26 @@
 //  - Every submission (scan or control op) gets a global sequence number
 //    in call order. Per-shard queues are FIFO, so per-trip processing
 //    order == submission order.
-//  - begin/end/flush ride the same queues as scans: a scan enqueued
-//    before end_trip(t) is processed before the trip closes, exactly as
-//    in a serial call sequence.
+//  - Only batched scans ride the shard queues. begin/end/flush and the
+//    single-scan ingest() run inline on the caller thread: each holds
+//    the sequencing lock, waits for its trip's shard to drain, then runs
+//    under that shard's state mutex. A scan enqueued before end_trip(t)
+//    is therefore processed before the trip closes, and one enqueued
+//    after it is rejected closed_trip, exactly as in a serial call
+//    sequence.
 //  - Completed segment observations are tagged with the sequence number
 //    of the submission that produced them and handed over in global
 //    sequence order (take_ready_observations releases only the prefix
 //    below every shard's processing frontier). The store therefore sees
 //    observations in the same order a serial server would insert them.
-//  - With workers == 0 the engine degenerates to inline execution on the
-//    caller thread: the exact serial pipeline, byte-identical to the
-//    pre-engine server. With workers >= 1 a drained engine has produced
-//    byte-identical per-trip fixes, stats, and observation order.
+//  - With workers == 0 there are no queues: ingest_batch runs every scan
+//    inline and the drain is a no-op — the exact serial pipeline,
+//    byte-identical to the pre-engine server. With workers >= 1 a
+//    drained engine has produced byte-identical per-trip fixes, stats,
+//    and observation order.
 //
-// Backpressure: each shard's queue is bounded. ingest_batch either
-// blocks for room (default, lossless) or rejects the overflow and
-// reports it in the BatchIngestResult.
+// Backpressure: each shard's queue is bounded; ingest_batch blocks for
+// room, so no scan is ever dropped at the queue.
 //
 // Shutdown: the destructor drains every queue, then joins the workers.
 #pragma once
@@ -43,7 +47,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -62,8 +65,7 @@ struct ScanSubmission {
 
 struct IngestEngineParams {
   std::size_t workers = 0;  ///< worker threads; 0 = inline serial mode
-  std::size_t queue_capacity = 1024;  ///< waiting jobs per shard
-  bool block_on_full = true;  ///< false: reject overflow (backpressure)
+  std::size_t queue_capacity = 1024;  ///< waiting scans per shard
   bool record_latency = false;  ///< sample enqueue->processed latency
 };
 
@@ -75,12 +77,11 @@ struct ObsHooks {
 };
 
 /// Outcome of one ingest_batch call. Per-scan results are asynchronous;
-/// they land in the per-trip / aggregate IngestStats.
+/// they land in the per-trip / aggregate IngestStats. Every submitted
+/// scan is enqueued (a full queue blocks), so enqueued == submitted.
 struct BatchIngestResult {
   std::size_t submitted = 0;
   std::size_t enqueued = 0;
-  std::size_t rejected_backpressure = 0;  ///< only when !block_on_full
-  bool complete() const { return enqueued == submitted; }
 };
 
 class IngestEngine {
@@ -104,7 +105,7 @@ class IngestEngine {
   /// outlive the engine.
   void bind_route(roadnet::RouteId id, RouteBinding binding);
 
-  // -- trip lifecycle (ordered with scans, synchronous) ------------------
+  // -- trip lifecycle (inline, ordered after the trip's queued scans) ----
 
   /// Throws StateError on duplicate trip, NotFound on unknown route.
   void begin_trip(roadnet::TripId trip, roadnet::RouteId route);
@@ -118,13 +119,13 @@ class IngestEngine {
 
   // -- scan submission ---------------------------------------------------
 
-  /// Serial API: submits one scan and waits for its result. In threaded
-  /// mode this rides the shard queue (ordered after everything already
-  /// enqueued for the shard).
+  /// Serial API: processes one scan inline and returns its result. In
+  /// threaded mode it first waits for the trip's shard to drain, so it
+  /// is ordered after everything already enqueued for the shard.
   IngestResult ingest(roadnet::TripId trip, const rf::WifiScan& scan);
 
-  /// Batched API: enqueues every submission (FIFO per shard). Returns
-  /// once all items are enqueued (or rejected under backpressure).
+  /// Batched API: enqueues every submission (FIFO per shard), blocking
+  /// while a shard's queue is full. Returns once all items are enqueued.
   BatchIngestResult ingest_batch(std::span<const ScanSubmission> batch);
 
   /// Blocks until every submission made so far has been processed.
@@ -158,25 +159,12 @@ class IngestEngine {
  private:
   using Clock = std::chrono::steady_clock;
 
-  enum class JobKind : std::uint8_t { scan, begin, flush, end };
-
-  /// Result slot for synchronous submissions (lives on the caller's
-  /// stack; guarded by the shard queue mutex).
-  struct SyncSlot {
-    bool done = false;
-    IngestResult result;
-    int error = 0;  ///< 0 none, 1 NotFound, 2 StateError
-    std::string message;
-  };
-
+  /// One queued scan.
   struct Job {
-    JobKind kind = JobKind::scan;
     roadnet::TripId trip{0};
-    roadnet::RouteId route{0};  ///< begin only
-    rf::WifiScan scan;          ///< scan only
+    rf::WifiScan scan;
     std::uint64_t seq = 0;
     Clock::time_point enqueued_at{};
-    SyncSlot* slot = nullptr;
   };
 
   struct TripRuntime {
@@ -200,26 +188,27 @@ class IngestEngine {
     mutable std::mutex queue_mu;
     std::condition_variable cv_work;   ///< worker: jobs available
     std::condition_variable cv_room;   ///< producers: capacity freed
-    std::condition_variable cv_done;   ///< drain / sync completion
+    std::condition_variable cv_done;   ///< drain: queue emptied
     std::deque<Job> queue;
     std::uint64_t enqueued = 0;
     std::uint64_t processed = 0;
     bool stop = false;
 
-    /// Sequence number of the oldest submission this shard has not
+    /// Sequence number of the oldest queued scan this shard has not
     /// finished processing; kIdle when quiescent. Observations with
-    /// seq < min-over-shards(frontier) have final global order.
+    /// seq < min-over-shards(frontier) have final global order. Inline
+    /// ops need no frontier entry: they hold the sequencing lock, so no
+    /// later submission exists until they finish.
     std::atomic<std::uint64_t> frontier{kIdle};
 
-    // State side (trip runtimes; locked per processed job and by
-    // queries — striped across shards, uncontended on the hot path).
+    // State side (trip runtimes; locked per drained batch, per inline
+    // op and by queries — striped across shards, uncontended on the hot
+    // path).
     mutable std::mutex state_mu;
     std::unordered_map<roadnet::TripId, TripRuntime> trips;
     IngestStats orphan;
     std::deque<TaggedObs> pending;  ///< seq ascending
     std::vector<double> latencies_s;
-
-    obs::Gauge* depth_gauge = nullptr;  ///< engine.shard<k>.queue_depth
 
     std::thread worker;
   };
@@ -228,12 +217,20 @@ class IngestEngine {
   const Shard& shard_of(roadnet::TripId trip) const;
 
   void worker_loop(Shard& shard);
-  /// Executes one job against the shard state (locks state_mu).
-  void process(Shard& shard, Job& job);
-  /// Executes one job with state_mu already held — the batched worker
-  /// path locks once per drained batch instead of once per job.
-  void process_locked(Shard& shard, Job& job);
-  IngestResult process_scan(Shard& shard, const Job& job);
+  /// Blocks until every scan queued on the shard has been processed
+  /// (no-op in serial mode, where nothing is ever queued).
+  void drain_shard(Shard& shard);
+  /// Runs `op(shard, seq)` inline: takes the next sequence number and
+  /// holds the sequencing lock while the trip's shard drains and `op`
+  /// runs under its state mutex, so the op is one step of the global
+  /// submission order. Exceptions from `op` propagate to the caller.
+  template <class Op>
+  auto run_inline(roadnet::TripId trip, Op&& op);
+  /// Processes one scan with state_mu held: guard + tracker, counters
+  /// and the latency sample (measured from `submitted_at`).
+  IngestResult process_scan(Shard& shard, roadnet::TripId trip,
+                            const rf::WifiScan& scan, std::uint64_t seq,
+                            Clock::time_point submitted_at);
   void harvest(Shard& shard, roadnet::TripId trip_id, TripRuntime& trip,
                std::uint64_t seq);
   /// Records one span event when tracing is wired and enabled.
@@ -242,12 +239,9 @@ class IngestEngine {
     if (hooks_.tracer != nullptr)
       hooks_.tracer->record({seq, trip.value(), stage, t});
   }
-  /// Routes a job to its shard and waits for completion (threaded) or
-  /// runs it inline (serial). Rethrows slot errors.
-  void run_sync(Job job);
-  /// Enqueues one job under an already-held sequencing lock. Returns
-  /// false when the queue is full and block_on_full is off.
-  bool enqueue(Shard& shard, Job&& job);
+  /// Enqueues one scan under the already-held sequencing lock, blocking
+  /// while the shard's queue is full.
+  void enqueue(Shard& shard, Job&& job);
 
   MobilityFilterParams filter_params_;
   IngestGuardParams guard_params_;
@@ -257,7 +251,6 @@ class IngestEngine {
   GuardMetrics guard_metrics_;
   obs::Counter* m_enqueued_ = nullptr;    ///< engine.enqueued (scans)
   obs::Counter* m_processed_ = nullptr;   ///< engine.processed (scans)
-  obs::Counter* m_backpressure_ = nullptr;  ///< engine.rejected_backpressure
   obs::Counter* m_observations_ = nullptr;  ///< engine.observations
   obs::HistogramMetric* m_queue_depth_ = nullptr;  ///< engine.queue_depth
   obs::HistogramMetric* m_latency_us_ = nullptr;   ///< engine.latency_us

@@ -71,9 +71,6 @@ struct PersistenceConfig {
   /// Journal size that forces a checkpoint regardless of the interval.
   std::uint64_t journal_trigger_bytes = 4ull << 20;
   journal::FsyncPolicy fsync = journal::FsyncPolicy::on_checkpoint;
-  /// Recover automatically in the WiLocatorServer constructor when the
-  /// directory already holds state.
-  bool recover_on_start = true;
   /// Test-only crash injection (see sim::CrashInjector); invoked at
   /// named sites inside the journal/snapshot writers.
   journal::FailureHook failure_hook;

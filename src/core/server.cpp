@@ -186,7 +186,7 @@ void WiLocatorServer::init_persistence() {
   if (!config_.persist.enabled()) return;
   persist_ = std::make_unique<StatePersistence>(config_.persist);
   persist_->set_metrics(persist_metrics_);
-  if (config_.persist.recover_on_start) recover_state();
+  recover_state();
 }
 
 void WiLocatorServer::recover_state() {

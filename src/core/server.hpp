@@ -12,12 +12,13 @@
 // Scan processing is delegated to a sharded IngestEngine. With the
 // default config (engine.workers == 0) every call runs inline on the
 // caller thread — the serial pipeline, byte-identical to the historical
-// single-threaded server. With engine.workers >= 1 scans are processed
-// by a worker pool (trips hash to shards; per-trip order is preserved)
-// and ingest_batch() becomes the high-throughput entry point. Queries
-// are safe from one control thread concurrent with the workers; after
-// drain() the state is identical to the serial run of the same
-// submission sequence.
+// single-threaded server. With engine.workers >= 1 the scans of
+// ingest_batch() are processed by a worker pool (trips hash to shards;
+// per-trip order is preserved); trip control (begin/flush/end) and the
+// single-scan ingest() still run inline, after the trip's shard has
+// drained. Queries are safe from one control thread concurrent with the
+// workers; after drain() the state is identical to the serial run of
+// the same submission sequence.
 #pragma once
 
 #include <atomic>
@@ -113,15 +114,14 @@ class WiLocatorServer {
   /// observations into the recent store. Never throws on malformed
   /// scans, unknown trips, closed trips, or out-of-order input — the
   /// outcome is reported in the IngestResult and in the health counters.
-  /// In threaded mode the call waits for the scan to be processed (it is
-  /// ordered after everything already queued on the trip's shard).
+  /// In threaded mode the call first waits for the trip's shard to drain
+  /// (it is ordered after everything already queued there).
   IngestResult ingest(roadnet::TripId trip, const rf::WifiScan& scan);
 
   /// High-throughput entry point: enqueues a batch of scans across the
-  /// engine's shards and returns without waiting for processing. Per-
-  /// scan outcomes land in the IngestStats; the batch result reports
-  /// backpressure drops (only possible when engine.block_on_full is
-  /// false). In serial mode the batch is processed inline.
+  /// engine's shards and returns without waiting for processing (a full
+  /// shard queue blocks; no scan is dropped). Per-scan outcomes land in
+  /// the IngestStats. In serial mode the batch is processed inline.
   BatchIngestResult ingest_batch(std::span<const ScanSubmission> batch);
 
   /// Blocks until every submitted scan has been processed. After this,
@@ -168,9 +168,9 @@ class WiLocatorServer {
 
   /// The current materialized read-path snapshot (see ArrivalTable):
   /// pre-encoded arrival + traffic-map answers, refreshed by the
-  /// control side whenever learned state or positions move. Lock-free
-  /// (one atomic load) — safe from any thread, nullptr before the
-  /// first post-finalize refresh.
+  /// control side whenever learned state or positions move. Safe from
+  /// any thread without the service lock (one short pointer-copy
+  /// critical section); nullptr before the first post-finalize refresh.
   std::shared_ptr<const ArrivalSnapshot> arrival_snapshot() const {
     return arrival_table_.snapshot();
   }
@@ -347,7 +347,7 @@ class WiLocatorServer {
   /// Computes the all-routes edge union and hands it to the arrival
   /// table (after route adoption, both constructors).
   void init_arrival_table();
-  /// Opens the state directory and (when recover_on_start) replays it.
+  /// Opens the state directory and replays whatever state it holds.
   void init_persistence();
   /// Applies snapshot + post-watermark journal records; sets recovered_.
   void recover_state();

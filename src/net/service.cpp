@@ -99,11 +99,13 @@ void WiLocatorService::stop() noexcept {
   // drain below.
   if (http_ != nullptr) http_->stop();
   try {
-    std::lock_guard<std::mutex> lock(mu_);
-    server_.drain();
-    server_.set_inline_checkpoints(true);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      server_.drain();
+      server_.set_inline_checkpoints(true);
+    }
     const core::StatePersistence* persist = server_.persistence();
-    if (persist != nullptr && !persist->poisoned()) server_.checkpoint();
+    if (persist != nullptr && !persist->poisoned()) checkpoint();
   } catch (...) {
     // Shutdown is best-effort; a poisoned journal already counted the
     // failure in persist.* metrics.
@@ -111,6 +113,11 @@ void WiLocatorService::stop() noexcept {
   // Ordered after the drain: the final reporter line sees every counter.
   if (options_.reporter != nullptr) options_.reporter->flush_final();
   set_ready(false);
+}
+
+void WiLocatorService::checkpoint() {
+  std::lock_guard<std::mutex> lock(mu_);
+  server_.checkpoint();
 }
 
 void WiLocatorService::checkpoint_loop() {
@@ -197,8 +204,7 @@ HttpResponse WiLocatorService::handle_scans(const HttpRequest& request) {
   if (scans_posted_ != nullptr) scans_posted_->inc(result.submitted);
   std::ostringstream out;
   out << "{\"submitted\":" << result.submitted
-      << ",\"enqueued\":" << result.enqueued
-      << ",\"rejected_backpressure\":" << result.rejected_backpressure << "}";
+      << ",\"enqueued\":" << result.enqueued << "}";
   return HttpResponse::json(200, out.str());
 }
 
@@ -256,7 +262,7 @@ HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
     return error_json(400, "need \"trip\" or \"route\"");
   }
 
-  // Zero-lock fast path: the materialized snapshot.
+  // Fast path without the service lock: the materialized snapshot.
   const bool pinned_now = request.param("now").has_value();
   if (auto fast = arrival_from_snapshot(trip_key, route_key, stop,
                                         pinned_now))

@@ -17,7 +17,8 @@
 //   1. snapshot: GET /v1/arrival and /v1/traffic-map without an
 //      explicit `now` are served straight from the server's
 //      materialized ArrivalSnapshot — pre-encoded bytes behind one
-//      atomic load, zero mutex acquisitions (X-Cache: hit, X-Epoch).
+//      shared-pointer copy; the service mutex is never taken (X-Cache:
+//      hit, X-Epoch).
 //   2. slow path: requests that pin `now`, or that the snapshot cannot
 //      answer, compute under the service mutex (http.read_slow_path
 //      counts the unpinned ones). Overload never reaches it: the HTTP
@@ -123,6 +124,12 @@ class WiLocatorService {
   }
   bool running() const { return http_ != nullptr && http_->running(); }
 
+  /// Checkpoints the server now, under the service mutex, so it never
+  /// races a handler or a replication tail reading the same state.
+  /// stop() takes its final checkpoint through here. Requires
+  /// persistence to be enabled.
+  void checkpoint();
+
   /// Checkpoints committed by the background thread since start().
   std::uint64_t background_checkpoints() const {
     return checkpoints_.load(std::memory_order_relaxed);
@@ -176,7 +183,8 @@ class WiLocatorService {
   void checkpoint_loop();
   double default_now() const;
 
-  /// Lock-free fast path: serve from the materialized snapshot. Only
+  /// Fast path without the service lock: serve from the materialized
+  /// snapshot (ArrivalTable::snapshot copies the pointer). Only
   /// requests without an explicit `now` are eligible (a pinned now
   /// asks for computation at that instant, which only the slow path
   /// honors). nullopt = snapshot miss, take the locked slow path.
@@ -185,7 +193,7 @@ class WiLocatorService {
       std::optional<roadnet::RouteId> route, std::size_t stop,
       bool pinned_now);
   std::optional<HttpResponse> traffic_from_snapshot(bool pinned_now);
-  /// Stamps the zero-lock response headers + hit metrics.
+  /// Stamps the snapshot response headers + hit metrics.
   HttpResponse snapshot_reply(const std::string& body, std::uint64_t epoch,
                               double built_wall_s);
 

@@ -206,7 +206,7 @@ TEST(Replication, TailsApplyIdempotentlyAcrossGapsAndPeerDeath) {
   EXPECT_EQ(dups_b.value(), live1);
 
   // -- phase 3: A compacts mid-stream, then learns more ----------------
-  a.server.checkpoint();
+  service_a.checkpoint();
   ASSERT_EQ(a.server.persistence()->compacted_through(),
             compacted0 + live1);
   post_live_trip(service_a, a.server, city, traffic, 501, 99);

@@ -1,12 +1,13 @@
 // Unit coverage for the sharded concurrent ingest engine: serial
-// equivalence, batched submission, backpressure, queue-ordered trip
-// lifecycle, and orphan accounting.
+// equivalence, batched submission, blocking backpressure, the inline
+// trip lifecycle's ordering against queued scans, and orphan accounting.
 #include "core/ingest_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -80,12 +81,10 @@ struct Workload {
 };
 
 ServerConfig engine_config(std::size_t workers,
-                           std::size_t queue_capacity = 256,
-                           bool block_on_full = true) {
+                           std::size_t queue_capacity = 256) {
   ServerConfig config;
   config.engine.workers = workers;
   config.engine.queue_capacity = queue_capacity;
-  config.engine.block_on_full = block_on_full;
   return config;
 }
 
@@ -106,7 +105,7 @@ TEST(IngestEngine, BatchOnSerialEngineMatchesPerScanIngest) {
   by_batch.begin_trip(TripId(1), w.city.route_a().id());
   by_batch.begin_trip(TripId(2), w.city.route_b().id());
   const auto result = by_batch.ingest_batch(submissions);
-  EXPECT_TRUE(result.complete());
+  EXPECT_EQ(result.submitted, submissions.size());
   EXPECT_EQ(result.enqueued, submissions.size());
 
   for (const TripId trip : {TripId(1), TripId(2)}) {
@@ -142,7 +141,7 @@ TEST(IngestEngine, ThreadedMatchesSerialAfterDrain) {
   std::span<const ScanSubmission> rest(submissions);
   while (!rest.empty()) {
     const std::size_t n = std::min<std::size_t>(7, rest.size());
-    EXPECT_TRUE(threaded.ingest_batch(rest.first(n)).complete());
+    EXPECT_EQ(threaded.ingest_batch(rest.first(n)).enqueued, n);
     rest = rest.subspan(n);
   }
   threaded.drain();
@@ -184,80 +183,119 @@ TEST(IngestEngine, SyncIngestOnThreadedEngineReturnsPerScanResults) {
   }
 }
 
-TEST(IngestEngine, BackpressureRejectsOverflowWithoutLosingAccounting) {
-  const Workload w(0.0);
-  WiLocatorServer server({&w.city.route_a()}, w.city.ap_snapshot(),
-                         w.city.model, DaySlots::paper_five_slots(),
-                         engine_config(1, /*queue_capacity=*/2,
-                                       /*block_on_full=*/false));
-  server.begin_trip(TripId(1), w.city.route_a().id());
-  // A poison scan whose sanitization (millions of duplicate readings)
-  // pins the single worker for tens of milliseconds, so the burst behind
-  // it meets a full 2-slot queue even on a one-CPU machine where the
-  // worker otherwise drains the queue between every two pushes.
-  rf::WifiScan poison;
-  poison.time = 1.0;
-  poison.readings.assign(4'000'000, {rf::ApId(0), -50.0});
-  std::vector<ScanSubmission> batch;
-  batch.push_back({TripId(1), poison});
-  for (const auto& report : w.trip_a)
-    batch.push_back({TripId(1), report.scan});
-
-  std::uint64_t rejected = 0;
-  std::uint64_t enqueued = 0;
-  for (int attempt = 0; attempt < 5 && rejected == 0; ++attempt) {
-    const BatchIngestResult result = server.ingest_batch(batch);
-    EXPECT_EQ(result.submitted, batch.size());
-    EXPECT_EQ(result.enqueued + result.rejected_backpressure, batch.size());
-    rejected += result.rejected_backpressure;
-    enqueued += result.enqueued;
-    server.drain();
-  }
-  EXPECT_GT(rejected, 0u);
-  // Scans bounced at the queue never reached a guard; the ones that got
-  // through are fully accounted.
-  const IngestStats stats = server.ingest_stats();
-  EXPECT_EQ(stats.submitted, enqueued);
-  EXPECT_TRUE(stats.accounted());
-}
-
 TEST(IngestEngine, BlockingBackpressureIsLossless) {
   const Workload w(0.0);
   WiLocatorServer server({&w.city.route_a()}, w.city.ap_snapshot(),
                          w.city.model, DaySlots::paper_five_slots(),
-                         engine_config(1, /*queue_capacity=*/1,
-                                       /*block_on_full=*/true));
+                         engine_config(1, /*queue_capacity=*/1));
   server.begin_trip(TripId(1), w.city.route_a().id());
   std::vector<ScanSubmission> batch;
   for (const auto& report : w.trip_a)
     batch.push_back({TripId(1), report.scan});
   const BatchIngestResult result = server.ingest_batch(batch);
-  EXPECT_TRUE(result.complete());
+  EXPECT_EQ(result.enqueued, batch.size());
   server.drain();
   EXPECT_EQ(server.ingest_stats().submitted, batch.size());
 }
 
-TEST(IngestEngine, EndTripIsOrderedAfterQueuedScans) {
-  const Workload w(0.0);
-  WiLocatorServer server({&w.city.route_a()}, w.city.ap_snapshot(),
-                         w.city.model, DaySlots::paper_five_slots(),
-                         engine_config(2));
+/// Every trip-control ordering against queued scans, on one server:
+/// flush_trip and end_trip after a trip's queued scans, and begin_trip
+/// after scans queued for a trip it has not yet registered. Each batch
+/// opens with a poison scan (hundreds of thousands of duplicate readings
+/// to sanitize) that pins the shard's worker, so every control op is
+/// issued while scans are still queued behind it.
+struct OrderingRun {
+  IngestStats after_flush;     ///< trip 1, right after flush_trip
+  IngestStats trip2_at_begin;  ///< trip 2, right after begin_trip
+  IngestStats after_end;       ///< trip 1, right after end_trip
+  IngestResult late;           ///< a trip-1 scan after end_trip
+  /// Server-wide unknown_trip rejections right after begin_trip(2).
+  std::uint64_t unknown_at_begin = 0;
+  std::size_t first_half = 0;  ///< trip-1 submissions before the flush
+  std::size_t trip1_total = 0;
+  std::size_t queued_for_2 = 0;
+};
+
+OrderingRun run_control_ordering(const Workload& w, std::size_t workers) {
+  WiLocatorServer server({&w.city.route_a(), &w.city.route_b()},
+                         w.city.ap_snapshot(), w.city.model,
+                         DaySlots::paper_five_slots(), engine_config(workers));
+  rf::WifiScan poison;
+  poison.time = 1.0;
+  poison.readings.assign(300'000, {rf::ApId(0), -50.0});
+  // Repeats the scan range until more scans queue behind the poison
+  // than a worker drains per state-lock acquisition (128); the repeats
+  // are rejected as duplicate or stale, identically in every mode.
+  const auto with_poison = [&](TripId trip,
+                               const std::vector<sim::ScanReport>& scans,
+                               std::size_t from, std::size_t to) {
+    std::vector<ScanSubmission> batch{{TripId(1), poison}};
+    while (batch.size() <= 256)
+      for (std::size_t i = from; i < to; ++i)
+        batch.push_back({trip, scans[i].scan});
+    return batch;
+  };
+  OrderingRun run;
   server.begin_trip(TripId(1), w.city.route_a().id());
-  std::vector<ScanSubmission> batch;
-  for (const auto& report : w.trip_a)
-    batch.push_back({TripId(1), report.scan});
-  ASSERT_TRUE(server.ingest_batch(batch).complete());
-  // end_trip rides the same shard queue: every scan above is processed
-  // (while the trip is still open) before the close lands.
+  const std::size_t half = w.trip_a.size() / 2;
+
+  const auto first = with_poison(TripId(1), w.trip_a, 0, half);
+  EXPECT_EQ(server.ingest_batch(first).enqueued, first.size());
+  server.flush_trip(TripId(1));
+  run.after_flush = server.trip_ingest_stats(TripId(1));
+  run.first_half = first.size();
+
+  const auto early = with_poison(TripId(2), w.trip_b, 0, w.trip_b.size());
+  EXPECT_EQ(server.ingest_batch(early).enqueued, early.size());
+  server.begin_trip(TripId(2), w.city.route_b().id());
+  // Server-wide: trip 2's scans are all that can be unknown_trip. (The
+  // rest of the aggregate may still move: trip 1's shard is not drained.)
+  run.unknown_at_begin =
+      server.ingest_stats().rejected(RejectReason::unknown_trip);
+  run.trip2_at_begin = server.trip_ingest_stats(TripId(2));
+  run.queued_for_2 = early.size() - 1;
+
+  const auto rest = with_poison(TripId(1), w.trip_a, half, w.trip_a.size());
+  EXPECT_EQ(server.ingest_batch(rest).enqueued, rest.size());
   server.end_trip(TripId(1));
-  const IngestStats stats = server.trip_ingest_stats(TripId(1));
-  EXPECT_EQ(stats.submitted, batch.size());
-  EXPECT_EQ(stats.rejected(RejectReason::closed_trip), 0u);
-  EXPECT_EQ(stats.deferred, 0u);
-  // A scan after the close is rejected as closed_trip.
-  const IngestResult late = server.ingest(TripId(1), w.trip_a[0].scan);
-  EXPECT_EQ(late.status, IngestStatus::rejected);
-  EXPECT_EQ(late.reason, RejectReason::closed_trip);
+  run.after_end = server.trip_ingest_stats(TripId(1));
+  run.trip1_total = first.size() + 1 + rest.size();
+  run.late = server.ingest(TripId(1), w.trip_a[0].scan);
+  return run;
+}
+
+TEST(IngestEngine, EndTripIsOrderedAfterQueuedScans) {
+  // Trip control runs inline only after the trip's shard drains, so
+  // every op lands exactly where the serial call sequence puts it.
+  const Workload w(0.0);
+  const OrderingRun serial = run_control_ordering(w, 0);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const OrderingRun run = run_control_ordering(w, workers);
+
+    // flush_trip after queued scans: every one reached the guard and
+    // the reorder buffer is empty.
+    EXPECT_EQ(run.after_flush.submitted, run.first_half);
+    EXPECT_EQ(run.after_flush.deferred, 0u);
+    expect_same_stats(run.after_flush, serial.after_flush);
+
+    // Scans queued for a trip before its begin_trip are rejected
+    // unknown_trip, and the new trip starts with nothing submitted.
+    EXPECT_EQ(run.unknown_at_begin, run.queued_for_2);
+    EXPECT_EQ(serial.unknown_at_begin, run.queued_for_2);
+    EXPECT_EQ(run.trip2_at_begin.submitted, 0u);
+
+    // end_trip after queued scans: every scan above is processed (while
+    // the trip is still open) before the close lands.
+    EXPECT_EQ(run.after_end.submitted, run.trip1_total);
+    EXPECT_EQ(run.after_end.rejected(RejectReason::closed_trip), 0u);
+    EXPECT_EQ(run.after_end.deferred, 0u);
+    expect_same_stats(run.after_end, serial.after_end);
+
+    // A scan after the close is rejected as closed_trip.
+    EXPECT_EQ(run.late.status, IngestStatus::rejected);
+    EXPECT_EQ(run.late.reason, RejectReason::closed_trip);
+  }
 }
 
 TEST(IngestEngine, BatchedOrphansLandInAggregateStats) {
@@ -269,14 +307,14 @@ TEST(IngestEngine, BatchedOrphansLandInAggregateStats) {
   std::vector<ScanSubmission> batch;
   for (std::size_t i = 0; i < 5; ++i)
     batch.push_back({TripId(777), w.trip_a[i % w.trip_a.size()].scan});
-  ASSERT_TRUE(server.ingest_batch(batch).complete());
+  ASSERT_EQ(server.ingest_batch(batch).enqueued, batch.size());
   server.drain();
   const IngestStats stats = server.ingest_stats();
   EXPECT_EQ(stats.rejected(RejectReason::unknown_trip), 5u);
   EXPECT_TRUE(stats.accounted());
 }
 
-TEST(IngestEngine, LifecycleErrorsSurfaceThroughTheQueue) {
+TEST(IngestEngine, LifecycleErrorsThrowFromTheInlinePath) {
   const Workload w(0.0);
   WiLocatorServer server({&w.city.route_a()}, w.city.ap_snapshot(),
                          w.city.model, DaySlots::paper_five_slots(),
@@ -347,7 +385,7 @@ TEST(IngestEngine, BatchedWorkerDrainMatchesOneAtATime) {
   }
   for (const auto& sub : submissions) serial.ingest(sub.trip, sub.scan);
   for (auto* server : {&unbatched, &wide}) {
-    EXPECT_TRUE(server->ingest_batch(submissions).complete());
+    EXPECT_EQ(server->ingest_batch(submissions).enqueued, submissions.size());
     server->drain();
   }
 

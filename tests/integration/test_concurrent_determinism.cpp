@@ -115,8 +115,9 @@ void apply_serial(WiLocatorServer& server, const ChaosScript& script) {
 }
 
 /// Plays the script through ingest_batch: contiguous scan runs become
-/// batches; begin/end ride the shard queues as sync jobs, so submission
-/// order equals the script order even though processing is concurrent.
+/// batches; begin/end run inline after their trip's shard drains, so
+/// submission order equals the script order even though processing is
+/// concurrent.
 void apply_batched(WiLocatorServer& server, const ChaosScript& script,
                    std::size_t batch_size) {
   std::vector<ScanSubmission> pending;
@@ -124,7 +125,7 @@ void apply_batched(WiLocatorServer& server, const ChaosScript& script,
     std::span<const ScanSubmission> rest(pending);
     while (!rest.empty()) {
       const std::size_t n = std::min(batch_size, rest.size());
-      ASSERT_TRUE(server.ingest_batch(rest.first(n)).complete());
+      ASSERT_EQ(server.ingest_batch(rest.first(n)).enqueued, n);
       rest = rest.subspan(n);
     }
     pending.clear();

@@ -1,10 +1,10 @@
-// The lock-free rider read path over HTTP (DESIGN.md §13): snapshot
+// The rider read path over HTTP (DESIGN.md §13): snapshot
 // fast-path hits with X-Cache/X-Epoch, byte parity with the pinned-now
 // slow path (trip- and route-level), epoch advancement as ingest
 // changes remaining segments, forced degraded mode (snapshot hit or
 // 503), route-level reads of trips begun on the server directly, and
-// the zero-lock guarantee under a concurrent ingest + read load (runs
-// under TSan in CI via the Http* regex).
+// that rider reads never take the service lock under a concurrent
+// ingest + read load (runs under TSan in CI via the Http* regex).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,7 +108,8 @@ TEST(HttpReadPath, SnapshotServesRiderReadsWithoutLocks) {
   ASSERT_FALSE(reports.empty());
   post_scans(service, reports, 0, reports.size());
 
-  // Trip-level rider poll: pre-encoded bytes, no locks, tagged headers.
+  // Trip-level rider poll: pre-encoded bytes, no service lock, tagged
+  // headers.
   const HttpResponse hit = service.handle(arrival_get("trip", "5", "3"));
   ASSERT_EQ(hit.status, 200) << hit.body;
   ASSERT_EQ(hit.headers.count("X-Cache"), 1u);
@@ -356,7 +357,7 @@ TEST(HttpReadPath, CoalescedRefreshStaysPendingUntilFlushed) {
   EXPECT_EQ(end.counter("arrival_cache.rebuilds"), 2u);
 }
 
-TEST(HttpReadPath, ConcurrentIngestAndReadsStayLockFree) {
+TEST(HttpReadPath, ConcurrentIngestAndReadsStayOffTheServiceLock) {
   ReadPathFixture f;
   f.train();
   WiLocatorService service(f.server);
@@ -405,8 +406,8 @@ TEST(HttpReadPath, ConcurrentIngestAndReadsStayLockFree) {
 
   EXPECT_EQ(reads.load(), 2 * kReadsPerThread);
   EXPECT_EQ(failures.load(), 0u);
-  // Every read was a snapshot hit: zero lock acquisitions, zero
-  // slow-path trips on the rider path.
+  // Every read was a snapshot hit: the service lock was never taken and
+  // no rider read reached the slow path.
   EXPECT_EQ(hits.load(), reads.load());
   EXPECT_EQ(f.server.metrics_snapshot().counter("http.read_slow_path"), 0u);
 }
