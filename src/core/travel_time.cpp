@@ -1,6 +1,8 @@
 #include "core/travel_time.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <tuple>
 
 #include "util/contracts.hpp"
 #include "util/hashing.hpp"
@@ -171,15 +173,34 @@ TravelObservation decode_observation(BinReader& r) {
 
 namespace {
 constexpr std::uint8_t kStoreFormatVersion = 1;
+
+/// The entries of `map` in ascending key order, so snapshot bytes depend
+/// only on the learned state and not on the hash map's insertion history.
+template <typename Map, typename Less = std::less<>>
+std::vector<const typename Map::value_type*> sorted_by_key(const Map& map,
+                                                          Less less = {}) {
+  std::vector<const typename Map::value_type*> entries;
+  entries.reserve(map.size());
+  for (const auto& entry : map) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(), [&](const auto* a, const auto* b) {
+    return less(a->first, b->first);
+  });
+  return entries;
 }
+}  // namespace
 
 void TravelTimeStore::save(BinWriter& w) const {
   w.put_u8(kStoreFormatVersion);
   slots_.encode(w);
   w.put_u8(finalized_ ? 1 : 0);
 
+  const auto cell_less = [](const CellKey& a, const CellKey& b) {
+    return std::tie(a.edge, a.route, a.slot) <
+           std::tie(b.edge, b.route, b.slot);
+  };
   w.put_u64(history_.size());
-  for (const auto& [key, stats] : history_) {
+  for (const auto* entry : sorted_by_key(history_, cell_less)) {
+    const auto& [key, stats] = *entry;
     w.put_u32(key.edge);
     w.put_u32(key.route);
     w.put_u32(key.slot);
@@ -187,15 +208,15 @@ void TravelTimeStore::save(BinWriter& w) const {
   }
 
   w.put_u64(edge_slot_.size());
-  for (const auto& [key, stats] : edge_slot_) {
-    w.put_u64(key);
-    encode_stats(w, stats);
+  for (const auto* entry : sorted_by_key(edge_slot_)) {
+    w.put_u64(entry->first);
+    encode_stats(w, entry->second);
   }
 
   w.put_u64(residuals_.size());
-  for (const auto& [key, stats] : residuals_) {
-    w.put_u64(key);
-    encode_stats(w, stats);
+  for (const auto* entry : sorted_by_key(residuals_)) {
+    w.put_u64(entry->first);
+    encode_stats(w, entry->second);
   }
 
   w.put_u64(raw_history_.size());
@@ -203,7 +224,8 @@ void TravelTimeStore::save(BinWriter& w) const {
     encode_observation(w, obs);
 
   w.put_u64(recent_.size());
-  for (const auto& [edge, ring] : recent_) {
+  for (const auto* entry : sorted_by_key(recent_)) {
+    const auto& [edge, ring] = *entry;
     w.put_u32(edge.value());
     w.put_u64(ring.size());
     for (const TravelObservation& obs : ring) encode_observation(w, obs);

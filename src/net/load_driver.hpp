@@ -6,8 +6,8 @@
 // while still exercising concurrent connections. Each connection POSTs
 // fixed-size /v1/scans batches and periodically interleaves GET
 // /v1/arrival probes, and the report classifies every answer by fault
-// class. Used by the network chaos tests and `examples/chaos` to drive
-// the service through overload and a fault-injecting proxy.
+// class. Used by the network chaos tests to drive the service through
+// overload and a fault-injecting proxy.
 #pragma once
 
 #include <cstdint>

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "../helpers.hpp"
 #include "cluster/membership.hpp"
 #include "cluster/ring.hpp"
 #include "common.hpp"
@@ -31,29 +32,7 @@
 namespace wiloc::cluster {
 namespace {
 
-class TempDir {
- public:
-  TempDir() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wiloc_cluster_e2e_" + std::to_string(counter_++) + "_" +
-            std::to_string(::getpid()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string sub(const std::string& name) const {
-    const auto p = dir_ / name;
-    std::filesystem::create_directories(p);
-    return p.string();
-  }
-
- private:
-  static inline int counter_ = 0;
-  std::filesystem::path dir_;
-};
+using wiloc::testing::TempDir;
 
 bool wait_until(const std::function<bool()>& pred, double timeout_s = 20.0) {
   const auto deadline =
@@ -233,7 +212,7 @@ TEST(ClusterE2E, KillMinusNineOwnerFailsOverThenRecoversAndRejoins) {
   // name already-started nodes: n1 tails n0, n2 tails n0 and n1. (The
   // restarted victim later gets the full peer list.) Snapshot interval
   // is pushed out so live recents stay in the tailable journal.
-  TempDir tmp;
+  TempDir tmp("wiloc_cluster_e2e");
   std::vector<std::unique_ptr<Proc>> nodes;
   std::vector<NodeInfo> infos;
   for (int i = 0; i < 3; ++i) {

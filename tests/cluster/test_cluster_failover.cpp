@@ -8,10 +8,8 @@
 #include "cluster/router.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -29,31 +27,9 @@
 namespace wiloc::cluster {
 namespace {
 
+using wiloc::testing::TempDir;
+
 using roadnet::TripId;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wiloc_failover_test_" + std::to_string(counter_++) + "_" +
-            std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string path() const { return dir_.string(); }
-  std::string sub(const std::string& name) const {
-    const auto p = dir_ / name;
-    std::filesystem::create_directories(p);
-    return p.string();
-  }
-
- private:
-  static inline int counter_ = 0;
-  std::filesystem::path dir_;
-};
 
 bool wait_until(const std::function<bool()>& pred, double timeout_s = 20.0) {
   const auto deadline =
@@ -169,7 +145,7 @@ TEST(ClusterFailover, RouterHandleIsThreadSafeWhileServing) {
   // reconcile and the placement cache must stay coherent.
   wiloc::testing::MiniCity city;
   sim::TrafficModel traffic{41};
-  TempDir tmp;
+  TempDir tmp("wiloc_failover_test");
 
   std::vector<std::unique_ptr<Node>> nodes;
   for (int i = 0; i < 2; ++i) {
@@ -277,7 +253,7 @@ TEST(ClusterFailover, RouterHandleIsThreadSafeWhileServing) {
 TEST(ClusterFailover, KillOneNodeMidLoadLosesNoAckedScans) {
   wiloc::testing::MiniCity city;
   sim::TrafficModel traffic{31};
-  TempDir tmp;
+  TempDir tmp("wiloc_failover_test");
 
   // Three persisted nodes in a full replication mesh, fronted by one
   // router with fast probes — the whole tentpole topology in-process.
@@ -428,7 +404,7 @@ TEST(ClusterFailover, KillOneNodeMidLoadLosesNoAckedScans) {
 TEST(ClusterFailover, ChaoticLinkToOneNodeStillAcksEverything) {
   wiloc::testing::MiniCity city;
   sim::TrafficModel traffic{31};
-  TempDir tmp;
+  TempDir tmp("wiloc_failover_test");
 
   std::vector<std::unique_ptr<Node>> nodes;
   for (int i = 0; i < 2; ++i) {

@@ -2,18 +2,19 @@
 // pulls node A's live recents into node B, applies them idempotently
 // (a second tailer re-tailing from zero only produces duplicates),
 // records compaction gaps, keeps going across mid-stream checkpoints,
-// and reports an unreachable peer through /readyz.
+// and reports an unreachable peer through /readyz. A peer fed the shared
+// chaos schedule through tailed pages ends byte-identical to the serial
+// run, and mutated pages never throw or plant a foreign record.
 #include "cluster/replication.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <thread>
 
+#include "../chaos_schedule.hpp"
 #include "../helpers.hpp"
 #include "net/load_driver.hpp"
 #include "net/service.hpp"
@@ -23,25 +24,6 @@ namespace wiloc::cluster {
 namespace {
 
 using roadnet::TripId;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wiloc_repl_test_" + std::to_string(counter_++) + "_" +
-            std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string path() const { return dir_.string(); }
-
- private:
-  static inline int counter_ = 0;
-  std::filesystem::path dir_;
-};
 
 bool wait_until(const std::function<bool()>& pred, double timeout_s = 20.0) {
   const auto deadline =
@@ -124,7 +106,7 @@ void post_live_trip(net::WiLocatorService& service,
 TEST(Replication, TailsApplyIdempotentlyAcrossGapsAndPeerDeath) {
   wiloc::testing::MiniCity city;
   sim::TrafficModel traffic{31};
-  TempDir dir_a;
+  wiloc::testing::TempDir dir_a("wiloc_repl_test");
 
   // Node A persists (so it is tailable); intervals are pushed out so the
   // only compactions are the ones this test forces explicitly.
@@ -250,6 +232,164 @@ TEST(Replication, TailsApplyIdempotentlyAcrossGapsAndPeerDeath) {
   tailer2.stop();
   service_a.stop();
   service_b.stop();
+}
+
+/// The origin of the schedule-driven arms: it persists (so it is
+/// tailable) with its checkpoint triggers pushed out, so the only
+/// compaction is the one finalize_history takes and a tailer never meets
+/// a gap (gaps are TailsApplyIdempotentlyAcrossGapsAndPeerDeath's job).
+std::unique_ptr<core::WiLocatorServer> make_origin(
+    const wiloc::testing::ChaosSchedule& schedule, const std::string& dir) {
+  core::ServerConfig config;
+  config.persist.dir = dir;
+  config.persist.snapshot_interval_s = 1e9;
+  config.persist.journal_trigger_bytes = 1ull << 40;
+  config.persist.fsync = journal::FsyncPolicy::never;  // test speed
+  auto origin = schedule.make_server(config);
+  schedule.train(*origin);
+  return origin;
+}
+
+TEST(Replication, PeerEndsByteIdenticalToSerialOnChaosSchedule) {
+  for (const std::uint64_t seed : wiloc::testing::kChaosSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const wiloc::testing::ChaosSchedule schedule(seed, 10000);
+    const auto expected = wiloc::testing::store_bytes(
+        *wiloc::testing::serial_reference(schedule));
+
+    wiloc::testing::TempDir dir("wiloc_repl_test");
+    auto origin = make_origin(schedule, dir.path());
+    const std::uint64_t compacted =
+        origin->persistence()->compacted_through();
+    // Same training on the peer, so replicated recents are the delta.
+    auto peer = schedule.make_server();
+    schedule.train(*peer);
+    net::WiLocatorService peer_service(*peer);
+
+    // Tails page after page from `after` until caught up, as the
+    // replication tailer does; returns the new watermark.
+    std::uint64_t applied = 0;
+    const auto tail_from = [&](std::uint64_t after) {
+      for (;;) {
+        const auto page = origin->tail_journal(after, schedule.page_bytes);
+        if (page.records == 0) return after;
+        const auto result = peer_service.apply_replication_frames(page.frames);
+        EXPECT_EQ(result.records, page.records);
+        EXPECT_EQ(result.last_seq, page.last_seq);
+        applied += result.applied;
+        after = page.last_seq;
+        if (!page.truncated) return after;
+      }
+    };
+
+    std::uint64_t watermark = compacted;
+    const std::size_t overlap_round = schedule.rounds.size() / 2;
+    for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
+      wiloc::testing::apply_serial(*origin, schedule.rounds[r]);
+      if (r != overlap_round) {
+        watermark = tail_from(watermark);
+        continue;
+      }
+      // One overlapping re-tail, from halfway back: the records already
+      // held come back as duplicates, only this round's are applied.
+      const std::uint64_t rewind = compacted + (watermark - compacted) / 2;
+      const std::uint64_t applied_before = applied;
+      const std::uint64_t head = tail_from(rewind);
+      EXPECT_EQ(applied - applied_before, head - watermark);
+      EXPECT_EQ(peer->metrics_snapshot().counter(
+                    "server.replicated_duplicates"),
+                watermark - rewind);
+      watermark = head;
+    }
+
+    EXPECT_EQ(origin->persistence()->compacted_through(), compacted)
+        << "an origin checkpoint fired during the run";
+    EXPECT_EQ(watermark, origin->persistence()->last_seq());
+    EXPECT_EQ(applied, watermark - compacted);
+    EXPECT_TRUE(wiloc::testing::same_bytes(
+        wiloc::testing::store_bytes(*origin), expected));
+    EXPECT_TRUE(wiloc::testing::same_bytes(wiloc::testing::store_bytes(*peer),
+                                           expected));
+  }
+}
+
+TEST(Replication, MutatedPagesNeverThrowAndApplyOnlyOriginalRecords) {
+  const wiloc::testing::ChaosSchedule schedule(2024, 1500);
+  wiloc::testing::TempDir dir("wiloc_repl_test");
+  auto origin = make_origin(schedule, dir.path());
+  for (const auto& round : schedule.rounds)
+    wiloc::testing::apply_serial(*origin, round);
+  const auto page =
+      origin->tail_journal(origin->persistence()->compacted_through(), 4096);
+  ASSERT_GT(page.records, 8u);
+
+  // Untrained, finalized peers: whatever their stores hold came in
+  // through a page. The clean twin takes the original page once.
+  const auto make_peer = [&] {
+    auto peer = schedule.make_server();
+    peer->finalize_history();
+    return peer;
+  };
+  auto clean = make_peer();
+  net::WiLocatorService clean_service(*clean);
+  ASSERT_EQ(clean_service.apply_replication_frames(page.frames).applied,
+            page.records);
+
+  auto peer = make_peer();
+  net::WiLocatorService service(*peer);
+  Rng rng(8128);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto random_byte = [&] {
+    return static_cast<std::byte>(rng.uniform_int(0, 255));
+  };
+  std::uint64_t applied = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<std::byte> bytes = page.frames;
+    for (std::size_t edits = 1 + below(3); edits > 0 && !bytes.empty();
+         --edits) {
+      const std::size_t at = below(bytes.size());
+      const std::size_t run = 1 + below(8);
+      switch (below(5)) {
+        case 0:  // bit flip
+          bytes[at] ^= static_cast<std::byte>(1u << below(8));
+          break;
+        case 1:  // overwrite a run
+          for (std::size_t k = at; k < std::min(at + run, bytes.size()); ++k)
+            bytes[k] = random_byte();
+          break;
+        case 2:  // truncate
+          bytes.resize(at);
+          break;
+        case 3:  // insert random bytes
+          for (std::size_t k = 0; k < run; ++k)
+            bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                         random_byte());
+          break;
+        case 4: {  // splice in a copy of a slice of the page
+          const std::size_t from = below(page.frames.size());
+          const std::size_t len =
+              std::min(1 + below(64), page.frames.size() - from);
+          const auto src = page.frames.begin() +
+                           static_cast<std::ptrdiff_t>(from);
+          bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), src,
+                       src + static_cast<std::ptrdiff_t>(len));
+          break;
+        }
+      }
+    }
+    ASSERT_NO_THROW(applied += service.apply_replication_frames(bytes).applied)
+        << "mutant " << i;
+  }
+  EXPECT_GT(applied, 0u);  // mutants did reach the apply path
+
+  // Nothing foreign got in: with the original page applied on top, the
+  // fuzzed peer holds exactly what its clean twin holds.
+  service.apply_replication_frames(page.frames);
+  EXPECT_TRUE(wiloc::testing::same_bytes(
+      wiloc::testing::store_bytes(*peer), wiloc::testing::store_bytes(*clean)));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "core/persist.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -19,30 +18,11 @@
 namespace wiloc::core {
 namespace {
 
+using wiloc::testing::TempDir;
+
 using roadnet::EdgeId;
 using roadnet::RouteId;
 using roadnet::TripId;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wiloc_persist_test_" + std::to_string(counter_++) + "_" +
-            std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string path(const std::string& name = "") const {
-    return name.empty() ? dir_.string() : (dir_ / name).string();
-  }
-
- private:
-  static inline int counter_ = 0;
-  std::filesystem::path dir_;
-};
 
 TravelObservation obs_at(std::uint32_t edge, std::uint32_t route,
                          SimTime exit_time, double travel_time) {
@@ -94,6 +74,47 @@ TEST(TravelTimeStorePersist, SaveRestoreRoundTrip) {
   }
 }
 
+TEST(TravelTimeStorePersist, SaveBytesDependOnlyOnLearnedState) {
+  // The same traversals fed edge by edge in opposite edge orders (each
+  // edge's own sequence unchanged) are the same learned state, and a
+  // restored store is the state it was saved from.
+  const auto fill = [](TravelTimeStore& store, bool reverse) {
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) store.finalize_history();
+      for (int k = 0; k < 9; ++k) {
+        const auto e = static_cast<std::uint32_t>(reverse ? 8 - k : k);
+        for (int i = 0; i < 30; ++i) {
+          const auto obs =
+              obs_at(e, static_cast<std::uint32_t>(i % 3),
+                     at_day_time(pass == 0 ? i % 4 : 5, 2700.0 * i + e),
+                     30.0 + 7.0 * e + i);
+          if (pass == 0) {
+            store.add_history(obs);
+          } else {
+            store.add_recent(obs);
+          }
+        }
+      }
+    }
+  };
+  const auto save = [](const TravelTimeStore& store) {
+    BinWriter w;
+    store.save(w);
+    return w.take();
+  };
+  TravelTimeStore forward(DaySlots::paper_five_slots());
+  TravelTimeStore backward(DaySlots::paper_five_slots());
+  fill(forward, false);
+  fill(backward, true);
+  const std::vector<std::byte> bytes = save(forward);
+  EXPECT_EQ(save(backward), bytes);
+
+  TravelTimeStore restored(DaySlots::paper_five_slots());
+  BinReader r(bytes);
+  restored.restore(r);
+  EXPECT_EQ(save(restored), bytes);
+}
+
 TEST(TravelTimeStorePersist, RestoreOfUnfinalizedKeepsRawHistory) {
   TravelTimeStore store(DaySlots::uniform(4));
   store.add_history(obs_at(1, 0, hms(8), 42.0));
@@ -134,7 +155,7 @@ TEST(TravelTimeStorePersist, AddRecentDropsExactDuplicates) {
 }
 
 TEST(SeasonalPersist, SnapshotRoundTrip) {
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   SeasonalIndexAnalyzer analyzer(24);
   Rng rng(5);
   for (int i = 0; i < 500; ++i) {
@@ -179,7 +200,7 @@ TEST(PredictorFingerprint, SensitiveToOptions) {
 // -- StatePersistence ------------------------------------------------------
 
 TEST(StatePersistence, JournalRecoverRoundTrip) {
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   PersistenceConfig config;
   config.dir = tmp.path();
 
@@ -203,7 +224,7 @@ TEST(StatePersistence, JournalRecoverRoundTrip) {
 }
 
 TEST(StatePersistence, StagedFramesReachDiskAtFlushInOneWrite) {
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   PersistenceConfig config;
   config.dir = tmp.path();
   obs::Registry registry;
@@ -244,7 +265,7 @@ TEST(StatePersistence, StagedFramesReachDiskAtFlushInOneWrite) {
 }
 
 TEST(StatePersistence, CheckpointTruncatesJournal) {
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   PersistenceConfig config;
   config.dir = tmp.path();
 
@@ -267,7 +288,7 @@ TEST(StatePersistence, CheckpointTruncatesJournal) {
 TEST(StatePersistence, FailedSealPoisonsAndRefusesAppend) {
   // Regression: a failed seal left the journal writer closed, and the
   // next append dereferenced it.
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   PersistenceConfig config;
   config.dir = tmp.path();
 
@@ -286,7 +307,7 @@ TEST(StatePersistence, FailedSealPoisonsAndRefusesAppend) {
 }
 
 TEST(StatePersistence, SizeTriggerForcesCheckpoint) {
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   PersistenceConfig config;
   config.dir = tmp.path();
   config.journal_trigger_bytes = 64;  // tiny: a couple of appends
@@ -390,7 +411,7 @@ TEST(ServerPersist, OfflineLoadCheckpointsOnlyOnSize) {
   for (const std::uint64_t trigger : {std::uint64_t{1} << 30,
                                       std::uint64_t{2048}}) {
     SCOPED_TRACE(trigger);
-    TempDir tmp;
+    TempDir tmp("wiloc_persist_test");
     ServerConfig config = f.config_with(tmp.path());
     config.persist.journal_trigger_bytes = trigger;
     ASSERT_EQ(config.persist.snapshot_interval_s, 15.0 * 60.0);
@@ -418,7 +439,7 @@ TEST(ServerPersist, OfflineLoadCheckpointsOnlyOnSize) {
 
 TEST(ServerPersist, CheckpointAndRecover) {
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   const auto training = f.training_set();
 
   std::vector<std::pair<EdgeId, std::optional<double>>> expected;
@@ -451,7 +472,7 @@ TEST(ServerPersist, JournalWritesBoundedPerLoadAndOnePerPublishBatch) {
   // (one write per frame would fail here), and each publish journals
   // its whole fold batch in at most one write.
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   ServerConfig config = f.config_with(tmp.path());
   config.persist.snapshot_interval_s = 1e12;
   config.persist.journal_trigger_bytes = 1ull << 40;
@@ -522,7 +543,7 @@ struct CleanLoad {
 
 CleanLoad clean_load(PersistServerFixture& f,
                      const std::vector<TravelObservation>& training) {
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   auto server = f.make_server(f.config_with(tmp.path("state")));
   for (const auto& o : training) server->load_history(o);
   CleanLoad out;
@@ -571,7 +592,7 @@ TEST(ServerPersist, KillInsideStagedFlushKeepsFramePrefix) {
   for (const std::uint64_t kill_at :
        {std::uint64_t{700}, std::uint64_t{per_flush + 50}}) {
     SCOPED_TRACE(kill_at);
-    TempDir tmp;
+    TempDir tmp("wiloc_persist_test");
     sim::CrashInjector crash(sim::CrashPoint::mid_journal_append, kill_at);
     ServerConfig config = f.config_with(tmp.path());
     config.persist.failure_hook = crash.hook();
@@ -599,7 +620,7 @@ TEST(ServerPersist, KillWithStagedFramesKeepsFlushedPrefix) {
   PersistServerFixture f;
   const auto training = f.training_set(10);
   const CleanLoad clean = clean_load(f, training);
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   auto server = f.make_server(f.config_with(tmp.path("live")));
   for (const auto& o : training) server->load_history(o);
   const StatePersistence& persist = *server->persistence();
@@ -616,7 +637,7 @@ TEST(ServerPersist, KillWithStagedFramesKeepsFlushedPrefix) {
 
 TEST(ServerPersist, TailAndFinalizeSeeEveryStagedFrame) {
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   ServerConfig config = f.config_with(tmp.path("state"));
   config.persist.snapshot_interval_s = 1e12;
   auto server = f.make_server(config);
@@ -672,7 +693,7 @@ TEST(ServerPersist, TailAndFinalizeSeeEveryStagedFrame) {
 
 TEST(ServerPersist, JournalAloneRecoversWithoutSnapshot) {
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   const auto training = f.training_set(1);
 
   {
@@ -703,7 +724,7 @@ TEST(ServerPersist, JournalAloneRecoversWithoutSnapshot) {
 
 TEST(ServerPersist, ConfigDriftIsFlagged) {
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   {
     auto server = f.make_server(f.config_with(tmp.path()));
     server->load_history(obs_at(0, 0, hms(8), 60.0));
@@ -719,7 +740,7 @@ TEST(ServerPersist, ConfigDriftIsFlagged) {
 
 TEST(ServerPersist, SaveRestoreSnapshotWithoutPersistenceDir) {
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   const auto training = f.training_set(1);
 
   auto warm = f.make_server();  // persistence disabled
@@ -743,7 +764,7 @@ TEST(ServerPersist, TrafficMapRebuiltAfterRestart) {
   // The traffic map is derived state: snapshots do not carry it, and a
   // recovered server rebuilds the identical map from the restored store.
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   const SimTime when = at_day_time(2, hms(9));
   TrafficMap before;
   {
@@ -784,7 +805,7 @@ TEST(ServerPersist, TrafficMapRebuiltAfterRestart) {
 
 TEST(ServerPersist, UnknownSnapshotVersionFallsBackToJournal) {
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   // A CRC-clean body of a finalized server, stamped with a version this
   // build does not know: recovery must treat it as a foreign layout.
   {
@@ -820,7 +841,7 @@ TEST(ServerPersist, VersionOneSnapshotStillRestores) {
   // A version-1 body is today's body followed by the retired traffic-map
   // section ([u8 has_map][f64 time][u64 n] + n segment records).
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   auto warm = f.make_server();
   for (const auto& o : f.training_set(1)) warm->load_history(o);
   warm->finalize_history();
@@ -866,7 +887,7 @@ TEST(ServerPersist, VersionOneSnapshotStillRestores) {
 // -- two-phase (background) checkpointing ----------------------------------
 
 TEST(StatePersistence, SealThenCommitDropsCoveredRecords) {
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   PersistenceConfig config;
   config.dir = tmp.path();
 
@@ -898,7 +919,7 @@ TEST(StatePersistence, SealThenCommitDropsCoveredRecords) {
 }
 
 TEST(StatePersistence, CrashBetweenSealAndCommitLosesNothing) {
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   PersistenceConfig config;
   config.dir = tmp.path();
   {
@@ -924,7 +945,7 @@ TEST(StatePersistence, CrashBetweenSealAndCommitLosesNothing) {
 TEST(StatePersistence, RepeatedSealConcatenatesLeftoverSegment) {
   // A crashed commit leaves a sealed file; the next seal must fold it
   // together with the newer journal instead of clobbering it.
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   PersistenceConfig config;
   config.dir = tmp.path();
 
@@ -947,7 +968,7 @@ TEST(StatePersistence, RepeatedSealConcatenatesLeftoverSegment) {
 
 TEST(ServerPersist, PreparedCheckpointMatchesSynchronous) {
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   const auto training = f.training_set(1);
 
   auto server = f.make_server(f.config_with(tmp.path()));
@@ -990,7 +1011,7 @@ TEST(ServerPersist, PreparedCheckpointMatchesSynchronous) {
 
 TEST(ServerPersist, InlineCheckpointGateDefersToBackgroundOwner) {
   PersistServerFixture f;
-  TempDir tmp;
+  TempDir tmp("wiloc_persist_test");
   ServerConfig config = f.config_with(tmp.path());
   config.persist.journal_trigger_bytes = 64;  // every append is "due"
   config.persist.snapshot_interval_s = 1e9;

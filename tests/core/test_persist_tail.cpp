@@ -6,7 +6,6 @@
 #include "core/persist.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -14,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "../helpers.hpp"
 #include "util/binio.hpp"
 #include "util/journal.hpp"
 #include "util/time.hpp"
@@ -21,27 +21,10 @@
 namespace wiloc::core {
 namespace {
 
+using wiloc::testing::TempDir;
+
 using roadnet::EdgeId;
 using roadnet::RouteId;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wiloc_tail_test_" + std::to_string(counter_++) + "_" +
-            std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string path() const { return dir_.string(); }
-
- private:
-  static inline int counter_ = 0;
-  std::filesystem::path dir_;
-};
 
 PersistenceConfig config_for(const TempDir& tmp) {
   PersistenceConfig config;
@@ -71,7 +54,7 @@ std::vector<JournalEntry> decode_page(
 }
 
 TEST(PersistTail, PageAfterWatermarkReturnsExactSuffix) {
-  TempDir tmp;
+  TempDir tmp("wiloc_tail_test");
   StatePersistence persist(config_for(tmp));
   for (std::uint32_t n = 1; n <= 10; ++n)
     persist.stage(n % 2 == 0 ? JournalRecord::recent_obs
@@ -104,7 +87,7 @@ TEST(PersistTail, PageAfterWatermarkReturnsExactSuffix) {
 }
 
 TEST(PersistTail, SmallPagesPaginateWithoutLossOrDuplication) {
-  TempDir tmp;
+  TempDir tmp("wiloc_tail_test");
   StatePersistence persist(config_for(tmp));
   for (std::uint32_t n = 1; n <= 40; ++n)
     persist.stage(JournalRecord::recent_obs, obs_n(n));
@@ -132,7 +115,7 @@ TEST(PersistTail, SmallPagesPaginateWithoutLossOrDuplication) {
 }
 
 TEST(PersistTail, RepeatedSealsStayVisibleInOrder) {
-  TempDir tmp;
+  TempDir tmp("wiloc_tail_test");
   StatePersistence persist(config_for(tmp));
   // Two seals without a commit in between concatenate into one sealed
   // segment (the crashed-checkpoint path); a tailer must see one
@@ -163,7 +146,7 @@ TEST(PersistTail, RepeatedSealsStayVisibleInOrder) {
 }
 
 TEST(PersistTail, CommitPromotesCompactionWatermarkAndDropsSealed) {
-  TempDir tmp;
+  TempDir tmp("wiloc_tail_test");
   StatePersistence persist(config_for(tmp));
   for (std::uint32_t n = 1; n <= 6; ++n)
     persist.stage(JournalRecord::recent_obs, obs_n(n));
@@ -195,8 +178,8 @@ TEST(PersistTail, BatchAppendTailsAndRecoversLikePerRecordAppends) {
   std::vector<TravelObservation> batch;
   for (std::uint32_t n = 1; n <= 9; ++n) batch.push_back(obs_n(n));
 
-  TempDir one_dir;
-  TempDir batch_dir;
+  TempDir one_dir("wiloc_tail_test");
+  TempDir batch_dir("wiloc_tail_test");
   StatePersistence one(config_for(one_dir));
   StatePersistence batched(config_for(batch_dir));
   for (const TravelObservation& obs : batch) {
@@ -230,7 +213,7 @@ TEST(PersistTail, BatchAppendTailsAndRecoversLikePerRecordAppends) {
 }
 
 TEST(PersistTail, TornTailFrameIsNotShippedUntilComplete) {
-  TempDir tmp;
+  TempDir tmp("wiloc_tail_test");
   PersistenceConfig config = config_for(tmp);
   struct Boom {};
   std::atomic<bool> arm{false};
@@ -257,7 +240,7 @@ TEST(PersistTail, TornTailFrameIsNotShippedUntilComplete) {
 }
 
 TEST(PersistTail, ConcurrentAppendsNeverYieldTornOrOutOfOrderPages) {
-  TempDir tmp;
+  TempDir tmp("wiloc_tail_test");
   StatePersistence persist(config_for(tmp));
   constexpr std::uint32_t kTotal = 300;
 

@@ -1,8 +1,13 @@
 // Shared test fixtures: a small two-route scenario that exercises the
-// full pipeline cheaply (used by the core/baseline/integration suites).
+// full pipeline cheaply (used by the core/baseline/integration suites),
+// and a self-removing scratch directory.
 #pragma once
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "rf/registry.hpp"
@@ -80,6 +85,40 @@ struct MiniCity {
 
   const roadnet::BusRoute& route_a() const { return routes[0]; }
   const roadnet::BusRoute& route_b() const { return routes[1]; }
+};
+
+/// A fresh directory under the system temp dir, unique per process and
+/// per instance, removed with everything in it on destruction.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& prefix)
+      : dir_(std::filesystem::temp_directory_path() /
+             (prefix + "_" + std::to_string(counter_++) + "_" +
+              std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  /// The directory itself, or the entry `name` inside it.
+  std::string path(const std::string& name = "") const {
+    return name.empty() ? dir_.string() : (dir_ / name).string();
+  }
+
+  /// The subdirectory `name`, created if missing.
+  std::string sub(const std::string& name) const {
+    std::filesystem::create_directories(dir_ / name);
+    return path(name);
+  }
+
+ private:
+  static inline int counter_ = 0;
+  std::filesystem::path dir_;
 };
 
 }  // namespace wiloc::testing

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "../chaos_schedule.hpp"
 #include "../helpers.hpp"
 #include "core/server.hpp"
 #include "sim/fault_injector.hpp"
@@ -18,102 +19,45 @@ namespace {
 
 using roadnet::TripId;
 
-struct BaseStream {
-  roadnet::RouteId route;
-  std::vector<sim::ScanReport> reports;
-};
-
-std::vector<BaseStream> make_base_streams(const testing::MiniCity& city,
-                                          const sim::TrafficModel& traffic) {
-  std::vector<BaseStream> streams;
-  Rng rng(2024);
-  const rf::Scanner scanner;
-  for (std::size_t r = 0; r < city.routes.size(); ++r) {
-    for (int k = 0; k < 5; ++k) {
-      const auto trip = sim::simulate_trip(
-          TripId(static_cast<std::uint32_t>(900 + r * 10 + k)),
-          city.routes[r], city.profiles[r], traffic,
-          at_day_time(1, hms(7) + 2400.0 * k), rng);
-      streams.push_back({city.routes[r].id(),
-                         sim::sense_trip(trip, city.routes[r], city.aps,
-                                         city.model, scanner, rng)});
-    }
-  }
-  return streams;
-}
-
 TEST(FaultInjection, ServerSurvivesTenThousandFaultedScans) {
-  testing::MiniCity city;
-  sim::TrafficModel traffic(17);
-  WiLocatorServer server({&city.route_a(), &city.route_b()},
-                         city.ap_snapshot(), city.model,
-                         DaySlots::paper_five_slots());
+  const testing::ChaosSchedule schedule(2024, 10000);
+  auto server = schedule.make_server();
+  schedule.train(*server);
 
-  const auto base = make_base_streams(city, traffic);
-  const auto profile = sim::FaultProfile::uniform(0.15);
-
-  std::uint64_t unknown_submissions = 0;
-  std::uint64_t closed_submissions = 0;
-  std::uint32_t next_trip = 10000;
-
+  // Each round replays every base trip under a fresh trip id and a fresh
+  // fault seed, interleaved round-robin across trips the way a shared
+  // uplink would deliver them.
   const auto run = [&] {
-    for (int round = 0; round < 100; ++round) {
-      if (server.ingest_stats().submitted >= 10500) break;
-
-      // Each round replays every base trip under a fresh trip id and a
-      // fresh fault seed, interleaved round-robin across trips the way a
-      // shared uplink would deliver them.
-      std::vector<TripId> trips;
-      std::vector<std::vector<sim::ScanReport>> faulted;
-      for (std::size_t j = 0; j < base.size(); ++j) {
-        const TripId tid(next_trip++);
-        server.begin_trip(tid, base[j].route);
-        trips.push_back(tid);
-        sim::FaultInjector injector(
-            profile, static_cast<std::uint64_t>(round) * 131 + j + 1);
-        faulted.push_back(injector.apply(base[j].reports));
-      }
-
-      // Scans for a trip id that was never registered.
-      server.ingest(TripId(4000000), base[0].reports[0].scan);
-      ++unknown_submissions;
-
-      std::size_t pos = 0;
-      bool more = true;
-      while (more) {
-        more = false;
-        for (std::size_t j = 0; j < trips.size(); ++j) {
-          if (pos >= faulted[j].size()) continue;
-          more = true;
-          server.ingest(trips[j], faulted[j][pos].scan);
+    for (const testing::ChaosRound& round : schedule.rounds) {
+      std::size_t scans = 0;
+      for (const testing::ChaosOp& op : round) {
+        testing::apply_op(*server, op);
+        if (op.kind == testing::ChaosOp::Kind::end) {
+          EXPECT_EQ(server->trip_ingest_stats(op.trip).deferred, 0u);
         }
         // Queries interleaved with ingest must never throw either.
-        if (pos % 8 == 3) {
-          server.position(trips[pos % trips.size()]);
-          server.traffic_map(at_day_time(1, hms(8)));
-          server.anomalies(trips[pos % trips.size()]);
+        if (op.kind == testing::ChaosOp::Kind::scan && ++scans % 8 == 3 &&
+            op.trip != testing::ChaosSchedule::kUnknownTrip) {
+          server->position(op.trip);
+          server->traffic_map(
+              at_day_time(testing::ChaosSchedule::kChaosDay, hms(8)));
+          server->anomalies(op.trip);
         }
-        ++pos;
       }
-
-      for (const TripId tid : trips) {
-        server.end_trip(tid);
-        EXPECT_EQ(server.trip_ingest_stats(tid).deferred, 0u);
-      }
-      // Late report for a trip that already ended.
-      server.ingest(trips[0], base[0].reports.back().scan);
-      ++closed_submissions;
     }
   };
   ASSERT_NO_THROW(run());
 
-  const IngestStats stats = server.ingest_stats();
+  const IngestStats stats = server->ingest_stats();
   EXPECT_GE(stats.submitted, 10000u);
   EXPECT_TRUE(stats.accounted());
   EXPECT_EQ(stats.deferred, 0u);  // every trip was ended (flushed)
+  // Each round submits one scan for an unknown trip and one for a trip
+  // that already ended.
   EXPECT_EQ(stats.rejected(RejectReason::unknown_trip),
-            unknown_submissions);
-  EXPECT_EQ(stats.rejected(RejectReason::closed_trip), closed_submissions);
+            schedule.rounds.size());
+  EXPECT_EQ(stats.rejected(RejectReason::closed_trip),
+            schedule.rounds.size());
 
   // Every fault class left its fingerprint in the health counters.
   EXPECT_GT(stats.reordered, 0u);               // delay faults absorbed

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "../helpers.hpp"
 #include "common.hpp"
 #include "net/http_client.hpp"
 #include "net/json.hpp"
@@ -26,23 +27,7 @@
 namespace wiloc::net {
 namespace {
 
-class TempDir {
- public:
-  TempDir() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wiloc_http_e2e_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string path() const { return dir_.string(); }
-
- private:
-  std::filesystem::path dir_;
-};
+using wiloc::testing::TempDir;
 
 /// A spawned wilocator_serve process with its stdout piped back.
 class ServeProcess {
@@ -140,7 +125,7 @@ TEST(HttpE2E, ServeIngestPredictKillRecover) {
   ASSERT_GT(live->reports.size(), 20u);
   const auto& route = city.routes[live->record.route.index()];
 
-  TempDir state;
+  TempDir state("wiloc_http_e2e");
   ServeProcess first({"--history-days", "1", "--persist-dir", state.path(),
                       "--workers", "1", "--snapshot-interval", "120",
                       "--checkpoint-poll", "0.02"});

@@ -7,7 +7,6 @@
 #include "net/service.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
@@ -26,26 +25,9 @@
 namespace wiloc::net {
 namespace {
 
+using wiloc::testing::TempDir;
+
 using roadnet::TripId;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wiloc_http_service_" + std::to_string(counter_++) + "_" +
-            std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string path() const { return dir_.string(); }
-
- private:
-  static inline int counter_ = 0;
-  std::filesystem::path dir_;
-};
 
 struct ServiceFixture {
   wiloc::testing::MiniCity city;
@@ -300,7 +282,7 @@ TEST(HttpService, ReadinessGating) {
 }
 
 TEST(HttpService, BackgroundCheckpointerCommitsOffThread) {
-  TempDir dir;
+  TempDir dir("wiloc_http_service");
   core::ServerConfig config;
   config.persist.dir = dir.path();
   config.persist.snapshot_interval_s = 60.0;  // sim-time trigger
@@ -356,7 +338,7 @@ TEST(HttpService, FailedCheckpointIsCountedAndServiceKeepsServing) {
   // Regression: only the commit was guarded, so a seal failing inside
   // the checkpoint thread's prepare escaped the thread and terminated
   // the process.
-  TempDir dir;
+  TempDir dir("wiloc_http_service");
   core::ServerConfig config;
   config.persist.dir = dir.path();
   config.persist.journal_trigger_bytes = 64;  // any journaled record is due

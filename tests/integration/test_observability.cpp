@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "../chaos_schedule.hpp"
 #include "../helpers.hpp"
 #include "core/server.hpp"
-#include "sim/fault_injector.hpp"
 #include "util/time.hpp"
 
 namespace wiloc::core {
@@ -22,80 +22,17 @@ namespace {
 
 using roadnet::TripId;
 
-struct BaseStream {
-  roadnet::RouteId route;
-  std::vector<sim::ScanReport> reports;
-};
-
-std::vector<BaseStream> make_base_streams(const testing::MiniCity& city,
-                                          const sim::TrafficModel& traffic) {
-  std::vector<BaseStream> streams;
-  Rng rng(4242);
-  const rf::Scanner scanner;
-  for (std::size_t r = 0; r < city.routes.size(); ++r) {
-    for (int k = 0; k < 5; ++k) {
-      const auto trip = sim::simulate_trip(
-          TripId(static_cast<std::uint32_t>(700 + r * 10 + k)),
-          city.routes[r], city.profiles[r], traffic,
-          at_day_time(1, hms(7) + 2400.0 * k), rng);
-      streams.push_back({city.routes[r].id(),
-                         sim::sense_trip(trip, city.routes[r], city.aps,
-                                         city.model, scanner, rng)});
-    }
-  }
-  return streams;
-}
-
 TEST(Observability, ChaosWorkloadReconcilesWithIngestStats) {
-  testing::MiniCity city;
-  sim::TrafficModel traffic(23);
+  const testing::ChaosSchedule schedule(4242, 10000);
   ServerConfig config;
   config.engine.workers = 2;
   config.engine.record_latency = true;
-  WiLocatorServer server({&city.route_a(), &city.route_b()},
-                         city.ap_snapshot(), city.model,
-                         DaySlots::paper_five_slots(), config);
-
-  const auto base = make_base_streams(city, traffic);
-  const auto profile = sim::FaultProfile::uniform(0.15);
-  std::uint32_t next_trip = 20000;
-
-  for (int round = 0; round < 100; ++round) {
-    if (server.ingest_stats().submitted >= 10500) break;
-
-    std::vector<TripId> trips;
-    std::vector<std::vector<sim::ScanReport>> faulted;
-    for (std::size_t j = 0; j < base.size(); ++j) {
-      const TripId tid(next_trip++);
-      server.begin_trip(tid, base[j].route);
-      trips.push_back(tid);
-      sim::FaultInjector injector(
-          profile, static_cast<std::uint64_t>(round) * 613 + j + 1);
-      faulted.push_back(injector.apply(base[j].reports));
-    }
-
-    // Round-robin interleave across trips, submitted through the
-    // high-throughput batched path, plus one orphan submission.
-    std::vector<ScanSubmission> batch;
-    batch.push_back({TripId(4000000), base[0].reports[0].scan});
-    std::size_t pos = 0;
-    bool more = true;
-    while (more) {
-      more = false;
-      for (std::size_t j = 0; j < trips.size(); ++j) {
-        if (pos >= faulted[j].size()) continue;
-        more = true;
-        batch.push_back({trips[j], faulted[j][pos].scan});
-      }
-      ++pos;
-    }
-    const BatchIngestResult result = server.ingest_batch(batch);
-    EXPECT_EQ(result.enqueued, batch.size());
-
-    server.drain();
-    for (const TripId tid : trips) server.end_trip(tid);
-  }
-  server.drain();
+  auto owned = schedule.make_server(config);
+  WiLocatorServer& server = *owned;
+  schedule.train(server);
+  // Submitted through the high-throughput batched path.
+  for (const testing::ChaosRound& round : schedule.rounds)
+    testing::apply_batched(server, round, schedule.batch_size);
 
   const IngestStats stats = server.ingest_stats();
   ASSERT_GE(stats.submitted, 10000u);
@@ -146,16 +83,16 @@ TEST(Observability, ChaosWorkloadReconcilesWithIngestStats) {
             0u);
   // Work budgets (servebench core.accepted_ratio and
   // svd.fast_path_ratio), pinned at their seeded values on this
-  // workload: 9211 of 10702 enqueued scans accepted, 6755 of 9169
+  // workload: 8555 of 10049 enqueued scans accepted, 5790 of 8220
   // locates answered by the exact-signature fast path.
   const auto count = [&](const char* name) {
     return static_cast<double>(snap.counter(name));
   };
   EXPECT_GE(count("ingest.accepted") / count("engine.enqueued"),
-            9211.0 / 10702.0);
+            8555.0 / 10049.0);
   const double locates = count("locate.fast_path_hits") +
                          count("locate.fallback_hits") + count("locate.misses");
-  EXPECT_GE(count("locate.fast_path_hits") / locates, 6755.0 / 9169.0);
+  EXPECT_GE(count("locate.fast_path_hits") / locates, 5790.0 / 8220.0);
   const obs::HistogramSnapshot* candidates = snap.histogram("locate.candidates");
   ASSERT_NE(candidates, nullptr);
   EXPECT_GT(candidates->total, 0u);
@@ -321,31 +258,28 @@ TEST(Observability, DestructorDrainsEngineBeforeFinalReporterLine) {
   // the server shut down. The destructor must drain first — including
   // when persistence is disabled — so the last line accounts for the
   // complete stream.
-  testing::MiniCity city;
-  sim::TrafficModel traffic(3);
+  const testing::ChaosSchedule schedule(3, 1);  // one round
   std::ostringstream out;
   std::size_t submitted = 0;
   {
     ServerConfig config;
     config.engine.workers = 2;  // async path; persistence stays off
-    auto server = std::make_unique<WiLocatorServer>(
-        std::vector<const roadnet::BusRoute*>{&city.route_a(),
-                                              &city.route_b()},
-        city.ap_snapshot(), city.model, DaySlots::paper_five_slots(),
-        config);
+    auto server = schedule.make_server(config);
     obs::Reporter reporter(server->metrics_registry(), out,
                            {.period_s = 1e9});
     server->attach_reporter(&reporter);
 
-    for (const auto& stream : make_base_streams(city, traffic)) {
-      const TripId trip = stream.reports.front().trip;
-      server->begin_trip(trip, stream.route);
-      std::vector<ScanSubmission> batch;
-      for (const auto& report : stream.reports)
-        batch.push_back({report.trip, report.scan});
-      submitted += server->ingest_batch(batch).enqueued;
-      reporter.maybe_report(stream.reports.back().scan.time);
+    // The round's trips begin and its scans go out as one batch; no
+    // trip ends, so nothing drains before the destructor.
+    std::vector<ScanSubmission> batch;
+    for (const testing::ChaosOp& op : schedule.rounds.front()) {
+      if (op.kind == testing::ChaosOp::Kind::begin)
+        server->begin_trip(op.trip, op.route);
+      else if (op.kind == testing::ChaosOp::Kind::scan)
+        batch.push_back({op.trip, op.scan});
     }
+    submitted = server->ingest_batch(batch).enqueued;
+    reporter.maybe_report(batch.back().scan.time);
     // No drain here: the destructor owns the ordering under test.
     server.reset();  // dtor drains, then writes the final reporter line
     // The reporter's own destructor flush (after the server already

@@ -2,17 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "../helpers.hpp"
 #include "util/binio.hpp"
 
 namespace wiloc::journal {
 namespace {
+
+using wiloc::testing::TempDir;
 
 std::vector<std::byte> bytes_of(std::string_view s) {
   std::vector<std::byte> out(s.size());
@@ -21,27 +22,6 @@ std::vector<std::byte> bytes_of(std::string_view s) {
 }
 
 /// Unique path under the test's temp dir, removed on destruction.
-class TempDir {
- public:
-  TempDir() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wiloc_journal_test_" + std::to_string(counter_++) + "_" +
-            std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
-
- private:
-  static inline int counter_ = 0;
-  std::filesystem::path dir_;
-};
-
 std::vector<std::byte> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::vector<char> raw((std::istreambuf_iterator<char>(in)),
@@ -74,7 +54,7 @@ TEST(Crc32, SensitiveToEveryByte) {
 }
 
 TEST(Journal, AppendReplayRoundTrip) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("j");
   std::vector<std::vector<std::byte>> frames = {
       bytes_of("alpha"), bytes_of(""), bytes_of("a much longer frame 123")};
@@ -93,7 +73,7 @@ TEST(Journal, AppendReplayRoundTrip) {
 }
 
 TEST(Journal, MissingFileIsEmpty) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const ReplayStats stats =
       replay(tmp.path("nonexistent"), [](std::span<const std::byte>) {
         FAIL() << "no frame should be delivered";
@@ -104,7 +84,7 @@ TEST(Journal, MissingFileIsEmpty) {
 }
 
 TEST(Journal, ReopenContinuesAppending) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("j");
   {
     Writer w(path);
@@ -122,7 +102,7 @@ TEST(Journal, ReopenContinuesAppending) {
 }
 
 TEST(Journal, TornTailIsStoppedAtNotFatal) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("j");
   {
     Writer w(path);
@@ -143,7 +123,7 @@ TEST(Journal, TornTailIsStoppedAtNotFatal) {
 }
 
 TEST(Journal, CorruptMiddleFrameIsSkippedNotFatal) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("j");
   std::uint64_t second_payload_offset = 0;
   {
@@ -168,7 +148,7 @@ TEST(Journal, CorruptMiddleFrameIsSkippedNotFatal) {
 }
 
 TEST(Journal, ImplausibleLengthTreatedAsTornTail) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("j");
   BinWriter garbage;
   garbage.put_u32(kMaxFrameBytes + 1);  // framing lost
@@ -184,7 +164,7 @@ TEST(Journal, RenamedAwayJournalReopensEmpty) {
   // Checkpoint compaction renames the active journal aside and opens a
   // fresh one at the same path: the new writer must start empty and the
   // renamed file must keep every frame.
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("j");
   const std::string sealed = tmp.path("j.sealed");
   {
@@ -208,7 +188,7 @@ TEST(Journal, RenamedAwayJournalReopensEmpty) {
 }
 
 TEST(Journal, CrashHookTearsFrameAndPoisonsWriter) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("j");
   struct Boom {};
   {
@@ -233,7 +213,7 @@ TEST(Journal, CrashHookTearsFrameAndPoisonsWriter) {
 }
 
 TEST(Journal, CrashHookMidAppendLeavesHeaderOnly) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("j");
   struct Boom {};
   Writer w(path, FsyncPolicy::never, [](std::string_view site) {
@@ -273,7 +253,7 @@ std::vector<std::string> replayed(const std::string& path,
 }
 
 TEST(Journal, BatchIsOneWriteWithPerFrameBytes) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const auto frames = batch_payloads();
   for (const FsyncPolicy fsync :
        {FsyncPolicy::never, FsyncPolicy::every_append}) {
@@ -315,7 +295,7 @@ TEST(Journal, BatchCrashAtFrameSiteLeavesPerFramePrefix) {
   for (const std::string_view site : {kSiteAppendMid, kSiteAppendTorn}) {
     for (std::size_t k = 1; k <= frames.size(); ++k) {
       SCOPED_TRACE(std::string(site) + " at frame " + std::to_string(k));
-      TempDir tmp;
+      TempDir tmp("wiloc_journal_test");
       std::size_t hits = 0;
       const FailureHook hook = [&hits, site, k](std::string_view at) {
         if (at == site && ++hits == k) throw Boom{};
@@ -366,7 +346,7 @@ TEST(Journal, BatchCrashAtFrameSiteLeavesPerFramePrefix) {
 }
 
 TEST(Snapshot, RoundTrip) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("snap");
   const auto body = bytes_of("learned state body");
   write_snapshot_file(path, 0xABCD1234u, 7, body, true);
@@ -377,19 +357,19 @@ TEST(Snapshot, RoundTrip) {
 }
 
 TEST(Snapshot, MissingIsNullopt) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   EXPECT_FALSE(read_snapshot_file(tmp.path("none"), 1).has_value());
 }
 
 TEST(Snapshot, WrongMagicThrows) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("snap");
   write_snapshot_file(path, 0x11111111u, 1, bytes_of("x"), false);
   EXPECT_THROW(read_snapshot_file(path, 0x22222222u), DecodeError);
 }
 
 TEST(Snapshot, CorruptBodyThrows) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("snap");
   write_snapshot_file(path, 0xABCD1234u, 1, bytes_of("snapshot body"),
                       false);
@@ -400,7 +380,7 @@ TEST(Snapshot, CorruptBodyThrows) {
 }
 
 TEST(Snapshot, TruncatedFileThrows) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("snap");
   write_snapshot_file(path, 0xABCD1234u, 1, bytes_of("snapshot body"),
                       false);
@@ -411,7 +391,7 @@ TEST(Snapshot, TruncatedFileThrows) {
 }
 
 TEST(Snapshot, RewriteReplacesAtomically) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("snap");
   write_snapshot_file(path, 5u, 1, bytes_of("old"), false);
   write_snapshot_file(path, 5u, 2, bytes_of("new body"), true);
@@ -422,7 +402,7 @@ TEST(Snapshot, RewriteReplacesAtomically) {
 }
 
 TEST(Snapshot, CrashBeforeRenameKeepsOldSnapshot) {
-  TempDir tmp;
+  TempDir tmp("wiloc_journal_test");
   const std::string path = tmp.path("snap");
   write_snapshot_file(path, 5u, 1, bytes_of("old"), false);
   struct Boom {};
