@@ -105,9 +105,9 @@ bool ReplicationTailer::poll_peer(std::size_t i) {
 
   net::ClientResponse response;
   try {
+    // No max_bytes: pages come at the peer's net::kReplicationPageBytes.
     response = clients_[i]->get("/v1/replication/segments?after=" +
-                                std::to_string(after) + "&max_bytes=" +
-                                std::to_string(options_.max_bytes));
+                                std::to_string(after));
   } catch (const Error&) {
     if (m_errors_ != nullptr) m_errors_->inc();
     const std::lock_guard<std::mutex> lock(progress_mu_);

@@ -46,8 +46,6 @@ struct ReplicationOptions {
   /// Wall-clock pause between full passes over the peer list (a
   /// truncated page re-polls the same peer immediately).
   double poll_interval_s = 0.05;
-  /// Page size requested per poll (server clamps to its own cap).
-  std::size_t max_bytes = 1u << 20;
   net::HttpClientOptions client;  ///< timeouts for the tail GETs
 };
 

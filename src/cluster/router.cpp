@@ -52,7 +52,7 @@ ClusterRouter::ClusterRouter(std::vector<NodeInfo> nodes,
     : nodes_(std::move(nodes)),
       options_(options),
       membership_(nodes_, options.probe_failures),
-      ring_(nodes_.size(), options.ring_seed) {
+      ring_(nodes_.size()) {
   WILOC_EXPECTS(!nodes_.empty());
   client_pools_.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i)

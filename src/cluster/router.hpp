@@ -62,8 +62,6 @@ struct RouterOptions {
   /// Consecutive failures (probe or proxy) that mark a node down.
   int probe_failures = 2;
   net::HttpClientOptions client;  ///< upstream timeouts (proxy + probes)
-  /// Seed shared by every router over the same node list.
-  std::uint64_t ring_seed = 0x77696c6f63ULL;
 };
 
 class ClusterRouter {

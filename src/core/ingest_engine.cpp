@@ -45,10 +45,7 @@ IngestEngine::IngestEngine(MobilityFilterParams filter,
   for (std::size_t i = 0; i < n; ++i)
     shards_.push_back(std::make_unique<Shard>());
   if (obs::Registry* reg = hooks_.registry) {
-    guard_metrics_ = GuardMetrics::registered(*reg);
     m_enqueued_ = &reg->counter("engine.enqueued");
-    m_processed_ = &reg->counter("engine.processed");
-    m_observations_ = &reg->counter("engine.observations");
     m_queue_depth_ = &reg->histogram("engine.queue_depth");
     m_latency_us_ = &reg->histogram("engine.latency_us");
   }
@@ -159,9 +156,8 @@ void IngestEngine::begin_trip(roadnet::TripId trip, roadnet::RouteId route) {
     tr.route = route;
     tr.tracker = std::make_unique<BusTracker>(
         *rb->second.route, *rb->second.positioner, filter_params_);
-    tr.guard = std::make_unique<IngestGuard>(
-        *tr.tracker, *rb->second.index, guard_params_,
-        hooks_.registry != nullptr ? &guard_metrics_ : nullptr);
+    tr.guard = std::make_unique<IngestGuard>(*tr.tracker, *rb->second.index,
+                                             guard_params_);
     shard.trips.emplace(trip, std::move(tr));
   });
 }
@@ -249,10 +245,6 @@ IngestResult IngestEngine::process_scan(Shard& shard, roadnet::TripId trip,
                                     : RejectReason::closed_trip;
     ++shard.orphan.submitted;
     ++shard.orphan.rejected_by_reason[static_cast<std::size_t>(reason)];
-    if (guard_metrics_.submitted != nullptr) {
-      guard_metrics_.submitted->inc();
-      guard_metrics_.count_rejected(reason);
-    }
     result = {IngestStatus::rejected, reason, std::nullopt, 0};
   } else {
     result = it->second.guard->submit(scan);
@@ -262,7 +254,6 @@ IngestResult IngestEngine::process_scan(Shard& shard, roadnet::TripId trip,
       trace(obs::TraceStage::fix, seq, trip, result.fix->time);
     harvest(shard, trip, it->second, seq);
   }
-  if (m_processed_ != nullptr) m_processed_->inc();
   if (params_.record_latency) {
     const double dt_s =
         std::chrono::duration<double>(Clock::now() - submitted_at).count();
@@ -275,7 +266,6 @@ IngestResult IngestEngine::process_scan(Shard& shard, roadnet::TripId trip,
 void IngestEngine::harvest(Shard& shard, roadnet::TripId trip_id,
                            TripRuntime& trip, std::uint64_t seq) {
   for (TravelObservation& obs : trip.tracker->drain_segments()) {
-    if (m_observations_ != nullptr) m_observations_->inc();
     trace(obs::TraceStage::observe, seq, trip_id, obs.exit_time);
     shard.pending.push_back({seq, trip_id, obs});
   }

@@ -247,11 +247,7 @@ class IngestEngine {
   IngestGuardParams guard_params_;
   IngestEngineParams params_;
   ObsHooks hooks_;
-  /// Shared ingest.* counter bundle; handles are null without a registry.
-  GuardMetrics guard_metrics_;
   obs::Counter* m_enqueued_ = nullptr;    ///< engine.enqueued (scans)
-  obs::Counter* m_processed_ = nullptr;   ///< engine.processed (scans)
-  obs::Counter* m_observations_ = nullptr;  ///< engine.observations
   obs::HistogramMetric* m_queue_depth_ = nullptr;  ///< engine.queue_depth
   obs::HistogramMetric* m_latency_us_ = nullptr;   ///< engine.latency_us
   std::unordered_map<roadnet::RouteId, RouteBinding> routes_;

@@ -45,42 +45,11 @@ IngestStats& IngestStats::operator+=(const IngestStats& other) {
   return *this;
 }
 
-GuardMetrics GuardMetrics::registered(obs::Registry& registry) {
-  GuardMetrics m;
-  m.submitted = &registry.counter("ingest.submitted");
-  m.accepted = &registry.counter("ingest.accepted");
-  m.deferred = &registry.counter("ingest.deferred");
-  m.reordered = &registry.counter("ingest.reordered");
-  m.fixes = &registry.counter("ingest.fixes");
-  m.degraded_fixes = &registry.counter("ingest.degraded_fixes");
-  for (std::size_t i = 0; i < kRejectReasonCount; ++i)
-    m.rejected[i] = &registry.counter(
-        std::string("ingest.rejected.") +
-        to_string(static_cast<RejectReason>(i)));
-  m.readings_dropped_invalid =
-      &registry.counter("ingest.readings_dropped.invalid");
-  m.readings_dropped_weak = &registry.counter("ingest.readings_dropped.weak");
-  m.readings_dropped_duplicate =
-      &registry.counter("ingest.readings_dropped.duplicate");
-  m.readings_dropped_unknown_ap =
-      &registry.counter("ingest.readings_dropped.unknown_ap");
-  return m;
-}
-
 IngestGuard::IngestGuard(BusTracker& tracker,
                          const svd::PositioningIndex& index,
-                         IngestGuardParams params, const GuardMetrics* metrics)
-    : tracker_(&tracker),
-      index_(&index),
-      params_(params),
-      metrics_(metrics) {
-  WILOC_EXPECTS(params_.min_rssi_dbm < params_.max_rssi_dbm);
+                         IngestGuardParams params)
+    : tracker_(&tracker), index_(&index), params_(params) {
   WILOC_EXPECTS(params_.min_scan_spacing_s >= 0.0);
-}
-
-void IngestGuard::count_reject(RejectReason reason) {
-  ++stats_.rejected_by_reason[static_cast<std::size_t>(reason)];
-  if (metrics_ != nullptr) metrics_->count_rejected(reason);
 }
 
 RejectReason IngestGuard::sanitize(rf::WifiScan& scan) {
@@ -100,30 +69,22 @@ RejectReason IngestGuard::sanitize(rf::WifiScan& scan) {
   std::unordered_map<rf::ApId, double> best;
   best.reserve(scan.readings.size());
   for (const rf::ApReading& r : scan.readings) {
-    if (!std::isfinite(r.rssi_dbm) || r.rssi_dbm < params_.min_rssi_dbm ||
-        r.rssi_dbm > params_.max_rssi_dbm) {
+    if (!std::isfinite(r.rssi_dbm) || r.rssi_dbm < kMinRssiDbm ||
+        r.rssi_dbm > kMaxRssiDbm) {
       ++stats.readings_dropped_invalid;
-      if (metrics_ && metrics_->readings_dropped_invalid)
-        metrics_->readings_dropped_invalid->inc();
       continue;
     }
-    if (r.rssi_dbm < params_.sensitivity_floor_dbm) {
+    if (r.rssi_dbm < kSensitivityFloorDbm) {
       ++stats.readings_dropped_weak;
-      if (metrics_ && metrics_->readings_dropped_weak)
-        metrics_->readings_dropped_weak->inc();
       continue;
     }
-    if (params_.filter_unknown_aps && !index_->knows_ap(r.ap)) {
+    if (!index_->knows_ap(r.ap)) {
       ++stats.readings_dropped_unknown_ap;
-      if (metrics_ && metrics_->readings_dropped_unknown_ap)
-        metrics_->readings_dropped_unknown_ap->inc();
       continue;
     }
     const auto [it, inserted] = best.emplace(r.ap, r.rssi_dbm);
     if (!inserted) {
       ++stats.readings_dropped_duplicate;
-      if (metrics_ && metrics_->readings_dropped_duplicate)
-        metrics_->readings_dropped_duplicate->inc();
       it->second = std::max(it->second, r.rssi_dbm);
     }
   }
@@ -146,7 +107,6 @@ RejectReason IngestGuard::sanitize(rf::WifiScan& scan) {
 
 IngestResult IngestGuard::submit(const rf::WifiScan& input) {
   ++stats_.submitted;
-  if (metrics_ && metrics_->submitted) metrics_->submitted->inc();
 
   rf::WifiScan scan = input;
   if (const RejectReason why = sanitize(scan); why != RejectReason::none) {
@@ -176,15 +136,11 @@ IngestResult IngestGuard::submit(const rf::WifiScan& input) {
     return {IngestStatus::rejected, RejectReason::duplicate_scan,
             std::nullopt, 0};
   }
-  if (pos != buffer_.end()) {
-    ++stats_.reordered;  // arrived out of order
-    if (metrics_ && metrics_->reordered) metrics_->reordered->inc();
-  }
+  if (pos != buffer_.end()) ++stats_.reordered;  // arrived out of order
 
   const std::uint64_t my_seq = next_seq_++;
   buffer_.insert(pos, {std::move(scan), my_seq});
   ++stats_.deferred;
-  if (metrics_ && metrics_->deferred) metrics_->deferred->inc();
 
   IngestResult result{IngestStatus::deferred, RejectReason::none,
                       std::nullopt, 0};
@@ -218,18 +174,12 @@ std::optional<Fix> IngestGuard::release_front() {
   watermark_ = pending.scan.time;
   any_released_ = true;
   ++stats_.accepted;
-  if (metrics_ && metrics_->accepted) metrics_->accepted->inc();
   last_release_outcome_ = RejectReason::none;
 
   const auto fix = tracker_->ingest(pending.scan);
   if (fix.has_value()) {
     ++stats_.fixes;
-    if (metrics_ && metrics_->fixes) metrics_->fixes->inc();
-    if (fix->degraded) {
-      ++stats_.degraded_fixes;
-      if (metrics_ && metrics_->degraded_fixes)
-        metrics_->degraded_fixes->inc();
-    }
+    if (fix->degraded) ++stats_.degraded_fixes;
   }
   return fix;
 }

@@ -36,7 +36,6 @@
 
 #include "core/tracker.hpp"
 #include "svd/positioning_index.hpp"
-#include "util/obs.hpp"
 
 namespace wiloc::core {
 
@@ -111,49 +110,24 @@ struct IngestStats {
   IngestStats& operator+=(const IngestStats& other);
 };
 
-/// Server-wide obs counters mirroring IngestStats. One bundle is shared
-/// by every guard (counters are atomic), so the registry aggregates what
-/// total_stats() sums: at quiescence `ingest.accepted` equals the
-/// aggregate IngestStats::accepted, and so on. `deferred` counts defer
-/// *events* (monotonic), unlike the stats field which tracks occupancy.
-struct GuardMetrics {
-  obs::Counter* submitted = nullptr;
-  obs::Counter* accepted = nullptr;
-  obs::Counter* deferred = nullptr;
-  obs::Counter* reordered = nullptr;
-  obs::Counter* fixes = nullptr;
-  obs::Counter* degraded_fixes = nullptr;
-  std::array<obs::Counter*, kRejectReasonCount> rejected{};
-  obs::Counter* readings_dropped_invalid = nullptr;
-  obs::Counter* readings_dropped_weak = nullptr;
-  obs::Counter* readings_dropped_duplicate = nullptr;
-  obs::Counter* readings_dropped_unknown_ap = nullptr;
-
-  /// Resolves the `ingest.*` counters in `registry`.
-  static GuardMetrics registered(obs::Registry& registry);
-
-  void count_rejected(RejectReason reason) const {
-    if (obs::Counter* c = rejected[static_cast<std::size_t>(reason)]) c->inc();
-  }
-};
+/// Readings outside [kMinRssiDbm, kMaxRssiDbm] are corrupt; readings
+/// below kSensitivityFloorDbm are plausible but unusable. Both are
+/// dropped, as are readings from APs the route's index does not know.
+inline constexpr double kMinRssiDbm = -110.0;
+inline constexpr double kMaxRssiDbm = 0.0;
+inline constexpr double kSensitivityFloorDbm = -105.0;
 
 struct IngestGuardParams {
-  double min_rssi_dbm = -110.0;  ///< readings below are corrupt, dropped
-  double max_rssi_dbm = 0.0;     ///< readings above are corrupt, dropped
-  double sensitivity_floor_dbm = -105.0;  ///< plausible but unusable
-  bool filter_unknown_aps = true;
   std::size_t reorder_depth = 4;   ///< buffered scans; 0 = strict order
   double min_scan_spacing_s = 0.5; ///< per-trip rate limit
 };
 
 /// Per-trip guarded front end over one BusTracker. The tracker and the
-/// index must outlive the guard; `metrics` (optional, shared across
-/// guards) must too.
+/// index must outlive the guard.
 class IngestGuard {
  public:
   IngestGuard(BusTracker& tracker, const svd::PositioningIndex& index,
-              IngestGuardParams params = {},
-              const GuardMetrics* metrics = nullptr);
+              IngestGuardParams params = {});
 
   /// Feeds one scan through sanitize -> reorder -> rate-limit -> tracker.
   /// Never throws on malformed input.
@@ -181,13 +155,14 @@ class IngestGuard {
   /// if one was produced.
   std::optional<Fix> release_front();
 
-  /// Mirrors a stats_ bump into the shared obs counters.
-  void count_reject(RejectReason reason);
+  /// Counts one rejected scan under its reason.
+  void count_reject(RejectReason reason) {
+    ++stats_.rejected_by_reason[static_cast<std::size_t>(reason)];
+  }
 
   BusTracker* tracker_;
   const svd::PositioningIndex* index_;
   IngestGuardParams params_;
-  const GuardMetrics* metrics_;
   IngestStats stats_;
   std::vector<Pending> buffer_;  ///< sorted by scan time, ascending
   double watermark_ = 0.0;       ///< time of the last released scan

@@ -14,6 +14,30 @@ namespace wiloc::core {
 
 namespace {
 
+/// Mean road distance a bus covers between two scans, the anomaly
+/// detector's delta basis.
+constexpr double kTypicalScanDistanceM = 70.0;
+
+/// Renders the server-wide IngestStats under the `ingest.*` names: one
+/// counter per field and per reject reason, and the `ingest.deferred`
+/// gauge (scans buffered for reordering right now).
+void render_ingest(const IngestStats& stats, obs::Snapshot& snap) {
+  auto& c = snap.counters;
+  c["ingest.submitted"] = stats.submitted;
+  c["ingest.accepted"] = stats.accepted;
+  c["ingest.reordered"] = stats.reordered;
+  c["ingest.fixes"] = stats.fixes;
+  c["ingest.degraded_fixes"] = stats.degraded_fixes;
+  for (std::size_t i = 0; i < kRejectReasonCount; ++i)
+    c[std::string("ingest.rejected.") +
+      to_string(static_cast<RejectReason>(i))] = stats.rejected_by_reason[i];
+  c["ingest.readings_dropped.invalid"] = stats.readings_dropped_invalid;
+  c["ingest.readings_dropped.weak"] = stats.readings_dropped_weak;
+  c["ingest.readings_dropped.duplicate"] = stats.readings_dropped_duplicate;
+  c["ingest.readings_dropped.unknown_ap"] = stats.readings_dropped_unknown_ap;
+  snap.gauges["ingest.deferred"] = static_cast<double>(stats.deferred);
+}
+
 /// Builds one RouteSvd per route on min(routes, cores) threads, the
 /// caller being one of them; threads claim routes through an atomic
 /// index. The build is pure (the routes, APs and model are only read),
@@ -103,11 +127,11 @@ WiLocatorServer::WiLocatorServer(std::vector<RouteIndex> bindings,
 }
 
 WiLocatorServer::~WiLocatorServer() {
-  // Graceful shutdown: drain the engine FIRST so the final metrics
-  // window and checkpoint cover every submitted scan, then persist the
-  // learned state — unless a persistence write already failed (injected
-  // crash or real I/O error), in which case the on-disk state must stay
-  // exactly as the failure left it.
+  // Graceful shutdown: drain the engine FIRST so the final checkpoint
+  // covers every submitted scan, then persist the learned state —
+  // unless a persistence write already failed (injected crash or real
+  // I/O error), in which case the on-disk state must stay exactly as the
+  // failure left it.
   try {
     engine_->drain();
     if (persist_ == nullptr)
@@ -117,13 +141,6 @@ WiLocatorServer::~WiLocatorServer() {
   } catch (...) {
     // A destructor must not throw; the state directory simply keeps its
     // last consistent view and the next start recovers from it.
-  }
-  // Ordered strictly after the drain above: the reporter's final line
-  // must account for the complete stream (idempotent — a service
-  // front-end may already have flushed during its own shutdown).
-  try {
-    if (reporter_ != nullptr) reporter_->flush_final();
-  } catch (...) {
   }
 }
 
@@ -461,8 +478,6 @@ void WiLocatorServer::publish_pending() {
   }
   maybe_refresh_arrivals();
   maybe_checkpoint();
-  if (reporter_ != nullptr && has_event_)
-    reporter_->maybe_report(last_event_time_);
 }
 
 void WiLocatorServer::maybe_refresh_arrivals() {
@@ -542,7 +557,7 @@ std::vector<Anomaly> WiLocatorServer::anomalies(
   const std::vector<Fix> fixes = engine_->fixes(trip);
   const roadnet::BusRoute& route =
       *runtime_for(engine_->route_of(trip)).route;
-  const AnomalyDetector detector(route, config_.typical_scan_distance_m);
+  const AnomalyDetector detector(route, kTypicalScanDistanceM);
   return detector.detect(fixes);
 }
 
@@ -552,6 +567,15 @@ IngestStats WiLocatorServer::trip_ingest_stats(roadnet::TripId trip) const {
 
 IngestStats WiLocatorServer::ingest_stats() const {
   return engine_->total_stats();
+}
+
+obs::Snapshot WiLocatorServer::metrics_snapshot() const {
+  obs::Snapshot snap = registry_.snapshot();
+  render_ingest(ingest_stats(), snap);
+  if (const auto published = arrival_table_.snapshot(); published != nullptr)
+    snap.gauges["arrival_cache.snapshot_age_s"] =
+        std::max(0.0, wall_clock_s() - published->built_wall_s);
+  return snap;
 }
 
 const svd::PositioningIndex& WiLocatorServer::index_for(

@@ -49,7 +49,6 @@ struct ServerConfig {
   IngestEngineParams engine; ///< sharding / worker pool (0 = serial)
   ArrivalTableParams arrival; ///< materialized read-path snapshot
   PersistenceConfig persist; ///< durable state (disabled by default)
-  double typical_scan_distance_m = 70.0;  ///< anomaly delta basis
   bool tracing = false;  ///< record per-scan trace spans (bounded ring)
 };
 
@@ -77,8 +76,7 @@ class WiLocatorServer {
 
   /// Graceful shutdown: drains the engine, publishes pending
   /// observations, and (when persistence is enabled and not poisoned by
-  /// a failed write) takes a final checkpoint. Also flushes a final
-  /// snapshot through any attached obs::Reporter. Never throws.
+  /// a failed write) takes a final checkpoint. Never throws.
   ~WiLocatorServer();
 
   WiLocatorServer(const WiLocatorServer&) = delete;
@@ -282,18 +280,19 @@ class WiLocatorServer {
   /// of an unknown version.
   bool restore_snapshot(const std::string& path);
 
-  /// Attaches a reporter whose final window is flushed when the server
-  /// shuts down (the reporter must outlive the server).
-  void attach_reporter(obs::Reporter* reporter) { reporter_ = reporter; }
-
   // -- observability -----------------------------------------------------
 
-  /// Point-in-time copy of every metric the pipeline maintains
-  /// (ingest.*, engine.*, locate.*, predictor.*, traffic.*, server.*).
-  obs::Snapshot metrics_snapshot() const { return registry_.snapshot(); }
+  /// Point-in-time copy of every metric the pipeline maintains: the
+  /// registry (engine.*, locate.*, predictor.*, traffic.*, server.*,
+  /// ...) plus what is rendered when metrics are read — `ingest.*` from
+  /// ingest_stats() (counters, and the `ingest.deferred` gauge of
+  /// buffered scans) and the `arrival_cache.snapshot_age_s` gauge (wall
+  /// seconds since the published arrival snapshot was built; absent
+  /// before the first publish). Safe from any thread.
+  obs::Snapshot metrics_snapshot() const;
 
-  /// The live registry (e.g. to wire an obs::Reporter, or to register
-  /// application-level metrics alongside the pipeline's).
+  /// The live registry (e.g. to register application-level metrics
+  /// alongside the pipeline's).
   obs::Registry& metrics_registry() { return registry_; }
 
   /// Drains the trace ring (empty unless config.tracing). Each scan's
@@ -400,9 +399,8 @@ class WiLocatorServer {
   std::uint64_t config_fingerprint_ = 0;
   bool recovered_ = false;
   bool inline_checkpoints_ = true;
-  obs::Reporter* reporter_ = nullptr;  ///< final-flushed on destruction
   // Written only by note_event() (callers already serialized by the
-  // service lock); read lock-free by the reporter thread through
+  // service lock); read lock-free by the serve loop through
   // last_event_time(), hence atomic.
   std::atomic<SimTime> last_event_time_{0.0};
   std::atomic<bool> has_event_{false};

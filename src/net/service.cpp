@@ -67,7 +67,6 @@ WiLocatorService::WiLocatorService(core::WiLocatorServer& server,
   repl_records_served_ = &registry.counter("service.repl_records_served");
   ready_gauge_ = &registry.gauge("service.ready");
   degraded_gauge_ = &registry.gauge("service.degraded");
-  snapshot_age_ = &registry.gauge("http.snapshot_age_s");
 }
 
 WiLocatorService::~WiLocatorService() { stop(); }
@@ -149,7 +148,6 @@ void WiLocatorService::checkpoint_loop() {
       }
       if (prepared.valid) {
         server_.commit_prepared(std::move(prepared));
-        checkpoints_.fetch_add(1, std::memory_order_relaxed);
         if (checkpoint_commits_ != nullptr) checkpoint_commits_->inc();
       }
     } catch (...) {
@@ -296,11 +294,8 @@ HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
 }
 
 HttpResponse WiLocatorService::snapshot_reply(const std::string& body,
-                                              std::uint64_t epoch,
-                                              double built_wall_s) {
+                                              std::uint64_t epoch) {
   if (cache_hits_ != nullptr) cache_hits_->inc();
-  if (snapshot_age_ != nullptr)
-    snapshot_age_->set(std::max(0.0, core::wall_clock_s() - built_wall_s));
   HttpResponse r = HttpResponse::json(200, body);
   r.headers["X-Cache"] = "hit";
   r.headers["X-Epoch"] = std::to_string(epoch);
@@ -323,7 +318,7 @@ std::optional<HttpResponse> WiLocatorService::arrival_from_snapshot(
     return std::nullopt;  // slow path decides 404/400
   }
   if (arrivals_served_ != nullptr) arrivals_served_->inc();
-  return snapshot_reply(ta->body[stop], ta->epoch, snap->built_wall_s);
+  return snapshot_reply(ta->body[stop], ta->epoch);
 }
 
 std::optional<HttpResponse> WiLocatorService::traffic_from_snapshot(
@@ -334,8 +329,7 @@ std::optional<HttpResponse> WiLocatorService::traffic_from_snapshot(
     if (cache_misses_ != nullptr) cache_misses_->inc();
     return std::nullopt;
   }
-  return snapshot_reply(snap->traffic_body, snap->epoch,
-                        snap->built_wall_s);
+  return snapshot_reply(snap->traffic_body, snap->epoch);
 }
 
 HttpResponse WiLocatorService::handle_position(const HttpRequest& request) {
@@ -372,7 +366,10 @@ HttpResponse WiLocatorService::handle_traffic_map(const HttpRequest& request) {
 HttpResponse WiLocatorService::handle_metrics(const HttpRequest& request) {
   if (request.method != "GET") return method_not_allowed("GET");
   // No service mutex: the registry snapshots under its own lock, and
-  // scrapes must not stall behind a slow ingest batch.
+  // the ingest.* render takes each shard's state lock in turn. A busy
+  // worker re-takes that lock batch after batch, so under saturation a
+  // scrape can wait until its shard's queue (at most queue_capacity
+  // scans) drains.
   const obs::Snapshot snap = server_.metrics_snapshot();
   const auto format = request.param("format");
   if (format.has_value() && *format == "prometheus") {
@@ -394,7 +391,7 @@ HttpResponse WiLocatorService::handle_replication(const HttpRequest& request) {
   const auto want = checked_integer<std::size_t>(
       request.param_num("max_bytes").value_or(0.0));
   if (!want.has_value()) return error_json(400, "bad \"max_bytes\"");
-  std::size_t max_bytes = options_.replication_page_bytes;
+  std::size_t max_bytes = kReplicationPageBytes;
   if (*want > 0) max_bytes = std::min(max_bytes, *want);
 
   core::StatePersistence::TailResult tail;

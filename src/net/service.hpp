@@ -9,7 +9,7 @@
 //   GET  /v1/arrival      Eq. 9 chained arrival prediction
 //   GET  /v1/position     current route offset of a trip
 //   GET  /v1/traffic-map  city-wide congestion classification
-//   GET  /metrics         obs registry (JSON, or ?format=prometheus)
+//   GET  /metrics         metrics_snapshot() (JSON, or ?format=prometheus)
 //   GET  /healthz         liveness (process is serving)
 //   GET  /readyz          readiness (recovery replayed + warmup done)
 //
@@ -67,6 +67,10 @@ struct PeerLag {
 /// Supplied by whoever runs the replication tailer; called per /readyz.
 using ReplicationLagProvider = std::function<std::vector<PeerLag>()>;
 
+/// Page-size cap for GET /v1/replication/segments responses; a
+/// client-requested max_bytes is clamped to this.
+inline constexpr std::size_t kReplicationPageBytes = std::size_t{1} << 20;
+
 struct ServiceOptions {
   HttpServerOptions http;
   /// Wall-clock cadence at which the checkpoint thread polls
@@ -78,9 +82,6 @@ struct ServiceOptions {
   /// Flushed (final) during stop(), after the engine drain — e.g. the
   /// NDJSON obs::Reporter of the serve binary. May be null.
   obs::Reporter* reporter = nullptr;
-  /// Page-size cap for GET /v1/replication/segments responses; a
-  /// client-requested max_bytes is clamped to this.
-  std::size_t replication_page_bytes = 1u << 20;
 };
 
 class WiLocatorService {
@@ -129,11 +130,6 @@ class WiLocatorService {
   /// stop() takes its final checkpoint through here. Requires
   /// persistence to be enabled.
   void checkpoint();
-
-  /// Checkpoints committed by the background thread since start().
-  std::uint64_t background_checkpoints() const {
-    return checkpoints_.load(std::memory_order_relaxed);
-  }
 
   /// Routes one request (also the in-process test entry point — no
   /// socket needed).
@@ -193,9 +189,8 @@ class WiLocatorService {
       std::optional<roadnet::RouteId> route, std::size_t stop,
       bool pinned_now);
   std::optional<HttpResponse> traffic_from_snapshot(bool pinned_now);
-  /// Stamps the snapshot response headers + hit metrics.
-  HttpResponse snapshot_reply(const std::string& body, std::uint64_t epoch,
-                              double built_wall_s);
+  /// Stamps the snapshot response headers + hit counter.
+  HttpResponse snapshot_reply(const std::string& body, std::uint64_t epoch);
 
 
   core::WiLocatorServer& server_;
@@ -218,7 +213,6 @@ class WiLocatorService {
   std::thread checkpointer_;
   std::mutex cv_mu_;
   std::condition_variable cv_;
-  std::atomic<std::uint64_t> checkpoints_{0};
 
   obs::Counter* scans_posted_ = nullptr;     ///< service.scans_posted
   obs::Counter* arrivals_served_ = nullptr;  ///< service.arrivals_served
@@ -231,7 +225,6 @@ class WiLocatorService {
   obs::Counter* repl_records_served_ = nullptr;
   obs::Gauge* ready_gauge_ = nullptr;     ///< service.ready
   obs::Gauge* degraded_gauge_ = nullptr;  ///< service.degraded
-  obs::Gauge* snapshot_age_ = nullptr;    ///< http.snapshot_age_s
 };
 
 }  // namespace wiloc::net

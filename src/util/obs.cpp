@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "util/contracts.hpp"
 #include "util/json_num.hpp"
@@ -322,9 +323,9 @@ std::uint64_t Tracer::dropped() const {
 
 // -- Reporter --------------------------------------------------------------
 
-Reporter::Reporter(Registry& registry, std::ostream& out,
+Reporter::Reporter(SnapshotSource source, std::ostream& out,
                    ReporterOptions options)
-    : registry_(&registry), out_(&out), options_(options) {
+    : source_(std::move(source)), out_(&out), options_(options) {
   WILOC_EXPECTS(options_.period_s >= 0.0);
 }
 
@@ -359,7 +360,7 @@ void Reporter::report(double now) {
 }
 
 void Reporter::report_locked(double now) {
-  const Snapshot snap = registry_->snapshot();
+  const Snapshot snap = source_();
   *out_ << "{\"t\":" << json_num(now) << ",\"snapshot\":";
   snap.write_json(*out_);
   *out_ << "}\n";

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -232,6 +233,10 @@ struct ReporterOptions {
   double period_s = 60.0;  ///< min spacing between maybe_report emits
 };
 
+/// Where a Reporter reads its snapshots from: a server's
+/// metrics_snapshot(), or a bare registry's snapshot().
+using SnapshotSource = std::function<Snapshot()>;
+
 /// Writes newline-delimited JSON snapshots ("{"t":...,"counters":...}")
 /// to an ostream. Drive it from the serving loop with maybe_report(now);
 /// the first call reports immediately, later calls report once per
@@ -241,8 +246,9 @@ struct ReporterOptions {
 /// metrics window. Not thread-safe; call from one control thread.
 class Reporter {
  public:
-  /// The registry and stream must outlive the reporter.
-  Reporter(Registry& registry, std::ostream& out, ReporterOptions options = {});
+  /// Whatever `source` reads, and the stream, must outlive the reporter.
+  Reporter(SnapshotSource source, std::ostream& out,
+           ReporterOptions options = {});
   ~Reporter();
 
   Reporter(const Reporter&) = delete;
@@ -266,11 +272,11 @@ class Reporter {
  private:
   void report_locked(double now);
 
-  Registry* registry_;
+  SnapshotSource source_;
   std::ostream* out_;
   ReporterOptions options_;
-  /// flush_final() may race with a shutdown-path maybe_report (service
-  /// stop vs server destructor); the mutex keeps the emitted stream
+  /// flush_final() (service stop) may run on another thread than the
+  /// serve loop's maybe_report; the mutex keeps the emitted stream
   /// line-atomic and the idempotence flag coherent.
   std::mutex mu_;
   std::optional<double> last_;

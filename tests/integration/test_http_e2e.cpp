@@ -215,7 +215,7 @@ TEST(HttpE2E, ServeIngestPredictKillRecover) {
                        std::to_string(other->record.route.value()) + "}";
     ASSERT_EQ(client2.post("/v1/trips", body).status, 200);
     const std::uint64_t processed_before =
-        counter_of(client2, "engine.processed");
+        counter_of(client2, "ingest.submitted");
     std::vector<core::ScanSubmission> batch2;
     for (const auto& report : other->reports)
       batch2.push_back({report.trip, report.scan});
@@ -226,11 +226,11 @@ TEST(HttpE2E, ServeIngestPredictKillRecover) {
     // or a loaded machine answers from a stale mid-batch position.
     const auto processed_deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (counter_of(client2, "engine.processed") <
+    while (counter_of(client2, "ingest.submitted") <
                processed_before + batch2.size() &&
            std::chrono::steady_clock::now() < processed_deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(counter_of(client2, "engine.processed"),
+    EXPECT_EQ(counter_of(client2, "ingest.submitted"),
               processed_before + batch2.size());
     const double now2 = other->reports.back().scan.time;
     std::string target = "/v1/arrival?trip=" +

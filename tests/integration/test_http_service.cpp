@@ -253,7 +253,25 @@ TEST(HttpService, MetricsEndpointJsonAndPrometheus) {
   ASSERT_EQ(json.status, 200);
   const auto doc = parse_json(json.body);
   ASSERT_TRUE(doc.has_value());
-  ASSERT_NE(doc->get("counters"), nullptr);
+  const JsonValue* counters = doc->get("counters");
+  ASSERT_NE(counters, nullptr);
+  // Every ingest.* name is rendered from IngestStats; deferred is the
+  // gauge of buffered scans.
+  for (const char* name :
+       {"ingest.submitted", "ingest.accepted", "ingest.reordered",
+        "ingest.fixes", "ingest.degraded_fixes",
+        "ingest.readings_dropped.invalid", "ingest.readings_dropped.weak",
+        "ingest.readings_dropped.duplicate",
+        "ingest.readings_dropped.unknown_ap"})
+    EXPECT_TRUE(counters->get_number(name).has_value()) << name;
+  for (std::size_t r = 0; r < core::kRejectReasonCount; ++r) {
+    const std::string name =
+        std::string("ingest.rejected.") +
+        core::to_string(static_cast<core::RejectReason>(r));
+    EXPECT_TRUE(counters->get_number(name).has_value()) << name;
+  }
+  ASSERT_NE(doc->get("gauges"), nullptr);
+  EXPECT_TRUE(doc->get("gauges")->get_number("ingest.deferred").has_value());
 
   HttpRequest prom_req{.method = "GET", .path = "/metrics"};
   prom_req.query = {{"format", "prometheus"}};
@@ -262,6 +280,8 @@ TEST(HttpService, MetricsEndpointJsonAndPrometheus) {
   EXPECT_NE(prom.headers.at("Content-Type").find("version=0.0.4"),
             std::string::npos);
   EXPECT_NE(prom.body.find("# TYPE wiloc_ingest_submitted counter"),
+            std::string::npos);
+  EXPECT_NE(prom.body.find("# TYPE wiloc_ingest_deferred gauge"),
             std::string::npos);
   EXPECT_NE(prom.body.find("wiloc_engine_latency_us_bucket{le=\"+Inf\"}"),
             std::string::npos);
@@ -306,15 +326,15 @@ TEST(HttpService, BackgroundCheckpointerCommitsOffThread) {
   service.handle({.method = "POST", .path = "/v1/scans",
                   .body = encode_scan_batch(batch)});
 
+  const auto commits = [&] {
+    return f.server.metrics_snapshot().counter(
+        "service.checkpoints_committed");
+  };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (service.background_checkpoints() == 0 &&
-         std::chrono::steady_clock::now() < deadline)
+  while (commits() == 0 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_GT(service.background_checkpoints(), 0u);
-  EXPECT_GT(f.server.metrics_snapshot().counter(
-                "service.checkpoints_committed"),
-            0u);
+  EXPECT_GT(commits(), 0u);
 
   service.stop();
   service.stop();  // idempotent
@@ -368,7 +388,9 @@ TEST(HttpService, FailedCheckpointIsCountedAndServiceKeepsServing) {
   while (failures() == 0 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_GE(failures(), 1u);
-  EXPECT_EQ(service.background_checkpoints(), 0u);
+  EXPECT_EQ(f.server.metrics_snapshot().counter(
+                "service.checkpoints_committed"),
+            0u);
   EXPECT_TRUE(f.server.persistence()->poisoned());
   EXPECT_EQ(service.handle({.method = "GET", .path = "/healthz"}).status, 200);
   service.stop();

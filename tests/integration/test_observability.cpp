@@ -1,20 +1,24 @@
-// Observability under load: the metrics registry must reconcile with the
-// engine's own IngestStats after a faulted 10k-scan concurrent workload,
-// and tracing must produce a coherent span stream for a clean trip.
+// Observability under load: the metrics snapshot must render the
+// engine's own IngestStats after a faulted 10k-scan concurrent workload
+// and at every scrape during it, and tracing must produce a coherent
+// span stream for a clean trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../chaos_schedule.hpp"
 #include "../helpers.hpp"
 #include "core/server.hpp"
+#include "net/service.hpp"
 #include "util/time.hpp"
 
 namespace wiloc::core {
@@ -42,8 +46,7 @@ TEST(Observability, ChaosWorkloadReconcilesWithIngestStats) {
   const obs::Snapshot snap = server.metrics_snapshot();
   ASSERT_FALSE(snap.empty());
 
-  // The shared ingest.* counters aggregate exactly what total_stats()
-  // sums (the engine is idle, so both views are quiescent).
+  // The ingest.* metrics are rendered from the aggregate IngestStats.
   EXPECT_EQ(snap.counter("ingest.submitted"), stats.submitted);
   EXPECT_EQ(snap.counter("ingest.accepted"), stats.accepted);
   EXPECT_EQ(snap.counter("ingest.reordered"), stats.reordered);
@@ -64,17 +67,16 @@ TEST(Observability, ChaosWorkloadReconcilesWithIngestStats) {
             stats.readings_dropped_duplicate);
   EXPECT_EQ(snap.counter("ingest.readings_dropped.unknown_ap"),
             stats.readings_dropped_unknown_ap);
-  // The faulted stream exercised the defer path; the obs counter is
-  // monotonic over defer events while the stats field tracks occupancy.
-  EXPECT_GT(snap.counter("ingest.deferred"), 0u);
+  // The faulted stream exercised the reorder path; the deferred gauge
+  // is the reorder-buffer occupancy, empty once every trip ended.
+  EXPECT_GT(snap.counter("ingest.reordered"), 0u);
+  EXPECT_EQ(snap.gauges.count("ingest.deferred"), 1u);
+  EXPECT_EQ(snap.gauge("ingest.deferred"), 0.0);
 
-  // Engine-level accounting: every submitted scan was enqueued and
-  // processed; harvested observations all reached the store.
+  // Engine-level accounting: every enqueued scan reached a guard, and
+  // the drained engine's observations were published to the store.
   EXPECT_EQ(snap.counter("engine.enqueued"), stats.submitted);
-  EXPECT_EQ(snap.counter("engine.processed"), stats.submitted);
-  EXPECT_GT(snap.counter("engine.observations"), 0u);
-  EXPECT_EQ(snap.counter("server.observations_published"),
-            snap.counter("engine.observations"));
+  EXPECT_GT(snap.counter("server.observations_published"), 0u);
 
   // Locate instrumentation saw the accepted scans.
   EXPECT_GT(snap.counter("locate.fast_path_hits") +
@@ -152,8 +154,8 @@ TEST(Observability, TracingRecordsCoherentSpans) {
   EXPECT_GT(n_fix, 0u);
   // Every harvested observation was order-finalized and released.
   EXPECT_EQ(n_observe, n_release);
-  EXPECT_EQ(n_observe,
-            server.metrics_snapshot().counter("engine.observations"));
+  EXPECT_EQ(n_observe, server.metrics_snapshot().counter(
+                           "server.observations_published"));
   // Non-ingest events belong to spans that started with an ingest event.
   for (const obs::TraceEvent& e : events) {
     if (e.stage == obs::TraceStage::locate ||
@@ -219,7 +221,8 @@ TEST(Observability, ReporterStreamsServerMetrics) {
                          DaySlots::paper_five_slots());
 
   std::ostringstream out;
-  obs::Reporter reporter(server.metrics_registry(), out, {.period_s = 30.0});
+  obs::Reporter reporter([&server] { return server.metrics_snapshot(); }, out,
+                         {.period_s = 30.0});
 
   Rng rng(9);
   const auto record = sim::simulate_trip(TripId(5), city.route_a(),
@@ -252,45 +255,106 @@ TEST(Observability, ReporterStreamsServerMetrics) {
   EXPECT_EQ(n, reporter.reports());
 }
 
-TEST(Observability, DestructorDrainsEngineBeforeFinalReporterLine) {
-  // Regression: the final reporter line used to be able to race ahead of
-  // the async engine, under-counting scans that were still queued when
-  // the server shut down. The destructor must drain first — including
-  // when persistence is disabled — so the last line accounts for the
-  // complete stream.
-  const testing::ChaosSchedule schedule(3, 1);  // one round
-  std::ostringstream out;
-  std::size_t submitted = 0;
-  {
-    ServerConfig config;
-    config.engine.workers = 2;  // async path; persistence stays off
-    auto server = schedule.make_server(config);
-    obs::Reporter reporter(server->metrics_registry(), out,
-                           {.period_s = 1e9});
-    server->attach_reporter(&reporter);
+TEST(Observability, MetricsScrapeDuringIngest) {
+  // Every scrape renders one IngestStats sum, so the accounting
+  // invariant holds mid-stream too: a second thread scrapes while two
+  // workers process chaos-schedule batches.
+  const testing::ChaosSchedule schedule(4242, 10000);
+  ServerConfig config;
+  config.engine.workers = 2;
+  auto owned = schedule.make_server(config);
+  WiLocatorServer& server = *owned;
+  schedule.train(server);
 
-    // The round's trips begin and its scans go out as one batch; no
-    // trip ends, so nothing drains before the destructor.
-    std::vector<ScanSubmission> batch;
-    for (const testing::ChaosOp& op : schedule.rounds.front()) {
+  std::atomic<bool> done{false};
+  std::size_t scrapes = 0;
+  std::size_t buffered_scrapes = 0;  // scrapes that saw deferred scans
+  std::string first_failure;
+  std::thread scraper([&] {
+    std::uint64_t last_submitted = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const obs::Snapshot snap = server.metrics_snapshot();
+      std::uint64_t rejected = 0;
+      for (std::size_t r = 0; r < kRejectReasonCount; ++r)
+        rejected += snap.counter(std::string("ingest.rejected.") +
+                                 to_string(static_cast<RejectReason>(r)));
+      const auto deferred =
+          static_cast<std::uint64_t>(snap.gauge("ingest.deferred"));
+      const std::uint64_t submitted = snap.counter("ingest.submitted");
+      const std::uint64_t accepted = snap.counter("ingest.accepted");
+      if (first_failure.empty() &&
+          (submitted != accepted + rejected + deferred ||
+           submitted < last_submitted))
+        first_failure = "scrape " + std::to_string(scrapes) +
+                        ": submitted " + std::to_string(submitted) +
+                        " (previous " + std::to_string(last_submitted) +
+                        "), accepted " + std::to_string(accepted) +
+                        ", rejected " + std::to_string(rejected) +
+                        ", deferred " + std::to_string(deferred);
+      last_submitted = submitted;
+      ++scrapes;
+      if (deferred > 0) ++buffered_scrapes;
+    }
+  });
+  for (const testing::ChaosRound& round : schedule.rounds)
+    testing::apply_batched(server, round, schedule.batch_size);
+  done.store(true, std::memory_order_release);
+  scraper.join();
+
+  EXPECT_TRUE(first_failure.empty()) << first_failure;
+  EXPECT_GT(scrapes, 0u);
+  // Some scrapes landed mid-stream, with scans in reorder buffers.
+  EXPECT_GT(buffered_scrapes, 0u);
+  // Quiescent, a scrape is exactly ingest_stats().
+  const IngestStats stats = server.ingest_stats();
+  const obs::Snapshot snap = server.metrics_snapshot();
+  EXPECT_EQ(snap.counter("ingest.submitted"), stats.submitted);
+  EXPECT_EQ(snap.counter("ingest.accepted"), stats.accepted);
+  EXPECT_EQ(snap.gauge("ingest.deferred"),
+            static_cast<double>(stats.deferred));
+}
+
+TEST(Observability, ServiceStopDrainsEngineBeforeFinalReporterLine) {
+  // The final reporter line must account for the complete stream, even
+  // scans still queued at the async engine when the service stops:
+  // stop() drains before it flushes the reporter.
+  const testing::ChaosSchedule schedule(3, 10000);
+  ServerConfig config;
+  config.engine.workers = 2;  // async path; persistence stays off
+  config.engine.queue_capacity = 1 << 16;  // the whole batch queues
+  auto server = schedule.make_server(config);
+  std::ostringstream out;
+  obs::Reporter reporter([&server] { return server->metrics_snapshot(); },
+                         out, {.period_s = 1e9});
+  net::ServiceOptions options;
+  options.reporter = &reporter;
+  net::WiLocatorService service(*server, options);
+  service.start();
+
+  // Every round's trips begin and all their scans go out as one batch;
+  // no trip ends, so nothing drains before stop().
+  std::vector<ScanSubmission> batch;
+  for (const testing::ChaosRound& round : schedule.rounds)
+    for (const testing::ChaosOp& op : round) {
       if (op.kind == testing::ChaosOp::Kind::begin)
         server->begin_trip(op.trip, op.route);
       else if (op.kind == testing::ChaosOp::Kind::scan)
         batch.push_back({op.trip, op.scan});
     }
-    submitted = server->ingest_batch(batch).enqueued;
-    reporter.maybe_report(batch.back().scan.time);
-    // No drain here: the destructor owns the ordering under test.
-    server.reset();  // dtor drains, then writes the final reporter line
-    // The reporter's own destructor flush (after the server already
-    // flushed) must stay silent — covered by the line count below.
-  }
+  // Like the serve loop: the first tick reports, a later one within the
+  // period only opens the window the final line flushes.
+  reporter.maybe_report(0.0);
+  const std::size_t submitted = server->ingest_batch(batch).enqueued;
+  reporter.maybe_report(1.0);
   ASSERT_GT(submitted, 0u);
+  service.stop();  // no drain before this: stop() owns the ordering
 
-  std::string last_line;
-  std::istringstream lines(out.str());
-  for (std::string line; std::getline(lines, line);)
-    if (!line.empty()) last_line = line;
+  std::vector<std::string> lines;
+  std::istringstream stream(out.str());
+  for (std::string line; std::getline(stream, line);)
+    if (!line.empty()) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u) << out.str();
+  const std::string& last_line = lines.back();
   const auto value_of = [&](const std::string& key) -> std::uint64_t {
     const std::string needle = "\"" + key + "\":";
     const auto pos = last_line.find(needle);
@@ -298,7 +362,15 @@ TEST(Observability, DestructorDrainsEngineBeforeFinalReporterLine) {
     return std::stoull(last_line.substr(pos + needle.size()));
   };
   EXPECT_EQ(value_of("engine.enqueued"), submitted) << last_line;
-  EXPECT_EQ(value_of("engine.processed"), submitted) << last_line;
+  EXPECT_EQ(value_of("ingest.submitted"), submitted) << last_line;
+  // The drain also published what the workers harvested: a later drain
+  // finds nothing left to publish.
+  server->drain();
+  const std::uint64_t published =
+      server->metrics_snapshot().counter("server.observations_published");
+  EXPECT_GT(published, 0u);
+  EXPECT_EQ(value_of("server.observations_published"), published)
+      << last_line;
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // The rider read path over HTTP (DESIGN.md §13): snapshot
 // fast-path hits with X-Cache/X-Epoch, byte parity with the pinned-now
-// slow path (trip- and route-level), epoch advancement as ingest
-// changes remaining segments, forced degraded mode (snapshot hit or
-// 503), route-level reads of trips begun on the server directly, and
-// that rider reads never take the service lock under a concurrent
-// ingest + read load (runs under TSan in CI via the Http* regex).
+// slow path (trip- and route-level), a snapshot age that grows while
+// nothing reads, epoch advancement as ingest changes remaining
+// segments, forced degraded mode (snapshot hit or 503), route-level
+// reads of trips begun on the server directly, and that rider reads
+// never take the service lock under a concurrent ingest + read load
+// (runs under TSan in CI via the Http* regex).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -147,6 +150,39 @@ TEST(HttpReadPath, SnapshotServesRiderReadsWithoutLocks) {
   EXPECT_GE(hits / (hits + misses), 1.0);
   EXPECT_EQ(snap.counter("http.read_slow_path"), 0u);
   EXPECT_GE(snap.counter("arrival_cache.rebuilds"), 1u);
+}
+
+TEST(HttpReadPath, SnapshotAgeGrowsWithoutReads) {
+  // arrival_cache.snapshot_age_s is computed when metrics are read, so
+  // it keeps moving when rider reads stop.
+  ReadPathFixture f;
+  f.train();
+  WiLocatorService service(f.server);
+  const auto scraped_age = [&]() -> std::optional<double> {
+    const auto doc =
+        parse_json(service.handle({.method = "GET", .path = "/metrics"}).body);
+    if (!doc.has_value() || doc->get("gauges") == nullptr) return std::nullopt;
+    return doc->get("gauges")->get_number("arrival_cache.snapshot_age_s");
+  };
+  EXPECT_FALSE(scraped_age().has_value());  // nothing published yet
+
+  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                            .body = R"({"trip":5,"route":0})"})
+                .status,
+            200);
+  const auto reports = f.live_reports(TripId(5), hms(9));
+  post_scans(service, reports, 0, reports.size());
+  const auto published = f.server.arrival_snapshot();
+  ASSERT_NE(published, nullptr);
+
+  const double wait_s = 0.25;
+  std::this_thread::sleep_for(std::chrono::duration<double>(wait_s));
+  const std::optional<double> age = scraped_age();
+  ASSERT_TRUE(age.has_value());
+  EXPECT_GE(*age, wait_s);
+  // No rider read and no rebuild happened in between.
+  EXPECT_EQ(f.server.metrics_snapshot().counter("arrival_cache.hits"), 0u);
+  EXPECT_EQ(f.server.arrival_snapshot(), published);
 }
 
 TEST(HttpReadPath, PinnedNowSlowPathMatchesSnapshotBytes) {

@@ -313,7 +313,8 @@ TEST(ObsReporter, PeriodGating) {
   Registry reg;
   reg.counter("c").inc();
   std::ostringstream out;
-  Reporter reporter(reg, out, {.period_s = 10.0});
+  Reporter reporter([&reg] { return reg.snapshot(); }, out,
+                    {.period_s = 10.0});
   EXPECT_TRUE(reporter.maybe_report(100.0));   // first call always reports
   EXPECT_FALSE(reporter.maybe_report(105.0));  // within the period
   EXPECT_TRUE(reporter.maybe_report(110.0));
@@ -334,7 +335,8 @@ TEST(ObsReporter, PeriodGating) {
 TEST(ObsReporter, FlushFinalEmitsSuppressedWindow) {
   Registry reg;
   std::ostringstream out;
-  Reporter reporter(reg, out, {.period_s = 10.0});
+  Reporter reporter([&reg] { return reg.snapshot(); }, out,
+                    {.period_s = 10.0});
   reporter.maybe_report(100.0);          // first call reports
   reg.counter("late").inc();
   EXPECT_FALSE(reporter.maybe_report(104.0));  // suppressed window
@@ -352,7 +354,8 @@ TEST(ObsReporter, FlushFinalWithoutActivityIsSilent) {
   Registry reg;
   std::ostringstream out;
   {
-    Reporter reporter(reg, out, {.period_s = 1.0});
+    Reporter reporter([&reg] { return reg.snapshot(); }, out,
+                      {.period_s = 1.0});
     reporter.flush_final();  // no maybe_report ever happened
   }                          // destructor flush is silent too
   EXPECT_TRUE(out.str().empty()) << out.str();
@@ -362,7 +365,8 @@ TEST(ObsReporter, DestructorFlushesLastWindow) {
   Registry reg;
   std::ostringstream out;
   {
-    Reporter reporter(reg, out, {.period_s = 1e9});
+    Reporter reporter([&reg] { return reg.snapshot(); }, out,
+                      {.period_s = 1e9});
     reporter.maybe_report(10.0);
     reg.counter("teardown").inc(3);
     reporter.maybe_report(20.0);  // suppressed by the huge period
@@ -452,7 +456,8 @@ TEST(ObsSnapshot, LargeNumbersReadBackExactly) {
 TEST(ObsReporter, ReportAfterFlushReopensWindow) {
   Registry reg;
   std::ostringstream out;
-  Reporter reporter(reg, out, {.period_s = 10.0});
+  Reporter reporter([&reg] { return reg.snapshot(); }, out,
+                    {.period_s = 10.0});
   reporter.maybe_report(100.0);
   reporter.flush_final();
   const std::uint64_t flushed = reporter.reports();

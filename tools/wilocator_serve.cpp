@@ -175,10 +175,10 @@ int main(int argc, char** argv) {
 
   obs::ReporterOptions reporter_options;
   reporter_options.period_s = metrics_period_s;
-  // Not attach_reporter()ed: the reporter is declared after the server,
-  // so the service (stopped first) owns the final flush instead.
-  obs::Reporter reporter(server.metrics_registry(), std::cerr,
-                         reporter_options);
+  // Reads what /metrics serves (ingest.* included). The service
+  // (stopped first) owns the final flush, after its engine drain.
+  obs::Reporter reporter([&server] { return server.metrics_snapshot(); },
+                         std::cerr, reporter_options);
 
   net::ServiceOptions options;
   options.http.port = port;
