@@ -19,8 +19,9 @@ namespace {
 constexpr double kTypicalScanDistanceM = 70.0;
 
 /// Renders the server-wide IngestStats under the `ingest.*` names: one
-/// counter per field and per reject reason, and the `ingest.deferred`
-/// gauge (scans buffered for reordering right now).
+/// counter per field and per reject reason (RejectReason::none, index 0,
+/// is never a rejection), and the `ingest.deferred` gauge (scans
+/// buffered for reordering right now).
 void render_ingest(const IngestStats& stats, obs::Snapshot& snap) {
   auto& c = snap.counters;
   c["ingest.submitted"] = stats.submitted;
@@ -28,7 +29,7 @@ void render_ingest(const IngestStats& stats, obs::Snapshot& snap) {
   c["ingest.reordered"] = stats.reordered;
   c["ingest.fixes"] = stats.fixes;
   c["ingest.degraded_fixes"] = stats.degraded_fixes;
-  for (std::size_t i = 0; i < kRejectReasonCount; ++i)
+  for (std::size_t i = 1; i < kRejectReasonCount; ++i)
     c[std::string("ingest.rejected.") +
       to_string(static_cast<RejectReason>(i))] = stats.rejected_by_reason[i];
   c["ingest.readings_dropped.invalid"] = stats.readings_dropped_invalid;
@@ -67,11 +68,6 @@ std::vector<std::unique_ptr<svd::RouteSvd>> build_route_indexes(
     for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(work);
     work();
   }  // joins the helpers
-#ifdef __GLIBC__
-  // Each helper's freed build scratch stays resident in its own malloc
-  // arena, where nothing on this thread reuses it; hand it back.
-  if (threads > 1) malloc_trim(0);
-#endif
   for (const std::exception_ptr& error : errors)
     if (error) std::rethrow_exception(error);
   return built;
@@ -204,6 +200,19 @@ void WiLocatorServer::init_persistence() {
   persist_ = std::make_unique<StatePersistence>(config_.persist);
   persist_->set_metrics(persist_metrics_);
   recover_state();
+  // A restarted node that recovered a finalized store skips training:
+  // its set-up ends with the constructor.
+  if (store_.finalized()) release_setup_scratch();
+}
+
+void WiLocatorServer::release_setup_scratch() {
+#ifdef __GLIBC__
+  // glibc keeps freed chunks resident: in the middle of the main heap,
+  // where live learned state pins the top, and in each route-build
+  // helper's arena, where nothing reuses them. malloc_trim walks every
+  // arena and returns their whole free pages.
+  malloc_trim(0);
+#endif
 }
 
 void WiLocatorServer::recover_state() {
@@ -424,6 +433,7 @@ void WiLocatorServer::finalize_history() {
   store_.finalize_history();
   history_seen_.clear();  // raw history is frozen; the set is done
   if (persist_ != nullptr) commit_prepared(seal_checkpoint());
+  release_setup_scratch();
 }
 
 void WiLocatorServer::begin_trip(roadnet::TripId trip,

@@ -96,6 +96,7 @@ class WiLocatorServer {
   void load_history(const TravelObservation& obs);
   /// Freezes history and computes residual statistics. Checkpoints when
   /// persistence is enabled (the finalized flag is part of the state).
+  /// Set-up ends here, so the heap it freed goes back to the OS.
   void finalize_history();
 
   // -- online operation --------------------------------------------------
@@ -350,6 +351,11 @@ class WiLocatorServer {
   void init_persistence();
   /// Applies snapshot + post-watermark journal records; sets recovered_.
   void recover_state();
+  /// Returns the heap set-up freed (route-build and history-load
+  /// scratch) to the OS, so the resident set is the learned state. Runs
+  /// once, when set-up completes: at finalize_history(), or at the end
+  /// of construction when recovery restored a finalized store.
+  static void release_setup_scratch();
   /// Serializes [fingerprint][watermark][store].
   std::vector<std::byte> snapshot_body() const;
   /// Inverse of snapshot_body() for any readable version; returns the

@@ -10,186 +10,211 @@ namespace {
 
 constexpr std::size_t kMaxDepth = 64;
 
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
+}  // namespace
 
-  bool at_end() const { return pos >= text.size(); }
-  char peek() const { return text[pos]; }
+void JsonReader::skip_ws() {
+  while (!at_end() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                       text_[pos_] == '\n' || text_[pos_] == '\r'))
+    ++pos_;
+}
 
-  void skip_ws() {
-    while (!at_end() && (text[pos] == ' ' || text[pos] == '\t' ||
-                         text[pos] == '\n' || text[pos] == '\r'))
-      ++pos;
-  }
+bool JsonReader::fail(std::string_view what) {
+  if (error_.empty())
+    error_ = std::string(what) + " at offset " + std::to_string(pos_);
+  return false;
+}
 
-  bool fail(const std::string& what) {
-    if (error.empty())
-      error = what + " at offset " + std::to_string(pos);
-    return false;
-  }
+bool JsonReader::consume(char c) {
+  if (at_end() || text_[pos_] != c)
+    return fail(std::string("expected '") + c + "'");
+  ++pos_;
+  return true;
+}
 
-  bool consume(char c) {
-    if (at_end() || text[pos] != c)
-      return fail(std::string("expected '") + c + "'");
-    ++pos;
-    return true;
-  }
+bool JsonReader::literal(std::string_view word) {
+  if (text_.substr(pos_, word.size()) != word) return fail("bad literal");
+  pos_ += word.size();
+  return true;
+}
 
-  bool literal(std::string_view word) {
-    if (text.substr(pos, word.size()) != word)
-      return fail("bad literal");
-    pos += word.size();
-    return true;
-  }
-
-  bool parse_string(std::string* out) {
-    if (!consume('"')) return false;
-    out->clear();
-    while (true) {
-      if (at_end()) return fail("unterminated string");
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20)
-        return fail("control character in string");
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (at_end()) return fail("unterminated escape");
-      const char e = text[pos++];
-      switch (e) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos + 4 > text.size()) return fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text[pos++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return fail("bad \\u escape");
-          }
-          // UTF-8 encode a BMP code point (no surrogate pairs).
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
+bool JsonReader::string(std::string* out) {
+  if (!consume('"')) return false;
+  if (out != nullptr) out->clear();
+  const auto put = [out](char c) {
+    if (out != nullptr) out->push_back(c);
+  };
+  while (true) {
+    if (at_end()) return fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return true;
+    if (static_cast<unsigned char>(c) < 0x20)
+      return fail("control character in string");
+    if (c != '\\') {
+      put(c);
+      continue;
+    }
+    if (at_end()) return fail("unterminated escape");
+    const char e = text_[pos_++];
+    switch (e) {
+      case '"': put('"'); break;
+      case '\\': put('\\'); break;
+      case '/': put('/'); break;
+      case 'b': put('\b'); break;
+      case 'f': put('\f'); break;
+      case 'n': put('\n'); break;
+      case 'r': put('\r'); break;
+      case 't': put('\t'); break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f')
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F')
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          else
+            return fail("bad \\u escape");
         }
-        default: return fail("bad escape");
+        // UTF-8 encode a BMP code point (no surrogate pairs).
+        if (code < 0x80) {
+          put(static_cast<char>(code));
+        } else if (code < 0x800) {
+          put(static_cast<char>(0xC0 | (code >> 6)));
+          put(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          put(static_cast<char>(0xE0 | (code >> 12)));
+          put(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          put(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
       }
+      default: return fail("bad escape");
     }
   }
+}
 
-  bool parse_value(JsonValue* out, std::size_t depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    skip_ws();
-    if (at_end()) return fail("unexpected end of input");
-    const char c = peek();
-    if (c == 'n') {
-      if (!literal("null")) return false;
+bool JsonReader::number(double* out) {
+  const char* begin = text_.data() + pos_;
+  const char* end = text_.data() + text_.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, *out);
+  if (ec != std::errc{} || ptr == begin) return fail("bad number");
+  pos_ += static_cast<std::size_t>(ptr - begin);
+  return true;
+}
+
+bool JsonReader::open(std::size_t depth, char* first) {
+  if (depth > kMaxDepth) return fail("nesting too deep");
+  skip_ws();
+  if (at_end()) return fail("unexpected end of input");
+  *first = text_[pos_];
+  return true;
+}
+
+bool JsonReader::skip(char first, std::size_t depth) {
+  switch (first) {
+    case 'n': return literal("null");
+    case 't': return literal("true");
+    case 'f': return literal("false");
+    case '"': return string(nullptr);
+    case '[':
+      return array(depth, [this](std::size_t d) { return skip_value(d); });
+    case '{':
+      return object(depth, [this](const std::string&, std::size_t d) {
+        return skip_value(d);
+      });
+    default: {
+      double ignored = 0.0;
+      return number(&ignored);
+    }
+  }
+}
+
+bool JsonReader::skip_value(std::size_t depth) {
+  char c = 0;
+  return open(depth, &c) && skip(c, depth);
+}
+
+bool JsonReader::value(std::size_t depth, std::optional<double>* number) {
+  char c = 0;
+  if (!open(depth, &c)) return false;
+  switch (c) {
+    case 'n': case 't': case 'f': case '"': case '[': case '{':
+      *number = std::nullopt;
+      return skip(c, depth);
+    default: {
+      double v = 0.0;
+      if (!this->number(&v)) return false;
+      *number = v;
+      return true;
+    }
+  }
+}
+
+bool JsonReader::finish() {
+  skip_ws();
+  if (at_end()) return true;
+  if (error_.empty()) error_ = "trailing garbage";
+  return false;
+}
+
+namespace {
+
+/// parse_json's front end: builds the tree for the value at `depth`.
+bool parse_value(JsonReader& in, JsonValue* out, std::size_t depth) {
+  char c = 0;
+  if (!in.open(depth, &c)) return false;
+  switch (c) {
+    case 'n':
+      if (!in.literal("null")) return false;
       *out = JsonValue::make_null();
       return true;
-    }
-    if (c == 't') {
-      if (!literal("true")) return false;
-      *out = JsonValue::make_bool(true);
+    case 't':
+    case 'f': {
+      const bool b = c == 't';
+      if (!in.literal(b ? "true" : "false")) return false;
+      *out = JsonValue::make_bool(b);
       return true;
     }
-    if (c == 'f') {
-      if (!literal("false")) return false;
-      *out = JsonValue::make_bool(false);
-      return true;
-    }
-    if (c == '"') {
+    case '"': {
       std::string s;
-      if (!parse_string(&s)) return false;
+      if (!in.string(&s)) return false;
       *out = JsonValue::make_string(std::move(s));
       return true;
     }
-    if (c == '[') {
-      ++pos;
+    case '[': {
       std::vector<JsonValue> items;
-      skip_ws();
-      if (!at_end() && peek() == ']') {
-        ++pos;
-      } else {
-        while (true) {
-          JsonValue item;
-          if (!parse_value(&item, depth + 1)) return false;
-          items.push_back(std::move(item));
-          skip_ws();
-          if (at_end()) return fail("unterminated array");
-          if (peek() == ',') {
-            ++pos;
-            continue;
-          }
-          if (!consume(']')) return false;
-          break;
-        }
-      }
+      const bool ok = in.array(depth, [&](std::size_t d) {
+        items.emplace_back();
+        return parse_value(in, &items.back(), d);
+      });
+      if (!ok) return false;
       *out = JsonValue::make_array(std::move(items));
       return true;
     }
-    if (c == '{') {
-      ++pos;
+    case '{': {
       std::map<std::string, JsonValue> members;
-      skip_ws();
-      if (!at_end() && peek() == '}') {
-        ++pos;
-      } else {
-        while (true) {
-          skip_ws();
-          std::string key;
-          if (!parse_string(&key)) return false;
-          skip_ws();
-          if (!consume(':')) return false;
-          JsonValue value;
-          if (!parse_value(&value, depth + 1)) return false;
-          members[std::move(key)] = std::move(value);
-          skip_ws();
-          if (at_end()) return fail("unterminated object");
-          if (peek() == ',') {
-            ++pos;
-            continue;
-          }
-          if (!consume('}')) return false;
-          break;
-        }
-      }
+      const bool ok =
+          in.object(depth, [&](const std::string& key, std::size_t d) {
+            JsonValue value;
+            if (!parse_value(in, &value, d)) return false;
+            members[key] = std::move(value);  // a repeated key's last wins
+            return true;
+          });
+      if (!ok) return false;
       *out = JsonValue::make_object(std::move(members));
       return true;
     }
-    // Number.
-    double value = 0.0;
-    const char* begin = text.data() + pos;
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc{} || ptr == begin) return fail("bad number");
-    pos += static_cast<std::size_t>(ptr - begin);
-    *out = JsonValue::make_number(value);
-    return true;
+    default: {
+      double n = 0.0;
+      if (!in.number(&n)) return false;
+      *out = JsonValue::make_number(n);
+      return true;
+    }
   }
-};
+}
 
 }  // namespace
 
@@ -261,15 +286,10 @@ JsonValue JsonValue::make_object(std::map<std::string, JsonValue> members) {
 
 std::optional<JsonValue> parse_json(std::string_view text,
                                     std::string* error) {
-  Parser p{text, 0, {}};
+  JsonReader in(text);
   JsonValue value;
-  if (!p.parse_value(&value, 0)) {
-    if (error != nullptr) *error = p.error;
-    return std::nullopt;
-  }
-  p.skip_ws();
-  if (!p.at_end()) {
-    if (error != nullptr) *error = "trailing garbage";
+  if (!parse_value(in, &value, 0) || !in.finish()) {
+    if (error != nullptr) *error = in.error();
     return std::nullopt;
   }
   return value;

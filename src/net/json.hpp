@@ -7,6 +7,11 @@
 // points are decoded; scan payloads are pure ASCII anyway). Depth and
 // size are bounded by the HTTP layer's body limit plus an explicit
 // nesting cap, so a hostile payload cannot blow the stack.
+//
+// Two front ends share one lexer: parse_json builds a JsonValue tree,
+// and JsonReader lets a decoder walk a body in one pass and build only
+// its own output (the scan codec), with the same grammar, nesting cap
+// and error messages.
 #pragma once
 
 #include <cmath>
@@ -18,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace wiloc::net {
@@ -62,6 +68,97 @@ class JsonValue {
 /// trailing garbage (the service answers 400 with `error` when set).
 std::optional<JsonValue> parse_json(std::string_view text,
                                     std::string* error = nullptr);
+
+/// The lexer under parse_json, for a decoder that walks one document
+/// without a DOM. A value at nesting `depth` (the document is 0, an
+/// array item or member value its container's depth + 1) is read by
+/// open() followed by exactly one of skip(), array(), object() or a
+/// scalar read, or in one call by skip_value() or value(). Every call
+/// returns false on a syntax error; error() then holds the first one,
+/// worded and placed as parse_json reports it.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Starts the value at `depth`: enforces the nesting cap, skips
+  /// whitespace and sets `first` to the value's first character.
+  bool open(std::size_t depth, char* first);
+  /// Consumes the opened value, whatever its shape and depth.
+  bool skip(char first, std::size_t depth);
+  /// Opens and consumes the value at `depth`, whatever its shape.
+  bool skip_value(std::size_t depth);
+  /// Opens and consumes the value at `depth`; `number` is set to it
+  /// when it is a number and to nullopt otherwise.
+  bool value(std::size_t depth, std::optional<double>* number);
+  /// Consumes the opened array ('[' first), calling item(depth + 1)
+  /// once per element; item must read the element (open() first).
+  template <typename Item>
+  bool array(std::size_t depth, Item&& item);
+  /// Consumes the opened object ('{' first), calling
+  /// member(key, depth + 1) once per member in document order with the
+  /// key unescaped; member must read the member's value.
+  template <typename Member>
+  bool object(std::size_t depth, Member&& member);
+  /// Consume the opened scalar: the literal `word` (null, true or
+  /// false), a string ('"' first; a null `out` only validates it), or
+  /// a number (any other first character).
+  bool literal(std::string_view word);
+  bool string(std::string* out);
+  bool number(double* out);
+  /// Succeeds when only whitespace is left after the document.
+  bool finish();
+
+  const std::string& error() const { return error_; }
+
+ private:
+  bool at_end() const { return pos_ >= text_.size(); }
+  void skip_ws();
+  bool fail(std::string_view what);
+  bool consume(char c);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::string error_;
+};
+
+template <typename Item>
+bool JsonReader::array(std::size_t depth, Item&& item) {
+  ++pos_;  // '['
+  skip_ws();
+  if (!at_end() && text_[pos_] == ']') {
+    ++pos_;
+    return true;
+  }
+  while (true) {
+    if (!item(depth + 1)) return false;
+    skip_ws();
+    if (at_end()) return fail("unterminated array");
+    if (text_[pos_] != ',') return consume(']');
+    ++pos_;
+  }
+}
+
+template <typename Member>
+bool JsonReader::object(std::size_t depth, Member&& member) {
+  ++pos_;  // '{'
+  skip_ws();
+  if (!at_end() && text_[pos_] == '}') {
+    ++pos_;
+    return true;
+  }
+  std::string key;
+  while (true) {
+    skip_ws();
+    if (!string(&key)) return false;
+    skip_ws();
+    if (!consume(':')) return false;
+    if (!member(std::as_const(key), depth + 1)) return false;
+    skip_ws();
+    if (at_end()) return fail("unterminated object");
+    if (text_[pos_] != ',') return consume('}');
+    ++pos_;
+  }
+}
 
 /// Escapes a string for embedding in a JSON document (adds quotes).
 std::string json_quote(std::string_view s);

@@ -1,82 +1,191 @@
 #include "net/scan_codec.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <cstdint>
 
 #include "net/json.hpp"
 #include "util/json_num.hpp"
 
 namespace wiloc::net {
 
-std::string encode_scan_batch(std::span<const core::ScanSubmission> batch) {
-  std::ostringstream out;
-  out << "{\"scans\":[";
-  bool first_scan = true;
-  for (const core::ScanSubmission& sub : batch) {
-    if (!first_scan) out << ',';
-    first_scan = false;
-    out << "{\"trip\":" << sub.trip.value()
-        << ",\"t\":" << json_num(sub.scan.time) << ",\"readings\":[";
-    bool first_reading = true;
-    for (const rf::ApReading& r : sub.scan.readings) {
-      if (!first_reading) out << ',';
-      first_reading = false;
-      out << '[' << r.ap.value() << ',' << json_num(r.rssi_dbm) << ']';
-    }
-    out << "]}";
-  }
-  out << "]}";
-  return out.str();
+namespace {
+
+constexpr const char* kNeedsFields = "scan needs trip, t and readings";
+constexpr const char* kBadReading = "reading must be [ap, rssi_dbm]";
+
+void append_uint(std::string& out, std::uint32_t v) {
+  char buf[16];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
-std::optional<std::vector<core::ScanSubmission>> decode_scan_batch(
-    const std::string& body, std::string* error) {
-  const auto fail = [error](std::string message)
-      -> std::optional<std::vector<core::ScanSubmission>> {
-    if (error != nullptr) *error = std::move(message);
-    return std::nullopt;
-  };
-  std::string parse_error;
-  const auto doc = parse_json(body, &parse_error);
-  if (!doc.has_value()) return fail("bad JSON: " + parse_error);
-  const JsonValue* scans = doc->get("scans");
-  const std::vector<JsonValue>* items =
-      scans != nullptr ? scans->as_array() : nullptr;
-  if (items == nullptr) return fail("missing \"scans\" array");
+void append_num(std::string& out, double v) {
+  char buf[kJsonNumChars];
+  out.append(buf, put_json_num(buf, v));
+}
 
-  std::vector<core::ScanSubmission> batch;
-  batch.reserve(items->size());
-  for (const JsonValue& item : *items) {
-    const auto trip = checked_integer<std::uint32_t>(item.get_number("trip"));
-    const auto t = item.get_number("t");
-    const JsonValue* readings = item.get("readings");
-    const std::vector<JsonValue>* pairs =
-        readings != nullptr ? readings->as_array() : nullptr;
-    if (!trip.has_value() || !t.has_value() || pairs == nullptr)
-      return fail("scan needs trip, t and readings");
-    rf::WifiScan scan;
-    scan.time = *t;
-    scan.readings.reserve(pairs->size());
-    for (const JsonValue& pair : *pairs) {
-      const std::vector<JsonValue>* rd = pair.as_array();
-      if (rd == nullptr || rd->size() != 2)
-        return fail("reading must be [ap, rssi_dbm]");
-      const auto ap = checked_integer<std::uint32_t>((*rd)[0].as_number());
-      const auto rssi = (*rd)[1].as_number();
-      if (!ap.has_value() || !rssi.has_value())
-        return fail("reading must be [ap, rssi_dbm]");
-      scan.readings.push_back({rf::ApId(*ap), *rssi});
+/// One pass over a POST /v1/scans body that builds the batch directly.
+/// It keeps the tree decoder's semantics: a repeated key's last value
+/// wins (for "scans" too), unknown members are skipped at any depth, and
+/// the error reported is the one a full parse followed by a walk of the
+/// final "scans" array would find first — any syntax error, then a
+/// missing array, then the first bad scan.
+class ScanBatchDecoder {
+ public:
+  explicit ScanBatchDecoder(std::string_view body) : json_(body) {}
+
+  std::optional<std::vector<core::ScanSubmission>> decode(std::string* error) {
+    const auto fail = [error](std::string message)
+        -> std::optional<std::vector<core::ScanSubmission>> {
+      if (error != nullptr) *error = std::move(message);
+      return std::nullopt;
+    };
+    char c = 0;
+    bool parsed = json_.open(0, &c);
+    if (parsed && c == '{')
+      parsed = json_.object(0, [this](const std::string& key, std::size_t d) {
+        return key == "scans" ? read_scans(d) : json_.skip_value(d);
+      });
+    else if (parsed)
+      parsed = json_.skip(c, 0);
+    if (!parsed || !json_.finish()) return fail("bad JSON: " + json_.error());
+    if (!has_scans_) return fail("missing \"scans\" array");
+    if (bad_ != nullptr) return fail(bad_);
+    return std::move(batch_);
+  }
+
+ private:
+  bool read_scans(std::size_t depth) {
+    batch_.clear();
+    bad_ = nullptr;
+    has_scans_ = false;
+    char c = 0;
+    if (!json_.open(depth, &c)) return false;
+    if (c != '[') return json_.skip(c, depth);
+    has_scans_ = true;
+    return json_.array(depth, [this](std::size_t d) { return read_scan(d); });
+  }
+
+  bool read_scan(std::size_t depth) {
+    char c = 0;
+    if (!json_.open(depth, &c)) return false;
+    // After the first bad scan only the syntax of the rest matters.
+    if (bad_ != nullptr) return json_.skip(c, depth);
+    if (c != '{') {
+      bad_ = kNeedsFields;
+      return json_.skip(c, depth);
+    }
+    std::optional<double> trip;
+    std::optional<double> t;
+    has_readings_ = false;
+    const bool ok =
+        json_.object(depth, [&](const std::string& key, std::size_t d) {
+          if (key == "trip") return json_.value(d, &trip);
+          if (key == "t") return json_.value(d, &t);
+          if (key == "readings") return read_readings(d);
+          return json_.skip_value(d);
+        });
+    if (!ok) return false;
+    const auto trip_id = checked_integer<std::uint32_t>(trip);
+    if (!trip_id.has_value() || !t.has_value() || !has_readings_) {
+      bad_ = kNeedsFields;
+      return true;
+    }
+    if (bad_reading_) {
+      bad_ = kBadReading;
+      return true;
     }
     // Normalize to the WifiScan invariant (strongest first, AP id
     // tie-break) — clients need not pre-sort.
-    std::sort(scan.readings.begin(), scan.readings.end(),
+    std::sort(readings_.begin(), readings_.end(),
               [](const rf::ApReading& a, const rf::ApReading& b) {
                 if (a.rssi_dbm != b.rssi_dbm) return a.rssi_dbm > b.rssi_dbm;
                 return a.ap < b.ap;
               });
-    batch.push_back({roadnet::TripId(*trip), std::move(scan)});
+    rf::WifiScan scan;
+    scan.time = *t;
+    scan.readings.assign(readings_.begin(), readings_.end());
+    batch_.push_back({roadnet::TripId(*trip_id), std::move(scan)});
+    return true;
   }
-  return batch;
+
+  /// Reads a scan's "readings" value into readings_; a repeated key
+  /// starts over.
+  bool read_readings(std::size_t depth) {
+    readings_.clear();
+    has_readings_ = false;
+    bad_reading_ = false;
+    char c = 0;
+    if (!json_.open(depth, &c)) return false;
+    if (c != '[') return json_.skip(c, depth);
+    has_readings_ = true;
+    return json_.array(depth, [this](std::size_t d) { return read_pair(d); });
+  }
+
+  bool read_pair(std::size_t depth) {
+    char c = 0;
+    if (!json_.open(depth, &c)) return false;
+    if (c != '[') {
+      bad_reading_ = true;
+      return json_.skip(c, depth);
+    }
+    std::optional<double> fields[3];  // [2] takes any extra elements
+    std::size_t n = 0;
+    const bool ok = json_.array(depth, [&](std::size_t d) {
+      return json_.value(d, &fields[std::min<std::size_t>(n++, 2)]);
+    });
+    if (!ok) return false;
+    const auto ap = checked_integer<std::uint32_t>(fields[0]);
+    if (n != 2 || !ap.has_value() || !fields[1].has_value())
+      bad_reading_ = true;
+    else if (!bad_reading_)
+      readings_.push_back({rf::ApId(*ap), *fields[1]});
+    return true;
+  }
+
+  JsonReader json_;
+  std::vector<core::ScanSubmission> batch_;
+  const char* bad_ = nullptr;  ///< first bad scan's message
+  bool has_scans_ = false;
+  /// The scan being read: its readings so far (copied out at its exact
+  /// size once the scan closes) and what its "readings" value was.
+  std::vector<rf::ApReading> readings_;
+  bool has_readings_ = false;
+  bool bad_reading_ = false;
+};
+
+}  // namespace
+
+std::string encode_scan_batch(std::span<const core::ScanSubmission> batch) {
+  std::string out = "{\"scans\":[";
+  bool first_scan = true;
+  for (const core::ScanSubmission& sub : batch) {
+    if (!first_scan) out += ',';
+    first_scan = false;
+    out += "{\"trip\":";
+    append_uint(out, sub.trip.value());
+    out += ",\"t\":";
+    append_num(out, sub.scan.time);
+    out += ",\"readings\":[";
+    bool first_reading = true;
+    for (const rf::ApReading& r : sub.scan.readings) {
+      if (!first_reading) out += ',';
+      first_reading = false;
+      out += '[';
+      append_uint(out, r.ap.value());
+      out += ',';
+      append_num(out, r.rssi_dbm);
+      out += ']';
+    }
+    out += "]}";
+  }
+  out += "]}";
+  return out;
+}
+
+std::optional<std::vector<core::ScanSubmission>> decode_scan_batch(
+    const std::string& body, std::string* error) {
+  return ScanBatchDecoder(body).decode(error);
 }
 
 }  // namespace wiloc::net

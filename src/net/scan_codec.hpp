@@ -17,9 +17,10 @@ namespace wiloc::net {
 /// Renders one POST /v1/scans body for a slice of submissions.
 std::string encode_scan_batch(std::span<const core::ScanSubmission> batch);
 
-/// Inverse of encode_scan_batch: parses a POST /v1/scans body.
-/// Readings are normalized to the WifiScan invariant (strongest first).
-/// Returns nullopt and sets `error` on malformed input.
+/// Inverse of encode_scan_batch: decodes a POST /v1/scans body in one
+/// pass, allocating only the batch. Readings are normalized to the
+/// WifiScan invariant (strongest first). Returns nullopt and sets
+/// `error` on malformed input.
 std::optional<std::vector<core::ScanSubmission>> decode_scan_batch(
     const std::string& body, std::string* error);
 

@@ -264,7 +264,7 @@ TEST(HttpService, MetricsEndpointJsonAndPrometheus) {
         "ingest.readings_dropped.duplicate",
         "ingest.readings_dropped.unknown_ap"})
     EXPECT_TRUE(counters->get_number(name).has_value()) << name;
-  for (std::size_t r = 0; r < core::kRejectReasonCount; ++r) {
+  for (std::size_t r = 1; r < core::kRejectReasonCount; ++r) {
     const std::string name =
         std::string("ingest.rejected.") +
         core::to_string(static_cast<core::RejectReason>(r));
