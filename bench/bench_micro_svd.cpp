@@ -1,9 +1,12 @@
 // Microbenchmarks (google-benchmark): SVD construction, the
-// rank-consistency kernel and the full noisy-scan positioner — the
-// back-end server's hot paths. servebench's `svd.locate_ns` times
+// rank-consistency kernel, `RouteSvd::locate` on its exact-signature and
+// degraded paths, and the full noisy-scan positioner — the back-end
+// server's hot paths. servebench's `svd.locate_ns` times
 // `RouteSvd::locate` itself.
 
 #include <benchmark/benchmark.h>
+
+#include <span>
 
 #include "core/positioner.hpp"
 #include "sim/city.hpp"
@@ -30,12 +33,14 @@ void BM_RouteSvdConstruction(benchmark::State& state) {
   for (auto _ : state) {
     const svd::RouteSvd index(route, city.ap_snapshot(), *city.rf_model,
                               params);
-    benchmark::DoNotOptimize(index.intervals().size());
+    benchmark::DoNotOptimize(index.interval_count());
   }
-  state.counters["tiles"] = static_cast<double>(
-      svd::RouteSvd(route, city.ap_snapshot(), *city.rf_model, params)
-          .intervals()
-          .size());
+  const svd::RouteSvd index(route, city.ap_snapshot(), *city.rf_model,
+                            params);
+  state.counters["tiles"] = static_cast<double>(index.interval_count());
+  state.counters["bytes_per_tile"] =
+      static_cast<double>(index.heap_bytes()) /
+      static_cast<double>(index.interval_count());
 }
 BENCHMARK(BM_RouteSvdConstruction)->Arg(1)->Arg(2)->Arg(4);
 
@@ -62,7 +67,7 @@ BENCHMARK(BM_GridSvdConstruction)->Arg(8)->Arg(4)
 // dispatched rows give the before/after ns/op for the SIMD
 // position-lookup kernel.
 template <double (*Score)(const std::vector<rf::ApId>&,
-                          const svd::RankSignature&)>
+                          std::span<const rf::ApId>)>
 void rank_consistency_bench(benchmark::State& state) {
   const sim::City& city = shared_city();
   const auto& route = city.route_by_name("Rapid");
@@ -120,7 +125,7 @@ BENCHMARK(BM_RankConsistencySimd);
 // This is where the vector lanes engage; the sparse variant above mostly
 // routes through the adaptive scalar path.
 template <double (*Score)(const std::vector<rf::ApId>&,
-                          const svd::RankSignature&)>
+                          std::span<const rf::ApId>)>
 void rank_consistency_dense_bench(benchmark::State& state) {
   const sim::City& city = shared_city();
   const auto& route = city.route_by_name("Rapid");
@@ -164,6 +169,70 @@ void BM_RankConsistencyDenseSimd(benchmark::State& state) {
   rank_consistency_dense_bench<&svd::rank_consistency>(state);
 }
 BENCHMARK(BM_RankConsistencyDenseSimd)->Arg(16)->Arg(32);
+
+/// Heard-AP rankings of a simulated trip's noisy scans on `route`, split
+/// by the path `index.locate` takes for them; consecutive repeats are
+/// dropped so the one-entry memo never replays.
+struct LocateCorpus {
+  std::vector<std::vector<rf::ApId>> fast;
+  std::vector<std::vector<rf::ApId>> degraded;
+};
+
+LocateCorpus locate_corpus(svd::RouteSvd& index,
+                           const roadnet::BusRoute& route) {
+  const sim::City& city = shared_city();
+  const sim::TrafficModel traffic(1);
+  Rng rng(3);
+  const auto trip =
+      sim::simulate_trip(roadnet::TripId(0), route,
+                         city.profile_of(route.id()), traffic,
+                         at_day_time(0, hms(9)), rng);
+  const rf::Scanner scanner;
+  const auto reports = sim::sense_trip(trip, route, city.aps,
+                                       *city.rf_model, scanner, rng);
+  obs::Counter fast_hits;
+  index.set_metrics({.fast_path_hits = &fast_hits});
+  LocateCorpus corpus;
+  for (const auto& report : reports) {
+    auto rankings = svd::expand_tied_rankings(report.scan, 0, 1);
+    if (rankings.empty() || rankings.front().empty()) continue;
+    const std::uint64_t before = fast_hits.value();
+    if (index.locate(rankings.front()).empty()) continue;
+    auto& side = fast_hits.value() > before ? corpus.fast : corpus.degraded;
+    if (side.empty() || side.back() != rankings.front())
+      side.push_back(std::move(rankings.front()));
+  }
+  index.set_metrics({});
+  return corpus;
+}
+
+template <bool kFast>
+void locate_bench(benchmark::State& state) {
+  const sim::City& city = shared_city();
+  const auto& route = city.route_by_name("Rapid");
+  svd::RouteSvd index(route, city.ap_snapshot(), *city.rf_model, {});
+  const LocateCorpus corpus = locate_corpus(index, route);
+  const auto& rankings = kFast ? corpus.fast : corpus.degraded;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.locate(rankings[i]));
+    i = (i + 1) % rankings.size();
+  }
+  state.counters["rankings"] = static_cast<double>(rankings.size());
+}
+
+// Exact-signature hits: the padded top-k compared with the rank rows on
+// the strongest AP's posting list.
+void BM_RouteSvdLocateFast(benchmark::State& state) {
+  locate_bench<true>(state);
+}
+BENCHMARK(BM_RouteSvdLocateFast);
+
+// Top-k misses: the posting-list union scored with rank_consistency.
+void BM_RouteSvdLocateDegraded(benchmark::State& state) {
+  locate_bench<false>(state);
+}
+BENCHMARK(BM_RouteSvdLocateDegraded);
 
 void BM_LocateNoisyScan(benchmark::State& state) {
   const sim::City& city = shared_city();

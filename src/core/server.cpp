@@ -94,9 +94,12 @@ WiLocatorServer::WiLocatorServer(
   const double build_start = wall_clock_s();
   std::vector<std::unique_ptr<svd::RouteSvd>> indexes =
       build_route_indexes(routes, aps, model, config_.svd);
+  std::size_t index_bytes = 0;
+  for (const auto& index : indexes) index_bytes += index->heap_bytes();
   for (std::size_t i = 0; i < routes.size(); ++i)
     adopt_route(*routes[i], std::move(indexes[i]));
   registry_.gauge("server.svd_build_s").set(wall_clock_s() - build_start);
+  registry_.gauge("svd.index_bytes").set(static_cast<double>(index_bytes));
   init_arrival_table();
   init_persistence();
 }
@@ -431,7 +434,9 @@ StatePersistence::TailResult WiLocatorServer::tail_journal(
 
 void WiLocatorServer::finalize_history() {
   store_.finalize_history();
-  history_seen_.clear();  // raw history is frozen; the set is done
+  // Raw history is frozen; the set is done. clear() would free its
+  // nodes but keep the bucket array resident for the server's life.
+  decltype(history_seen_)().swap(history_seen_);
   if (persist_ != nullptr) commit_prepared(seal_checkpoint());
   release_setup_scratch();
 }

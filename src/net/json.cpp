@@ -97,11 +97,38 @@ bool JsonReader::string(std::string* out) {
 }
 
 bool JsonReader::number(double* out) {
-  const char* begin = text_.data() + pos_;
-  const char* end = text_.data() + text_.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, *out);
-  if (ec != std::errc{} || ptr == begin) return fail("bad number");
-  pos_ += static_cast<std::size_t>(ptr - begin);
+  // RFC 8259: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?. The
+  // grammar is checked first because from_chars also takes inf, nan
+  // and "1."; it then converts exactly the token. An error names the
+  // token's first offset.
+  const std::size_t start = pos_;
+  const auto peek = [this](char c) { return !at_end() && text_[pos_] == c; };
+  const auto digits = [this] {
+    const std::size_t from = pos_;
+    while (!at_end() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
+    return pos_ > from;
+  };
+  const auto bad = [&] {
+    pos_ = start;
+    return fail("bad number");
+  };
+  if (peek('-')) ++pos_;
+  if (peek('0'))
+    ++pos_;
+  else if (!digits())
+    return bad();
+  if (peek('.')) {
+    ++pos_;
+    if (!digits()) return bad();
+  }
+  if (peek('e') || peek('E')) {
+    ++pos_;
+    if (peek('+') || peek('-')) ++pos_;
+    if (!digits()) return bad();
+  }
+  const char* end = text_.data() + pos_;
+  const auto [ptr, ec] = std::from_chars(text_.data() + start, end, *out);
+  if (ec != std::errc{} || ptr != end) return bad();
   return true;
 }
 

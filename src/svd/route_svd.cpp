@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cmath>
+#include <numeric>
 
 #include "util/contracts.hpp"
 
@@ -22,61 +24,80 @@ RouteSvd::RouteSvd(const roadnet::BusRoute& route,
   WILOC_EXPECTS(params_.max_candidates >= 1);
 
   std::uint32_t max_ap = 0;
-  for (const auto& ap : aps) max_ap = std::max(max_ap, ap.id.value());
+  for (const auto& ap : aps) {
+    WILOC_EXPECTS(ap.id != kNoAp);
+    max_ap = std::max(max_ap, ap.id.value());
+  }
   known_aps_.assign(aps.empty() ? 0 : max_ap + 1, false);
   for (const auto& ap : aps) known_aps_[ap.id.value()] = true;
 
-  SignatureKernel kernel(std::move(aps), model, params_.floor_dbm,
-                         params_.order);
+  const std::size_t k = params_.order;
+  const auto open_interval = [&](double begin, const RankSignature& sig) {
+    begin_.push_back(begin);
+    ranks_.insert(ranks_.end(), sig.aps().begin(), sig.aps().end());
+    ranks_.resize(begin_.size() * k, kNoAp);
+  };
+  SignatureKernel kernel(std::move(aps), model, params_.floor_dbm, k);
   const auto steps = static_cast<std::size_t>(
       std::ceil(length_ / params_.sample_step_m));
   RankSignature current = kernel.at(route.point_at(0.0));
-  double run_begin = 0.0;
+  open_interval(0.0, current);
   for (std::size_t i = 1; i <= steps; ++i) {
     const double offset =
         length_ * static_cast<double>(i) / static_cast<double>(steps);
     RankSignature sig = kernel.at(route.point_at(offset));
     if (!(sig == current)) {
-      intervals_.push_back({std::move(current), run_begin, offset});
+      open_interval(offset, sig);
       current = std::move(sig);
-      run_begin = offset;
     }
   }
-  intervals_.push_back({std::move(current), run_begin, length_});
+  begin_.push_back(length_);
+  begin_.shrink_to_fit();
+  ranks_.shrink_to_fit();
 
-  for (std::uint32_t i = 0; i < intervals_.size(); ++i)
-    by_signature_[intervals_[i].signature].push_back(i);
-
-  // Inverted AP -> interval index for the degraded locate path. Interval
-  // ids are appended in ascending order, so each list is sorted.
-  postings_.resize(known_aps_.size());
-  for (std::uint32_t i = 0; i < intervals_.size(); ++i)
-    for (const rf::ApId ap : intervals_[i].signature.aps())
-      postings_[ap.index()].push_back(i);
+  const std::size_t n = interval_count();
+  // Inverted AP -> interval index for both locate paths: count,
+  // prefix-sum, fill. Interval ids are filled in ascending order, so
+  // each list is sorted.
+  post_start_.assign(known_aps_.size() + 1, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (const rf::ApId ap : signature(i)) ++post_start_[ap.index() + 1];
+  std::partial_sum(post_start_.begin(), post_start_.end(),
+                   post_start_.begin());
+  post_ids_.resize(post_start_.back());
+  std::vector<std::uint32_t> fill(post_start_.begin(), post_start_.end() - 1);
+  for (std::uint32_t i = 0; i < n; ++i)
+    for (const rf::ApId ap : signature(i)) post_ids_[fill[ap.index()]++] = i;
 }
 
-const std::vector<std::uint32_t>& RouteSvd::postings_for(rf::ApId ap) const {
-  static const std::vector<std::uint32_t> kEmpty;
-  if (ap.index() >= postings_.size()) return kEmpty;
-  return postings_[ap.index()];
+std::span<const std::uint32_t> RouteSvd::postings_for(rf::ApId ap) const {
+  if (ap.index() + 1 >= post_start_.size()) return {};
+  return {post_ids_.data() + post_start_[ap.index()],
+          post_ids_.data() + post_start_[ap.index() + 1]};
 }
 
-const RankSignature& RouteSvd::signature_at(double route_offset) const {
+std::span<const rf::ApId> RouteSvd::signature_at(double route_offset) const {
   route_offset = std::clamp(route_offset, 0.0, length_);
-  // Intervals are sorted by begin; binary search the containing one.
-  const auto it = std::upper_bound(
-      intervals_.begin(), intervals_.end(), route_offset,
-      [](double v, const Interval& iv) { return v < iv.begin; });
+  // Interval begins are sorted; binary search the containing one.
+  const auto begins_end = begin_.end() - 1;
+  const auto it = std::upper_bound(begin_.begin(), begins_end, route_offset);
   const std::size_t idx =
-      it == intervals_.begin()
+      it == begin_.begin()
           ? 0
-          : static_cast<std::size_t>(it - intervals_.begin()) - 1;
-  return intervals_[idx].signature;
+          : static_cast<std::size_t>(it - begin_.begin()) - 1;
+  return signature(idx);
 }
 
 double RouteSvd::mean_interval_length() const {
-  if (intervals_.empty()) return 0.0;
-  return length_ / static_cast<double>(intervals_.size());
+  return length_ / static_cast<double>(interval_count());
+}
+
+std::size_t RouteSvd::heap_bytes() const {
+  return begin_.capacity() * sizeof(double) +
+         ranks_.capacity() * sizeof(rf::ApId) +
+         (post_start_.capacity() + post_ids_.capacity()) *
+             sizeof(std::uint32_t) +
+         known_aps_.capacity() / CHAR_BIT;
 }
 
 bool RouteSvd::knows_ap(rf::ApId ap) const {
@@ -91,6 +112,7 @@ namespace {
 // epoch strictly increases per call, so stale marks never collide.
 struct LocateScratch {
   std::vector<rf::ApId> filtered;
+  std::vector<rf::ApId> key;  ///< padded top-k of `filtered`
   std::vector<std::uint32_t> candidates;
   std::vector<std::uint64_t> stamp;
   std::uint64_t epoch = 0;
@@ -160,13 +182,26 @@ std::vector<Candidate> RouteSvd::locate(
 
   std::vector<Candidate> out;
 
-  // Fast path: the observed top-k is a signature we have verbatim.
-  const RankSignature key = RankSignature::top_k(filtered, params_.order);
-  if (const auto it = by_signature_.find(key); it != by_signature_.end()) {
-    for (const std::uint32_t idx : it->second)
-      out.push_back({intervals_[idx].mid(), 1.0});
-    if (out.size() > params_.max_candidates)
-      out.resize(params_.max_candidates);
+  // Fast path: the observed top-k is a signature we have verbatim. Every
+  // such interval holds the strongest observed AP, so its posting list
+  // (ascending ids) is the candidate set. The key is padded like a rank
+  // row, so a ranking shorter than the order matches only an equally
+  // short signature.
+  const std::size_t k = params_.order;
+  const std::size_t head = std::min(k, filtered.size());
+  // The top k must be distinct: the RankSignature contract.
+  for (std::size_t i = 0; i < head; ++i)
+    for (std::size_t j = i + 1; j < head; ++j)
+      WILOC_EXPECTS(filtered[i] != filtered[j]);
+  std::vector<rf::ApId>& key = scratch.key;
+  key.assign(k, kNoAp);
+  std::copy_n(filtered.begin(), head, key.begin());
+  for (const std::uint32_t idx : postings_for(key.front())) {
+    if (out.size() == params_.max_candidates) break;
+    if (std::equal(key.begin(), key.end(), row(idx)))
+      out.push_back({mid(idx), 1.0});
+  }
+  if (!out.empty()) {
     if (metrics_.fast_path_hits != nullptr) metrics_.fast_path_hits->inc();
     if (metrics_.candidates != nullptr)
       metrics_.candidates->record(static_cast<double>(out.size()));
@@ -185,22 +220,22 @@ std::vector<Candidate> RouteSvd::locate(
   if (params_.min_fallback_score > 0.0) {
     std::vector<std::uint32_t>& candidates = scratch.candidates;
     candidates.clear();
-    if (scratch.stamp.size() < intervals_.size())
-      scratch.stamp.resize(intervals_.size(), 0);
+    if (scratch.stamp.size() < interval_count())
+      scratch.stamp.resize(interval_count(), 0);
     const std::uint64_t epoch = ++scratch.epoch;
     for (const rf::ApId ap : filtered)
-      for (const std::uint32_t idx : postings_[ap.index()])
+      for (const std::uint32_t idx : postings_for(ap))
         if (scratch.stamp[idx] != epoch) {
           scratch.stamp[idx] = epoch;
           candidates.push_back(idx);
         }
     for (const std::uint32_t idx : candidates) {
-      const double s = rank_consistency(filtered, intervals_[idx].signature);
+      const double s = rank_consistency(filtered, signature(idx));
       if (s >= params_.min_fallback_score) scored.emplace_back(s, idx);
     }
   } else {
-    for (std::uint32_t i = 0; i < intervals_.size(); ++i) {
-      const double s = rank_consistency(filtered, intervals_[i].signature);
+    for (std::uint32_t i = 0; i < interval_count(); ++i) {
+      const double s = rank_consistency(filtered, signature(i));
       if (s >= params_.min_fallback_score) scored.emplace_back(s, i);
     }
   }
@@ -219,7 +254,7 @@ std::vector<Candidate> RouteSvd::locate(
                     scored.end(), by_score);
   out.reserve(take);
   for (std::size_t i = 0; i < take; ++i)
-    out.push_back({intervals_[scored[i].second].mid(), scored[i].first});
+    out.push_back({mid(scored[i].second), scored[i].first});
   if (out.empty()) {
     if (metrics_.misses != nullptr) metrics_.misses->inc();
   } else if (metrics_.fallback_hits != nullptr) {

@@ -5,15 +5,23 @@
 // samples the route at a fine arc-length step, computes the k-order rank
 // signature of each sample from the expected RSS field, and coalesces
 // equal-signature runs into intervals: the road sub-segments e_ij of
-// Definition 5, computed directly. Locating a scan is then a hash lookup
-// (exact signature) or, for a noisy / degraded signature (e.g. after an
-// AP dies), a consistency scoring pass over the candidate intervals
-// prefiltered through an inverted AP -> interval posting-list index.
+// Definition 5, computed directly. Both ways of locating a scan start
+// from an inverted AP -> interval posting-list index: an exact
+// signature is looked up among the intervals holding the strongest
+// observed AP; a noisy / degraded signature (e.g. after an AP dies) is
+// scored for consistency against the union of the observed APs' lists.
 // locate() is const and safe to call concurrently from many threads
 // (scratch state is thread-local).
+//
+// The index is a few flat arrays built once (DESIGN.md §5, "RouteSvd
+// layout"): interval bounds, one fixed-width rank row per interval, and
+// the postings in compressed-sparse-row form.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
+#include <limits>
+#include <ranges>
+#include <span>
 
 #include "roadnet/route.hpp"
 #include "svd/ap_index.hpp"
@@ -33,9 +41,12 @@ struct RouteSvdParams {
 /// The per-route positioning structure.
 class RouteSvd final : public PositioningIndex {
  public:
-  /// A maximal run of route offsets sharing one signature.
+  /// A maximal run of route offsets sharing one signature. A view into
+  /// the index: valid while the index lives.
   struct Interval {
-    RankSignature signature;
+    /// Strongest AP first; shorter than order() where fewer APs clear
+    /// the audibility floor.
+    std::span<const rf::ApId> signature;
     double begin;  ///< route offset, inclusive
     double end;    ///< route offset, exclusive (== next begin)
     double mid() const { return (begin + end) / 2.0; }
@@ -47,23 +58,30 @@ class RouteSvd final : public PositioningIndex {
            std::vector<rf::AccessPoint> aps,
            const rf::LogDistanceModel& model, RouteSvdParams params = {});
 
-  const std::vector<Interval>& intervals() const { return intervals_; }
+  std::size_t interval_count() const { return begin_.size() - 1; }
+  /// Every interval in route order, as a random-access view.
+  auto intervals() const {
+    return std::views::iota(std::size_t{0}, interval_count()) |
+           std::views::transform(
+               [this](std::size_t i) { return interval(i); });
+  }
   std::size_t order() const { return params_.order; }
 
   /// Signature governing the given route offset (clamped).
-  const RankSignature& signature_at(double route_offset) const;
-
-  /// Distinct signatures present along the route.
-  std::size_t distinct_signature_count() const { return by_signature_.size(); }
+  std::span<const rf::ApId> signature_at(double route_offset) const;
 
   /// Mean interval length (m): the resolution positioning can achieve.
   double mean_interval_length() const;
 
   /// Inverted index: ids (ascending) of the intervals whose signature
   /// contains the AP. Empty for APs outside the construction set. The
-  /// degraded locate path unions these posting lists to prefilter the
-  /// candidate intervals instead of scoring the whole route.
-  const std::vector<std::uint32_t>& postings_for(rf::ApId ap) const;
+  /// exact lookup scans the strongest observed AP's list; the degraded
+  /// path unions the observed APs' lists to prefilter the candidate
+  /// intervals instead of scoring the whole route.
+  std::span<const std::uint32_t> postings_for(rf::ApId ap) const;
+
+  /// Bytes the index holds on the heap: the capacities of its arrays.
+  std::size_t heap_bytes() const;
 
   std::vector<Candidate> locate(
       const std::vector<rf::ApId>& observed) const override;
@@ -78,16 +96,39 @@ class RouteSvd final : public PositioningIndex {
   }
 
  private:
+  /// Pads rank rows past a signature's end. No construction AP has it.
+  static constexpr rf::ApId kNoAp{std::numeric_limits<std::uint32_t>::max()};
+
+  /// Interval i's rank row: order() entries, kNoAp-padded.
+  const rf::ApId* row(std::size_t i) const {
+    return ranks_.data() + i * params_.order;
+  }
+  Interval interval(std::size_t i) const {
+    return {signature(i), begin_[i], begin_[i + 1]};
+  }
+  /// Interval i's signature: its rank row without the padding.
+  std::span<const rf::ApId> signature(std::size_t i) const {
+    std::size_t n = params_.order;
+    while (n > 0 && row(i)[n - 1] == kNoAp) --n;
+    return {row(i), n};
+  }
+  double mid(std::size_t i) const {
+    return Interval{{}, begin_[i], begin_[i + 1]}.mid();
+  }
+
   LocateMetrics metrics_;
   RouteSvdParams params_;
   double length_ = 0.0;
-  std::vector<Interval> intervals_;
-  std::unordered_map<RankSignature, std::vector<std::uint32_t>,
-                     RankSignatureHash>
-      by_signature_;
+  /// Interval i covers [begin_[i], begin_[i + 1]); begin_.back() is the
+  /// route length.
+  std::vector<double> begin_;
+  /// Interval i's signature in ranks_[i * order, (i + 1) * order).
+  std::vector<rf::ApId> ranks_;
   std::vector<bool> known_aps_;
-  /// ap.index() -> interval ids (ascending) whose signature contains it.
-  std::vector<std::vector<std::uint32_t>> postings_;
+  /// AP a's posting list (ascending interval ids whose signature
+  /// contains it) is post_ids_[post_start_[a], post_start_[a + 1]).
+  std::vector<std::uint32_t> post_start_;
+  std::vector<std::uint32_t> post_ids_;
   /// Monotone instance tag: lets the thread-local locate memo detect a
   /// stale entry even if a new index reuses this object's address.
   std::uint64_t build_id_ = 0;

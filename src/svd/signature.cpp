@@ -146,28 +146,28 @@ const char* rank_consistency_kernel() {
 }
 
 double rank_consistency_scalar(const std::vector<rf::ApId>& observed,
-                               const RankSignature& signature) {
+                               std::span<const rf::ApId> signature) {
   if (signature.empty() || observed.empty()) return 0.0;
 
   std::ptrdiff_t stack_pos[kStackOrder];
   std::vector<std::ptrdiff_t> heap_pos;
   std::ptrdiff_t* obs_pos = stack_pos;
-  const std::size_t order = signature.order();
+  const std::size_t order = signature.size();
   if (order > kStackOrder) {
     heap_pos.resize(order);
     obs_pos = heap_pos.data();
   }
   for (std::size_t i = 0; i < order; ++i) {
     const auto it =
-        std::find(observed.begin(), observed.end(), signature.at(i));
+        std::find(observed.begin(), observed.end(), signature[i]);
     obs_pos[i] = it != observed.end() ? it - observed.begin() : -1;
   }
   return score_positions(obs_pos, order,
-                         signature.strongest() == observed.front());
+                         signature.front() == observed.front());
 }
 
 double rank_consistency(const std::vector<rf::ApId>& observed,
-                        const RankSignature& signature) {
+                        std::span<const rf::ApId> signature) {
   if (signature.empty() || observed.empty()) return 0.0;
 
   const std::size_t n = observed.size();
@@ -179,7 +179,7 @@ double rank_consistency(const std::vector<rf::ApId>& observed,
   if (n < kSimdMinObserved)
     return rank_consistency_scalar(observed, signature);
 
-  const std::size_t order = signature.order();
+  const std::size_t order = signature.size();
   std::ptrdiff_t stack_pos[kStackOrder];
   std::vector<std::ptrdiff_t> heap_pos;
   std::ptrdiff_t* obs_pos = stack_pos;
@@ -189,10 +189,10 @@ double rank_consistency(const std::vector<rf::ApId>& observed,
   }
 
   for (std::size_t i = 0; i < order; ++i)
-    obs_pos[i] = find_first_ap(observed.data(), n, signature.at(i));
+    obs_pos[i] = find_first_ap(observed.data(), n, signature[i]);
 
   return score_positions(obs_pos, order,
-                         signature.strongest() == observed.front());
+                         signature.front() == observed.front());
 }
 
 }  // namespace wiloc::svd

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,23 +68,30 @@ struct RankSignatureHash {
   std::size_t operator()(const RankSignature& s) const { return s.hash(); }
 };
 
-/// Agreement between an observed full ranking and a stored signature, in
-/// [0, 1]. Combines coverage (how many of the signature's APs were heard)
-/// with pairwise order agreement (Kendall-style) over the common APs, and
-/// rewards matching the strongest AP. Returns 0 when nothing matches.
+/// Agreement between an observed full ranking and a stored signature
+/// (strongest AP first, no duplicates), in [0, 1]. Combines coverage (how
+/// many of the signature's APs were heard) with pairwise order agreement
+/// (Kendall-style) over the common APs, and rewards matching the
+/// strongest AP. Returns 0 when nothing matches.
 ///
 /// Dispatches to an SSE2 position-lookup kernel where the platform has
 /// SSE2 (every x86-64 target) and is bit-identical to rank_consistency_scalar():
 /// SIMD only changes how the integer AP positions are found, never the
 /// floating-point scoring that consumes them.
 double rank_consistency(const std::vector<rf::ApId>& observed,
-                        const RankSignature& signature);
+                        std::span<const rf::ApId> signature);
+
+/// The same score against a RankSignature's ranking.
+inline double rank_consistency(const std::vector<rf::ApId>& observed,
+                               const RankSignature& signature) {
+  return rank_consistency(observed, std::span(signature.aps()));
+}
 
 /// Portable reference implementation (std::find inner loop). The parity
 /// suite asserts rank_consistency() == rank_consistency_scalar() bit for
 /// bit on randomized rankings.
 double rank_consistency_scalar(const std::vector<rf::ApId>& observed,
-                               const RankSignature& signature);
+                               std::span<const rf::ApId> signature);
 
 /// Name of the compiled-in position-lookup kernel: "sse2" or "scalar". Benches record it next to ns/op numbers.
 const char* rank_consistency_kernel();

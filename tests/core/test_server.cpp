@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 
 #include "../helpers.hpp"
@@ -152,6 +153,23 @@ TEST(WiLocatorServer, ExportsSvdBuildTime) {
   EXPECT_GT(f.server.metrics_snapshot().gauge("server.svd_build_s"), 0.0);
 }
 
+TEST(WiLocatorServer, ExportsSvdIndexBytes) {
+  // The resident size of the learned route indexes, summed once at
+  // construction.
+  ServerFixture f;
+  std::size_t want = 0;
+  for (const roadnet::BusRoute* route :
+       {&f.city.route_a(), &f.city.route_b()}) {
+    const auto* index = dynamic_cast<const svd::RouteSvd*>(
+        &f.server.index_for(route->id()));
+    ASSERT_NE(index, nullptr);
+    want += index->heap_bytes();
+  }
+  EXPECT_GT(want, 0u);
+  EXPECT_EQ(f.server.metrics_snapshot().gauge("svd.index_bytes"),
+            static_cast<double>(want));
+}
+
 TEST(WiLocatorServer, RequiresRoutes) {
   testing::MiniCity city;
   EXPECT_THROW(WiLocatorServer({}, city.ap_snapshot(), city.model,
@@ -185,7 +203,8 @@ TEST(ParallelRouteBuild, IndexesMatchSerialConstruction) {
         ASSERT_EQ(built->intervals()[i].end, serial.intervals()[i].end);
       }
       for (double offset = 0.0; offset <= route->length(); offset += 1.0)
-        ASSERT_EQ(built->signature_at(offset), serial.signature_at(offset))
+        ASSERT_TRUE(std::ranges::equal(built->signature_at(offset),
+                                       serial.signature_at(offset)))
             << offset;
     }
   }
@@ -234,8 +253,11 @@ TEST(WiLocatorServer, FinalizeReturnsHistoryScratchToTheOs) {
   server.finalize_history();
   const long after = resident_bytes();
   // Freeing the raw history's buffer alone (an mmap chunk) gives back
-  // ~0.7 MiB; the set's ~2 MiB of nodes only leave with a trim.
-  EXPECT_LT(after, before - 1280L * 1024)
+  // ~0.7 MiB; the set's ~1.3 MiB of nodes only leave with a trim, and
+  // its ~0.3 MiB bucket array only when the set is swapped away rather
+  // than cleared (a clear() gave back 2000-2064 KiB in all, the swap
+  // 2332-2396 KiB).
+  EXPECT_LT(after, before - 2200L * 1024)
       << "resident before finalize " << before / 1024 << " KiB, after "
       << after / 1024 << " KiB";
 }

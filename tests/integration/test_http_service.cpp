@@ -242,6 +242,28 @@ TEST(HttpService, NonIntegralIdsAndIndicesAre400) {
   EXPECT_EQ(snap.counter("engine.enqueued"), 0u);
 }
 
+TEST(HttpService, NonJsonNumbersInScansAre400) {
+  // std::from_chars reads these, RFC 8259 does not: the batch is
+  // rejected whole and nothing reaches the engine.
+  ServiceFixture f;
+  WiLocatorService service(f.server);
+  for (const char* body :
+       {R"({"scans":[{"trip":1,"t":inf,"readings":[[1,-60]]}]})",
+        R"({"scans":[{"trip":1,"t":100,"readings":[[1,-nan]]}]})",
+        R"({"scans":[{"trip":1,"t":100,"readings":[[1,INF]]}]})",
+        R"({"scans":[{"trip":1,"t":1.,"readings":[[1,-60]]}]})",
+        R"({"scans":[{"trip":1,"t":100,"readings":[[1,-60]]},)"
+        R"({"trip":1,"t":-nan,"readings":[]}]})"}) {
+    const HttpResponse r =
+        service.handle({.method = "POST", .path = "/v1/scans", .body = body});
+    EXPECT_EQ(r.status, 400) << body << " -> " << r.body;
+    EXPECT_NE(r.body.find("bad number"), std::string::npos) << r.body;
+  }
+  const obs::Snapshot snap = f.server.metrics_snapshot();
+  EXPECT_EQ(snap.counter("service.scans_posted"), 0u);
+  EXPECT_EQ(snap.counter("engine.enqueued"), 0u);
+}
+
 TEST(HttpService, MetricsEndpointJsonAndPrometheus) {
   ServiceFixture f;
   WiLocatorService service(f.server);

@@ -123,8 +123,9 @@ TEST_P(RouteSvdProperty, IntervalsTileAndLocateIsConsistent) {
   // locate() on every interval's own signature returns score-1
   // candidates containing that interval.
   for (const auto& interval : svd.intervals()) {
-    if (interval.signature.order() < 2) continue;
-    const auto candidates = svd.locate(interval.signature.aps());
+    if (interval.signature.size() < 2) continue;
+    const auto candidates = svd.locate(std::vector<rf::ApId>(
+        interval.signature.begin(), interval.signature.end()));
     ASSERT_FALSE(candidates.empty());
     EXPECT_DOUBLE_EQ(candidates.front().score, 1.0);
   }

@@ -45,10 +45,11 @@ TEST(RankKernel, EmptyInputsMatchScalar) {
   const RankSignature sig(ids({1, 2}));
   const std::vector<ApId> none;
   expect_bit_identical(rank_consistency(none, sig),
-                       rank_consistency_scalar(none, sig), "empty observed");
+                       rank_consistency_scalar(none, sig.aps()),
+                       "empty observed");
   const RankSignature empty_sig;
   expect_bit_identical(rank_consistency(ids({1, 2}), empty_sig),
-                       rank_consistency_scalar(ids({1, 2}), empty_sig),
+                       rank_consistency_scalar(ids({1, 2}), empty_sig.aps()),
                        "empty signature");
 }
 
@@ -68,7 +69,7 @@ TEST(RankKernel, MatchesScalarAtVectorWidthBoundaries) {
     sig_ids.emplace_back(static_cast<unsigned>(100 + n));
     const RankSignature sig(sig_ids);
     expect_bit_identical(rank_consistency(observed, sig),
-                         rank_consistency_scalar(observed, sig),
+                         rank_consistency_scalar(observed, sig.aps()),
                          "n=" + std::to_string(n));
   }
 }
@@ -102,7 +103,7 @@ TEST(RankKernel, RandomizedParity) {
         pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(order)));
 
     expect_bit_identical(rank_consistency(observed, sig),
-                         rank_consistency_scalar(observed, sig),
+                         rank_consistency_scalar(observed, sig.aps()),
                          "trial " + std::to_string(trial));
   }
 }
@@ -116,7 +117,7 @@ TEST(RankKernel, LongSignatureHeapFallbackMatches) {
   std::vector<ApId> observed;
   for (unsigned i = 40; i-- > 0;) observed.emplace_back(i);  // reversed
   expect_bit_identical(rank_consistency(observed, sig),
-                       rank_consistency_scalar(observed, sig),
+                       rank_consistency_scalar(observed, sig.aps()),
                        "reversed order-40");
 }
 

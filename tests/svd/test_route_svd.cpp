@@ -4,12 +4,18 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 namespace wiloc::svd {
 namespace {
 
 using rf::AccessPoint;
 using rf::ApId;
+
+/// An interval signature as an observed ranking.
+std::vector<ApId> ranking(std::span<const ApId> signature) {
+  return {signature.begin(), signature.end()};
+}
 
 struct RouteFixture {
   std::unique_ptr<roadnet::RoadNetwork> net =
@@ -52,7 +58,8 @@ TEST(RouteSvd, IntervalsTileTheRoute) {
   for (std::size_t i = 1; i < intervals.size(); ++i) {
     EXPECT_DOUBLE_EQ(intervals[i].begin, intervals[i - 1].end);
     // Adjacent intervals have different signatures (maximal runs).
-    EXPECT_FALSE(intervals[i].signature == intervals[i - 1].signature);
+    EXPECT_FALSE(std::ranges::equal(intervals[i].signature,
+                                    intervals[i - 1].signature));
   }
 }
 
@@ -60,7 +67,8 @@ TEST(RouteSvd, SignatureAtMatchesIntervals) {
   const RouteFixture f;
   const RouteSvd svd(f.route(), f.aps, f.model, {});
   for (const auto& interval : svd.intervals()) {
-    EXPECT_EQ(svd.signature_at(interval.mid()), interval.signature);
+    EXPECT_TRUE(std::ranges::equal(svd.signature_at(interval.mid()),
+                                   interval.signature));
   }
 }
 
@@ -74,8 +82,8 @@ TEST(RouteSvd, Proposition1RssOrderedWithinTile) {
   for (const auto& interval : svd.intervals()) {
     const geo::Point p = f.route().point_at(interval.mid());
     double prev = 1e9;
-    for (std::size_t i = 0; i < interval.signature.order(); ++i) {
-      const auto& ap = f.aps[interval.signature.at(i).index()];
+    for (const ApId id : interval.signature) {
+      const auto& ap = f.aps[id.index()];
       const double rss = f.model.mean_rss(ap, p);
       EXPECT_LE(rss, prev + 1e-9);
       prev = rss;
@@ -88,8 +96,8 @@ TEST(RouteSvd, ExactSignatureLocatesTile) {
   const RouteSvd svd(f.route(), f.aps, f.model, {});
   // Probe the middle of each interval with its own signature.
   for (const auto& interval : svd.intervals()) {
-    if (interval.signature.order() < 2) continue;
-    const auto candidates = svd.locate(interval.signature.aps());
+    if (interval.signature.size() < 2) continue;
+    const auto candidates = svd.locate(ranking(interval.signature));
     ASSERT_FALSE(candidates.empty());
     EXPECT_DOUBLE_EQ(candidates.front().score, 1.0);
     // One of the exact candidates is this interval's midpoint.
@@ -116,11 +124,11 @@ TEST(RouteSvd, FilterOutUnknownApsBeforeMatching) {
   const RouteFixture f;
   const RouteSvd svd(f.route(), f.aps, f.model, {});
   const auto& interval = svd.intervals()[svd.intervals().size() / 2];
-  if (interval.signature.order() < 2) GTEST_SKIP();
+  if (interval.signature.size() < 2) GTEST_SKIP();
   // Prepend a brand-new AP (not in the diagram): locate must still find
   // the tile exactly.
   std::vector<ApId> observed{ApId(99)};
-  for (const ApId ap : interval.signature.aps()) observed.push_back(ap);
+  for (const ApId ap : interval.signature) observed.push_back(ap);
   const auto candidates = svd.locate(observed);
   ASSERT_FALSE(candidates.empty());
   EXPECT_DOUBLE_EQ(candidates.front().score, 1.0);
@@ -201,9 +209,9 @@ TEST(RouteSvd, PostingListsInvertTheIntervalSignatures) {
   // list, and lists are strictly ascending (each interval id once).
   std::size_t expected_postings = 0;
   for (std::uint32_t i = 0; i < intervals.size(); ++i) {
-    expected_postings += intervals[i].signature.order();
-    for (const ApId ap : intervals[i].signature.aps()) {
-      const auto& list = svd.postings_for(ap);
+    expected_postings += intervals[i].signature.size();
+    for (const ApId ap : intervals[i].signature) {
+      const auto list = svd.postings_for(ap);
       EXPECT_TRUE(std::binary_search(list.begin(), list.end(), i))
           << "interval " << i << " missing from postings of AP "
           << ap.value();
@@ -211,13 +219,13 @@ TEST(RouteSvd, PostingListsInvertTheIntervalSignatures) {
   }
   std::size_t total_postings = 0;
   for (const auto& ap : f.aps) {
-    const auto& list = svd.postings_for(ap.id);
+    const auto list = svd.postings_for(ap.id);
     EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
     EXPECT_EQ(std::adjacent_find(list.begin(), list.end()), list.end());
     for (const std::uint32_t idx : list) {
       ASSERT_LT(idx, intervals.size());
       // Round trip: the interval's signature really contains the AP.
-      const auto& aps = intervals[idx].signature.aps();
+      const auto aps = intervals[idx].signature;
       EXPECT_NE(std::find(aps.begin(), aps.end(), ap.id), aps.end());
     }
     total_postings += list.size();
@@ -231,6 +239,33 @@ TEST(RouteSvd, PostingsForForeignApIsEmpty) {
   EXPECT_TRUE(svd.postings_for(ApId(999)).empty());  // out of range
   // An AP that exists but was never audible anywhere still answers.
   EXPECT_LE(svd.postings_for(ApId(0)).size(), svd.intervals().size());
+}
+
+TEST(RouteSvd, HeapBytesPerIntervalWorkBudget) {
+  // The index is four flat arrays and an AP bitmap, each allocated at
+  // its exact size. Per interval: one begin offset, one rank row of
+  // `order` ids and one posting per signature AP; per construction AP:
+  // one posting offset and one bit.
+  const RouteFixture f;
+  for (const std::size_t order : {1u, 2u, 3u}) {
+    SCOPED_TRACE("order " + std::to_string(order));
+    RouteSvdParams params;
+    params.order = order;
+    const RouteSvd svd(f.route(), f.aps, f.model, params);
+    const std::size_t n = svd.interval_count();
+    std::size_t postings = 0;
+    for (const auto& interval : svd.intervals())
+      postings += interval.signature.size();
+    const std::size_t aps = f.aps.size();
+    const std::size_t bitmap_bytes = (aps + 63) / 64 * 8;
+    EXPECT_EQ(svd.heap_bytes(),
+              (n + 1) * sizeof(double) + n * order * sizeof(ApId) +
+                  (aps + 1 + postings) * sizeof(std::uint32_t) +
+                  bitmap_bytes);
+    // At most 8 + 8 * order bytes per interval, plus the AP terms.
+    EXPECT_LE(svd.heap_bytes(),
+              n * (8 + 8 * order) + 8 + (aps + 1) * 4 + bitmap_bytes);
+  }
 }
 
 TEST(RouteSvd, PrefilteredLocateMatchesExhaustiveScoring) {
@@ -262,11 +297,11 @@ TEST(RouteSvd, PrefilteredLocateMatchesExhaustiveScoring) {
   };
 
   // Degraded observations: each interval's signature minus its strongest
-  // AP (guaranteed hash miss), plus a few scrambled rankings.
+  // AP (guaranteed exact-lookup miss), plus a few scrambled rankings.
   std::vector<std::vector<ApId>> probes;
   for (const auto& interval : svd.intervals()) {
-    if (interval.signature.order() < 3) continue;
-    const auto& aps = interval.signature.aps();
+    if (interval.signature.size() < 3) continue;
+    const auto aps = interval.signature;
     probes.emplace_back(aps.begin() + 1, aps.end());
   }
   probes.push_back({ApId(9), ApId(0), ApId(5)});
@@ -292,8 +327,8 @@ TEST(RouteSvd, DeadApDegradedSignatureStillFoundThroughPrefilter) {
   params.order = 3;
   const RouteSvd svd(f.route(), f.aps, f.model, params);
   for (const auto& interval : svd.intervals()) {
-    if (interval.signature.order() < 3) continue;
-    const auto& aps = interval.signature.aps();
+    if (interval.signature.size() < 3) continue;
+    const auto aps = interval.signature;
     const std::vector<ApId> degraded(aps.begin() + 1, aps.end());
     const auto candidates = svd.locate(degraded);
     ASSERT_FALSE(candidates.empty());

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -49,6 +50,18 @@ std::vector<ApId> reference_ranking(const std::vector<AccessPoint>& aps,
   ids.reserve(audible.size());
   for (const auto& [rss, id] : audible) ids.push_back(id);
   return ids;
+}
+
+/// A reference interval: an owning signature and its route bounds.
+struct SignatureRun {
+  RankSignature signature;
+  double begin;
+  double end;
+};
+
+/// An index's interval signature as an owning RankSignature.
+RankSignature owned(std::span<const ApId> signature) {
+  return RankSignature(std::vector<ApId>(signature.begin(), signature.end()));
 }
 
 sim::City city_with_shadowing(double sigma_db) {
@@ -94,7 +107,7 @@ TEST_P(SignatureKernelParity, RouteSamplesAndIntervalsMatchReference) {
     const auto steps =
         static_cast<std::size_t>(std::ceil(length / RouteSvdParams{}
                                                         .sample_step_m));
-    std::vector<std::vector<RouteSvd::Interval>> expected(
+    std::vector<std::vector<SignatureRun>> expected(
         std::size(kOrders));
     for (std::size_t i = 0; i <= steps; ++i) {
       const double offset =
@@ -132,7 +145,7 @@ TEST_P(SignatureKernelParity, RouteSamplesAndIntervalsMatchReference) {
         continue;
       }
       for (std::size_t i = 0; i < got.size(); ++i) {
-        intervals.check(got[i].signature, want[i].signature,
+        intervals.check(owned(got[i].signature), want[i].signature,
                         where + " interval " + std::to_string(i));
         if (got[i].begin != want[i].begin || got[i].end != want[i].end)
           intervals.fail(where + ": bounds of interval " + std::to_string(i));
@@ -283,7 +296,7 @@ TEST(SignatureKernel, RouteIntervalsMatchFreshKernelPerSample) {
   const SignatureKernel unused(aps, model, params.floor_dbm, params.order);
   ASSERT_EQ(city.routes.size(), 4u);
   for (const roadnet::BusRoute& route : city.routes) {
-    std::vector<RouteSvd::Interval> want;
+    std::vector<SignatureRun> want;
     for (const double offset : route_sample_offsets(route)) {
       SignatureKernel fresh = unused;
       RankSignature sig = fresh.at(route.point_at(offset));
@@ -299,7 +312,7 @@ TEST(SignatureKernel, RouteIntervalsMatchFreshKernelPerSample) {
     const auto& got = built.intervals();
     ASSERT_EQ(got.size(), want.size()) << route.name();
     for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].signature, want[i].signature)
+      EXPECT_EQ(owned(got[i].signature), want[i].signature)
           << route.name() << " interval " << i;
       EXPECT_EQ(got[i].begin, want[i].begin)
           << route.name() << " interval " << i;

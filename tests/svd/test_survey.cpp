@@ -104,11 +104,12 @@ TEST(SurveyBuilder, ConvergesToModelDiagram) {
   std::size_t total = 0;
   for (double offset = 20.0; offset < city.route_a().length();
        offset += 60.0) {
-    const RankSignature& truth = model_index.signature_at(offset);
-    if (truth.order() < 2) continue;
+    const auto truth = model_index.signature_at(offset);
+    if (truth.size() < 2) continue;
     // Locate with the model signature: the crowd index should place it
     // near `offset`.
-    const auto candidates = crowd->locate(truth.aps());
+    const auto candidates =
+        crowd->locate(std::vector<rf::ApId>(truth.begin(), truth.end()));
     if (candidates.empty()) {
       ++total;
       continue;
