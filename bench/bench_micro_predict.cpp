@@ -1,10 +1,19 @@
 // Microbenchmarks (google-benchmark): travel-time store and arrival
-// prediction throughput — per-query server cost. servebench's
-// `core.arrival_refresh_us_p50` times the serving refresh built on them.
+// prediction throughput — per-query server cost — plus the materialized
+// arrival table's refresh and the per-GET render of one snapshot
+// answer. servebench's `core.arrival_refresh_us_p50` times the serving
+// refresh built on them.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/arrival_table.hpp"
 #include "core/predictor.hpp"
+#include "core/traffic_map.hpp"
 #include "sim/city.hpp"
 #include "util/rng.hpp"
 
@@ -134,6 +143,82 @@ void BM_PredictArrivalsAllStops(benchmark::State& state) {
                           static_cast<std::int64_t>(route.stop_count()));
 }
 BENCHMARK(BM_PredictArrivalsAllStops)->Arg(0)->Arg(1);
+
+/// An arrival table over the paper city with `trips` trips spread over
+/// its four routes, each at its own offset.
+struct CityTable {
+  const CityStore& cs = shared_city_store();
+  core::ArrivalPredictor predictor{cs.store};
+  core::TrafficMapBuilder traffic{cs.store, predictor};
+  core::ArrivalTable table{cs.store, predictor, traffic};
+  std::vector<const roadnet::BusRoute*> route_of;
+  std::vector<double> offset;
+
+  explicit CityTable(std::size_t trips) {
+    std::vector<EdgeId> edges;
+    for (const auto& route : cs.city.routes)
+      edges.insert(edges.end(), route.edges().begin(), route.edges().end());
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    table.set_traffic_edges(std::move(edges));
+    for (std::size_t i = 0; i < trips; ++i) {
+      const roadnet::BusRoute& route =
+          cs.city.routes[i % cs.city.routes.size()];
+      route_of.push_back(&route);
+      offset.push_back(route.length() * static_cast<double>(i) /
+                       static_cast<double>(trips + 1));
+      table.track(roadnet::TripId(static_cast<std::uint32_t>(i)), &route);
+    }
+  }
+
+  /// Moves every trip 40 m (wrapping) and refreshes: every entry is
+  /// recomputed and one snapshot is published.
+  void step() {
+    for (std::size_t i = 0; i < offset.size(); ++i) {
+      offset[i] += 40.0;
+      if (offset[i] >= route_of[i]->length()) offset[i] = 0.0;
+    }
+    table.refresh(cs.now, [this](roadnet::TripId trip) {
+      return std::optional<double>(offset[trip.value()]);
+    });
+  }
+};
+
+/// One serving refresh with every trip moved (arg: trips); items are
+/// (trip, stop) answers materialized.
+void BM_ArrivalTableRefresh(benchmark::State& state) {
+  CityTable ct(static_cast<std::size_t>(state.range(0)));
+  std::int64_t answers = 0;
+  for (auto _ : state) {
+    ct.step();
+    for (const auto& [trip, ta] : ct.table.snapshot()->trips)
+      answers += static_cast<std::int64_t>(ta->arrival.size());
+  }
+  state.SetItemsProcessed(answers);
+}
+BENCHMARK(BM_ArrivalTableRefresh)->Arg(46);
+
+/// The bytes one snapshot GET answers with: `body[stop]` of one
+/// published (trip, stop), cycling over every answer of a 46-trip
+/// snapshot. Time per iteration is ns per rendered answer.
+void BM_SnapshotArrivalRender(benchmark::State& state) {
+  CityTable ct(46);
+  ct.step();
+  const auto snap = ct.table.snapshot();
+  std::vector<std::pair<const core::TripArrivals*, std::size_t>> answers;
+  for (const auto& [trip, ta] : snap->trips)
+    for (std::size_t stop = 0; stop < ta->body.size(); ++stop)
+      answers.emplace_back(ta.get(), stop);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [ta, stop] = answers[i];
+    std::string body = ta->body[stop];
+    benchmark::DoNotOptimize(body.data());
+    if (++i == answers.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SnapshotArrivalRender);
 
 }  // namespace
 

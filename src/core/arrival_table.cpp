@@ -35,8 +35,8 @@ void append_num(std::string& out, double v) {
 
 std::string encode_arrival_json(roadnet::TripId trip, std::size_t stop,
                                 SimTime now, SimTime arrival) {
-  // Built on the stack and copied once: the snapshot keeps one body per
-  // (trip, stop), so each string is allocated at its exact size.
+  // Built on the stack and copied once, so the string is allocated at
+  // its exact size.
   char buf[64 + 2 * 20 + 3 * kJsonNumChars];
   char* p = put(buf, "{\"trip\":");
   p = put_int(p, trip.value());
@@ -85,8 +85,33 @@ const TripArrivals* ArrivalSnapshot::find(roadnet::TripId trip) const {
 
 const TripArrivals* ArrivalSnapshot::best(roadnet::RouteId route,
                                           std::size_t stop) const {
-  const auto it = route_best.find(route_stop_key(route, stop));
-  return it != route_best.end() ? it->second.get() : nullptr;
+  const auto row = std::lower_bound(
+      route_rows.begin(), route_rows.end(), route,
+      [](const RouteRow& r, roadnet::RouteId id) { return r.route < id; });
+  if (row == route_rows.end() || row->route != route || stop >= row->stops)
+    return nullptr;
+  return route_best[row->begin + stop];
+}
+
+namespace {
+
+template <class Map>
+std::size_t map_bytes(const Map& map) {
+  return map.bucket_count() * sizeof(void*) +
+         map.size() * (sizeof(void*) + sizeof(typename Map::value_type));
+}
+
+}  // namespace
+
+std::size_t ArrivalSnapshot::heap_bytes() const {
+  std::size_t bytes = map_bytes(trips) +
+                      route_rows.capacity() * sizeof(RouteRow) +
+                      route_best.capacity() * sizeof(const TripArrivals*);
+  for (const auto& [trip, ta] : trips)
+    bytes += sizeof(TripArrivals) + ta->arrival.capacity() * sizeof(SimTime);
+  if (traffic_body != nullptr)
+    bytes += sizeof(std::string) + traffic_body->capacity();
+  return bytes;
 }
 
 ArrivalTable::ArrivalTable(const TravelTimeStore& store,
@@ -95,7 +120,7 @@ ArrivalTable::ArrivalTable(const TravelTimeStore& store,
                            ArrivalTableParams params)
     : store_(&store),
       predictor_(&predictor),
-      traffic_(&traffic),
+      traffic_builder_(&traffic),
       params_(params) {}
 
 void ArrivalTable::track(roadnet::TripId trip,
@@ -138,9 +163,6 @@ std::shared_ptr<const TripArrivals> ArrivalTable::compute(
   out->now = now;
   out->epoch = epoch;
   out->arrival = predictor_->predict_arrivals(route, offset, now);
-  out->body.reserve(out->arrival.size());
-  for (std::size_t s = 0; s < out->arrival.size(); ++s)
-    out->body.push_back(encode_arrival_json(trip, s, now, out->arrival[s]));
   return out;
 }
 
@@ -170,11 +192,11 @@ void ArrivalTable::refresh(SimTime now, const PositionFn& position_of) {
     changed = true;
   }
 
-  // Traffic body: a pure function of the learned state, so it follows
+  // Traffic map: a pure function of the learned state, so it follows
   // the store epoch, not the clock.
   if (traffic_epoch_ != epoch) {
-    traffic_body_ = encode_traffic_map_json(traffic_->build(traffic_edges_,
-                                                            now));
+    traffic_body_ = std::make_shared<const std::string>(
+        encode_traffic_map_json(traffic_builder_->build(traffic_edges_, now)));
     traffic_epoch_ = epoch;
     changed = true;
   }
@@ -191,21 +213,50 @@ void ArrivalTable::publish(SimTime now, std::uint64_t epoch) {
   snap->built_wall_s = wall_clock_s();
   snap->traffic_body = traffic_body_;
   snap->trips.reserve(tracked_.size());
-  std::size_t entries = 0;
+  std::vector<const TripArrivals*> live;
+  live.reserve(tracked_.size());
   for (const auto& [trip, t] : tracked_) {
     if (t.current == nullptr) continue;
     snap->trips.emplace(trip, t.current);
-    entries += t.current->body.size();
-    for (std::size_t s = 0; s < t.current->arrival.size(); ++s) {
-      const std::uint64_t key =
-          ArrivalSnapshot::route_stop_key(t.current->route, s);
-      auto [it, inserted] = snap->route_best.emplace(key, t.current);
-      if (!inserted && arrives_before(t.current->arrival[s], trip,
-                                      it->second->arrival[s],
-                                      it->second->trip))
-        it->second = t.current;
-    }
+    live.push_back(t.current.get());
   }
+
+  // Route-best rows. Sorted by (route, trip), each route's entries are
+  // adjacent: the first seeds its row, and a later one takes a stop only
+  // by arriving strictly sooner, so ties keep the lower trip id.
+  std::sort(live.begin(), live.end(),
+            [](const TripArrivals* a, const TripArrivals* b) {
+              return a->route != b->route ? a->route < b->route
+                                          : a->trip < b->trip;
+            });
+  std::size_t entries = 0;
+  std::size_t rows_needed = 0;
+  std::size_t slots = 0;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    entries += live[i]->arrival.size();
+    if (i > 0 && live[i]->route == live[i - 1]->route) continue;
+    ++rows_needed;
+    slots += live[i]->arrival.size();
+  }
+  auto& rows = snap->route_rows;
+  rows.reserve(rows_needed);
+  snap->route_best.reserve(slots);
+  for (const TripArrivals* ta : live) {
+    if (rows.empty() || rows.back().route != ta->route) {
+      rows.push_back({ta->route,
+                      static_cast<std::uint32_t>(snap->route_best.size()),
+                      static_cast<std::uint32_t>(ta->arrival.size())});
+      snap->route_best.insert(snap->route_best.end(), ta->arrival.size(), ta);
+      continue;
+    }
+    const TripArrivals** best = snap->route_best.data() + rows.back().begin;
+    for (std::size_t s = 0; s < rows.back().stops; ++s)
+      if (arrives_before(ta->arrival[s], ta->trip, best[s]->arrival[s],
+                         best[s]->trip))
+        best[s] = ta;
+  }
+  const std::size_t bytes = snap->heap_bytes();
+
   // The swap is the whole critical section: the retired generation is
   // freed (once no reader holds it) when `retired` leaves scope, off the
   // lock.
@@ -219,6 +270,8 @@ void ArrivalTable::publish(SimTime now, std::uint64_t epoch) {
     metrics_.entries->set(static_cast<double>(entries));
   if (metrics_.epoch != nullptr)
     metrics_.epoch->set(static_cast<double>(epoch));
+  if (metrics_.bytes != nullptr)
+    metrics_.bytes->set(static_cast<double>(bytes));
 }
 
 }  // namespace wiloc::core

@@ -5,20 +5,21 @@
 // function of slowly-changing learned state (segment travel times,
 // traffic residuals) and per-trip position — so instead of re-running
 // the Eq.-9 prediction chain under the service lock per request, the
-// control side materializes every (trip, downstream-stop) arrival
-// answer once, pre-encodes the JSON bytes, and publishes the whole
-// table as an immutable snapshot behind one shared pointer. Readers copy
-// the pointer under a small mutex of its own — never the service lock,
-// and never across any computation — then read a pre-encoded body with
-// no lock held; the snapshot they hold stays alive until the last
-// reader drops it.
+// control side materializes every (trip, downstream-stop) arrival time
+// once and publishes the whole table as an immutable snapshot behind
+// one shared pointer. Readers copy the pointer under a small mutex of
+// its own — never the service lock, and never across any computation —
+// then render the response bytes from the snapshot's numbers with no
+// lock held; the snapshot they hold stays alive until the last reader
+// drops it. The snapshot keeps values, not bytes: a refresh touches far
+// more answers than riders read before the next one (DESIGN.md §13).
 //
 // Incrementality rides on TravelTimeStore's segment-update epochs: a
 // trip's entries are recomputed only when its position moved or a
 // segment on its *remaining* route (current edge onward) changed since
 // the entries were computed. Upstream churn and other routes' segments
-// leave the pre-encoded bytes untouched — the (trip, stop, epoch) key
-// the X-Epoch response header exposes.
+// leave the entry untouched — the (trip, stop, epoch) key the X-Epoch
+// response header exposes.
 #pragma once
 
 #include <cstdint>
@@ -68,17 +69,44 @@ inline bool arrives_before(SimTime a, roadnet::TripId a_trip, SimTime b,
   return a < b || (a == b && a_trip < b_trip);
 }
 
-/// Immutable per-trip slice of the table: one answer per stop, both as
-/// the predicted arrival time and as pre-encoded response bytes.
+struct TripArrivals;
+
+/// Read-only view of one trip's /v1/arrival bodies: `body[stop]` renders
+/// exactly encode_arrival_json(trip, stop, now, arrival[stop]).
+class ArrivalBodies {
+ public:
+  explicit ArrivalBodies(const TripArrivals& entry) : entry_(&entry) {}
+  std::size_t size() const;
+  std::string operator[](std::size_t stop) const;
+
+ private:
+  const TripArrivals* entry_;
+};
+
+/// Immutable per-trip slice of the table: one predicted arrival per
+/// stop. Non-copyable, because `body` views the entry it sits in.
 struct TripArrivals {
+  TripArrivals() = default;
+  TripArrivals(const TripArrivals&) = delete;
+  TripArrivals& operator=(const TripArrivals&) = delete;
+
   roadnet::TripId trip{};
   roadnet::RouteId route{};
   double offset = 0.0;  ///< route offset the entries were computed at
-  SimTime now = 0.0;    ///< the "now" baked into the bodies
+  SimTime now = 0.0;    ///< the "now" the answers are relative to
   std::uint64_t epoch = 0;  ///< store epoch at computation (X-Epoch)
-  std::vector<SimTime> arrival;   ///< [stop] absolute arrival time
-  std::vector<std::string> body;  ///< [stop] pre-encoded JSON
+  std::vector<SimTime> arrival;  ///< [stop] absolute arrival time
+  ArrivalBodies body{*this};     ///< [stop] JSON, rendered per call
 };
+
+inline std::size_t ArrivalBodies::size() const {
+  return entry_->arrival.size();
+}
+
+inline std::string ArrivalBodies::operator[](std::size_t stop) const {
+  return encode_arrival_json(entry_->trip, stop, entry_->now,
+                             entry_->arrival[stop]);
+}
 
 /// One published generation of the read path: everything a rider GET
 /// needs, immutable, reachable through a single pointer copy.
@@ -89,28 +117,40 @@ struct ArrivalSnapshot {
 
   std::unordered_map<roadnet::TripId, std::shared_ptr<const TripArrivals>>
       trips;
-  /// Best (soonest-arrival) trip per (route, stop) — the rider-facing
-  /// route-level query without the O(active-trips) rescan.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const TripArrivals>>
-      route_best;
-  /// Pre-encoded /v1/traffic-map body (empty before the first build).
-  std::string traffic_body;
 
-  static std::uint64_t route_stop_key(roadnet::RouteId route,
-                                      std::size_t stop) {
-    return (static_cast<std::uint64_t>(route.value()) << 32) |
-           static_cast<std::uint64_t>(stop);
-  }
+  /// Best (soonest-arrival) trip per (route, stop) — the rider-facing
+  /// route-level query without the O(active-trips) rescan. One row per
+  /// route with a live entry, ascending by route id; the row's stops
+  /// are route_best[begin .. begin + stops).
+  struct RouteRow {
+    roadnet::RouteId route;
+    std::uint32_t begin = 0;
+    std::uint32_t stops = 0;
+  };
+  std::vector<RouteRow> route_rows;
+  std::vector<const TripArrivals*> route_best;  ///< owned through `trips`
+
+  /// The /v1/traffic-map body (null before the first build), encoded
+  /// once per store epoch; generations share it until the epoch moves.
+  std::shared_ptr<const std::string> traffic_body;
+
   const TripArrivals* find(roadnet::TripId trip) const;
   const TripArrivals* best(roadnet::RouteId route, std::size_t stop) const;
+
+  /// Heap bytes the generation holds, counted from its own arrays and
+  /// indexes (hash-map nodes as value + next pointer; no allocator
+  /// overhead). Entries and the traffic body shared with other
+  /// generations count in each.
+  std::size_t heap_bytes() const;
 };
 
 /// Obs handles for the materialization side; all-null by default.
 struct ArrivalTableMetrics {
   obs::Counter* invalidations = nullptr;  ///< entries discarded + redone
   obs::Counter* rebuilds = nullptr;       ///< snapshots published
-  obs::Gauge* entries = nullptr;          ///< (trip, stop) bodies live
+  obs::Gauge* entries = nullptr;          ///< (trip, stop) answers live
   obs::Gauge* epoch = nullptr;            ///< published store epoch
+  obs::Gauge* bytes = nullptr;  ///< heap_bytes() of the published snapshot
   obs::HistogramMetric* refresh_us = nullptr;  ///< wall time per refresh
 };
 
@@ -127,7 +167,7 @@ class ArrivalTable {
 
   const ArrivalTableParams& params() const { return params_; }
 
-  /// The edge set the traffic-map body covers (the union of all route
+  /// The edge set the traffic map covers (the union of all route
   /// edges, like the slow path's server query).
   void set_traffic_edges(std::vector<roadnet::EdgeId> edges) {
     traffic_edges_ = std::move(edges);
@@ -178,13 +218,13 @@ class ArrivalTable {
 
   const TravelTimeStore* store_;
   const ArrivalPredictor* predictor_;
-  const TrafficMapBuilder* traffic_;
+  const TrafficMapBuilder* traffic_builder_;
   ArrivalTableParams params_;
   ArrivalTableMetrics metrics_;
 
   std::unordered_map<roadnet::TripId, Tracked> tracked_;
   std::vector<roadnet::EdgeId> traffic_edges_;
-  std::string traffic_body_;
+  std::shared_ptr<const std::string> traffic_body_;
   std::uint64_t traffic_epoch_ = 0;  ///< store epoch of traffic_body_
   bool dirty_ = false;
 

@@ -170,6 +170,7 @@ void WiLocatorServer::init_obs() {
   am.rebuilds = &registry_.counter("arrival_cache.rebuilds");
   am.entries = &registry_.gauge("arrival_cache.entries");
   am.epoch = &registry_.gauge("arrival_cache.epoch");
+  am.bytes = &registry_.gauge("mem.arrival_table_bytes");
   am.refresh_us = &registry_.histogram("arrival_cache.refresh_us");
   arrival_table_.set_metrics(am);
 

@@ -166,10 +166,11 @@ class WiLocatorServer {
   TrafficMap traffic_map(SimTime now) const;
 
   /// The current materialized read-path snapshot (see ArrivalTable):
-  /// pre-encoded arrival + traffic-map answers, refreshed by the
-  /// control side whenever learned state or positions move. Safe from
-  /// any thread without the service lock (one short pointer-copy
-  /// critical section); nullptr before the first post-finalize refresh.
+  /// the arrival times and traffic map rider answers are rendered from,
+  /// refreshed by the control side whenever learned state or positions
+  /// move. Safe from any thread without the service lock (one short
+  /// pointer-copy critical section); nullptr before the first
+  /// post-finalize refresh.
   std::shared_ptr<const ArrivalSnapshot> arrival_snapshot() const {
     return arrival_table_.snapshot();
   }

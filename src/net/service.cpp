@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -47,6 +48,15 @@ HttpResponse shed_degraded() {
                           "forced_degraded");
 }
 
+/// Reads the optional `now` query parameter into `now` (left empty when
+/// absent). A present one must be a finite sim time >= 0; false
+/// otherwise.
+bool parse_now(const HttpRequest& request, std::optional<double>* now) {
+  if (!request.param("now").has_value()) return true;
+  *now = request.param_num("now");
+  return now->has_value() && std::isfinite(**now) && **now >= 0.0;
+}
+
 }  // namespace
 
 WiLocatorService::WiLocatorService(core::WiLocatorServer& server,
@@ -63,6 +73,7 @@ WiLocatorService::WiLocatorService(core::WiLocatorServer& server,
   cache_hits_ = &registry.counter("arrival_cache.hits");
   cache_misses_ = &registry.counter("arrival_cache.misses");
   read_slow_path_ = &registry.counter("http.read_slow_path");
+  contract_violations_ = &registry.counter("http.contract_violations");
   repl_pages_served_ = &registry.counter("service.repl_pages_served");
   repl_records_served_ = &registry.counter("service.repl_records_served");
   ready_gauge_ = &registry.gauge("service.ready");
@@ -178,10 +189,13 @@ HttpResponse WiLocatorService::handle(const HttpRequest& request) {
     return error_json(404, e.what());
   } catch (const InvalidArgument& e) {
     return error_json(400, e.what());
-  } catch (const ContractViolation& e) {
+  } catch (const ContractViolation&) {
     // A query parameter outside the model's domain (e.g. stop index past
-    // the route's last stop) trips a precondition, not a server bug.
-    return error_json(400, e.what());
+    // the route's last stop) trips a precondition. The violation's own
+    // text names source locations, so it stays inside; the counter keeps
+    // a real server-side bug behind this fixed 400 visible.
+    contract_violations_->inc();
+    return error_json(400, "query outside the model's domain");
   }
 }
 
@@ -260,17 +274,20 @@ HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
     return error_json(400, "need \"trip\" or \"route\"");
   }
 
+  std::optional<double> pinned_now;
+  if (!parse_now(request, &pinned_now)) return error_json(400, "bad \"now\"");
+
   // Fast path without the service lock: the materialized snapshot.
-  const bool pinned_now = request.param("now").has_value();
   if (auto fast = arrival_from_snapshot(trip_key, route_key, stop,
-                                        pinned_now))
+                                        pinned_now.has_value()))
     return *std::move(fast);
-  if (!pinned_now && read_slow_path_ != nullptr) read_slow_path_->inc();
+  if (!pinned_now.has_value() && read_slow_path_ != nullptr)
+    read_slow_path_->inc();
   if (forced_degraded_.load(std::memory_order_acquire))
     return shed_degraded();
 
   std::unique_lock<std::mutex> lock(mu_);
-  const double now = request.param_num("now").value_or(default_now());
+  const double now = pinned_now.value_or(default_now());
   roadnet::TripId trip{};
   std::optional<SimTime> arrival;
   if (trip_key.has_value()) {
@@ -293,10 +310,10 @@ HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
       200, core::encode_arrival_json(trip, stop, now, *arrival));
 }
 
-HttpResponse WiLocatorService::snapshot_reply(const std::string& body,
+HttpResponse WiLocatorService::snapshot_reply(std::string body,
                                               std::uint64_t epoch) {
   if (cache_hits_ != nullptr) cache_hits_->inc();
-  HttpResponse r = HttpResponse::json(200, body);
+  HttpResponse r = HttpResponse::json(200, std::move(body));
   r.headers["X-Cache"] = "hit";
   r.headers["X-Epoch"] = std::to_string(epoch);
   return r;
@@ -325,11 +342,11 @@ std::optional<HttpResponse> WiLocatorService::traffic_from_snapshot(
     bool pinned_now) {
   if (pinned_now) return std::nullopt;
   const auto snap = server_.arrival_snapshot();
-  if (snap == nullptr || snap->traffic_body.empty()) {
+  if (snap == nullptr || snap->traffic_body == nullptr) {
     if (cache_misses_ != nullptr) cache_misses_->inc();
     return std::nullopt;
   }
-  return snapshot_reply(snap->traffic_body, snap->epoch);
+  return snapshot_reply(*snap->traffic_body, snap->epoch);
 }
 
 HttpResponse WiLocatorService::handle_position(const HttpRequest& request) {
@@ -350,15 +367,18 @@ HttpResponse WiLocatorService::handle_position(const HttpRequest& request) {
 
 HttpResponse WiLocatorService::handle_traffic_map(const HttpRequest& request) {
   if (request.method != "GET") return method_not_allowed("GET");
-  const bool pinned_now = request.param("now").has_value();
-  if (auto fast = traffic_from_snapshot(pinned_now)) return *std::move(fast);
-  if (!pinned_now && read_slow_path_ != nullptr) read_slow_path_->inc();
+  std::optional<double> pinned_now;
+  if (!parse_now(request, &pinned_now)) return error_json(400, "bad \"now\"");
+  if (auto fast = traffic_from_snapshot(pinned_now.has_value()))
+    return *std::move(fast);
+  if (!pinned_now.has_value() && read_slow_path_ != nullptr)
+    read_slow_path_->inc();
   if (forced_degraded_.load(std::memory_order_acquire))
     return shed_degraded();
   core::TrafficMap map;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    map = server_.traffic_map(request.param_num("now").value_or(default_now()));
+    map = server_.traffic_map(pinned_now.value_or(default_now()));
   }
   return HttpResponse::json(200, core::encode_traffic_map_json(map));
 }

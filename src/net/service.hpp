@@ -16,9 +16,11 @@
 // Rider read path (DESIGN.md §12-13), one source per step:
 //   1. snapshot: GET /v1/arrival and /v1/traffic-map without an
 //      explicit `now` are served straight from the server's
-//      materialized ArrivalSnapshot — pre-encoded bytes behind one
-//      shared-pointer copy; the service mutex is never taken (X-Cache:
-//      hit, X-Epoch).
+//      materialized ArrivalSnapshot — arrival values behind one
+//      shared-pointer copy, rendered to JSON per request (the traffic
+//      map's body is encoded once per store epoch); the service mutex
+//      is never taken (X-Cache: hit, X-Epoch). A present `now` must be
+//      a finite number >= 0 (else 400 bad "now").
 //   2. slow path: requests that pin `now`, or that the snapshot cannot
 //      answer, compute under the service mutex (http.read_slow_path
 //      counts the unpinned ones). Overload never reaches it: the HTTP
@@ -190,7 +192,7 @@ class WiLocatorService {
       bool pinned_now);
   std::optional<HttpResponse> traffic_from_snapshot(bool pinned_now);
   /// Stamps the snapshot response headers + hit counter.
-  HttpResponse snapshot_reply(const std::string& body, std::uint64_t epoch);
+  HttpResponse snapshot_reply(std::string body, std::uint64_t epoch);
 
 
   core::WiLocatorServer& server_;
@@ -221,6 +223,7 @@ class WiLocatorService {
   obs::Counter* cache_hits_ = nullptr;       ///< arrival_cache.hits
   obs::Counter* cache_misses_ = nullptr;     ///< arrival_cache.misses
   obs::Counter* read_slow_path_ = nullptr;   ///< http.read_slow_path
+  obs::Counter* contract_violations_ = nullptr;  ///< http.contract_violations
   obs::Counter* repl_pages_served_ = nullptr;  ///< service.repl_pages_served
   obs::Counter* repl_records_served_ = nullptr;
   obs::Gauge* ready_gauge_ = nullptr;     ///< service.ready

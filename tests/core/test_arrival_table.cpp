@@ -1,7 +1,8 @@
 // The materialized rider read path: segment-update epochs in the
-// travel-time store, incremental (trip, stop) invalidation, pre-encoded
+// travel-time store, incremental (trip, stop) invalidation, rendered
 // body parity with the slow-path predictor chain, the route-level
-// best-trip index, and the cross-midnight wrapped-slot case.
+// best-trip index, the snapshot's heap budget, and the cross-midnight
+// wrapped-slot case.
 #include "core/arrival_table.hpp"
 
 #include <gtest/gtest.h>
@@ -132,7 +133,8 @@ TEST(ArrivalTable, MaterializedBodiesMatchThePredictorChain) {
     EXPECT_EQ(a->body[s], encode_arrival_json(TripId(1), s, now, expect));
   }
   // The traffic body matches a direct build at the same instant.
-  EXPECT_EQ(snap->traffic_body,
+  ASSERT_NE(snap->traffic_body, nullptr);
+  EXPECT_EQ(*snap->traffic_body,
             encode_traffic_map_json(f.traffic->build(f.all_edges, now)));
   EXPECT_EQ(snap->epoch, f.store.epoch());
 }
@@ -199,7 +201,8 @@ TEST(ArrivalTable, RecomputesIffARemainingSegmentChanged) {
   EXPECT_GT(a3->epoch, a1->epoch);
   EXPECT_GE(reg.counter("inv").value(), 1u);
   // The slowdown is ahead of the bus, so the last-stop answer moved.
-  EXPECT_NE(a3->body.back(), a1->body.back());
+  const std::size_t last = a3->body.size() - 1;
+  EXPECT_NE(a3->body[last], a1->body[last]);
   EXPECT_GT(a3->arrival.back(), a1->arrival.back());
 
   // Position movement alone also recomputes.
@@ -242,6 +245,124 @@ TEST(ArrivalTable, RouteBestIndexServesTheSoonestTrip) {
   const TripArrivals* next = f.table->snapshot()->best(route_a.id(), last);
   ASSERT_NE(next, nullptr);
   EXPECT_EQ(next->trip, TripId(1));
+}
+
+TEST(ArrivalTable, RouteBestMatchesBruteForce) {
+  // Over seeded positions on both MiniCity routes and several refreshes,
+  // best(route, stop) must be the arrives_before minimum over the
+  // snapshot's own entries. Every third trip shares its predecessor's
+  // offset (equal arrivals: the lower id wins), every fifth never gets a
+  // fix, and some trips end between refreshes.
+  TableFixture f;
+  Rng rng(0x62657374);
+  SimTime now = at_day_time(3, hms(8));
+  constexpr std::uint32_t kTrips = 30;
+  const auto route_of = [&](std::uint32_t id) -> const roadnet::BusRoute& {
+    return f.city.routes[id < kTrips / 2 ? 0 : 1];
+  };
+  std::vector<std::uint32_t> live;
+  for (std::uint32_t id = 1; id <= kTrips; ++id) {
+    f.table->track(TripId(id), &route_of(id));
+    live.push_back(id);
+  }
+  std::size_t ties = 0;
+  for (int round = 0; round < 4; ++round) {
+    now += 45.0;
+    for (const std::uint32_t id : live) {
+      const roadnet::BusRoute& route = route_of(id);
+      if (id % 5 == 0) {
+        f.offsets[id] = std::nullopt;
+      } else if (id % 3 == 0 && &route_of(id - 1) == &route &&
+                 f.offsets[id - 1].has_value()) {
+        f.offsets[id] = f.offsets[id - 1];
+      } else if (round == 0 || rng.bernoulli(0.5)) {
+        f.offsets[id] = rng.uniform(0.0, route.length());
+      }
+    }
+    // Re-tracking a trip whose offset a tie partner copies forces both
+    // to be recomputed at this refresh's `now`, so their arrivals stay
+    // equal.
+    for (const std::uint32_t id : live)
+      if (id % 3 == 0 && std::ranges::count(live, id - 1) == 1) {
+        f.table->track(TripId(id), &route_of(id));
+        f.table->track(TripId(id - 1), &route_of(id - 1));
+      }
+    f.table->refresh(now, f.position_fn());
+    const auto snap = f.table->snapshot();
+    ASSERT_NE(snap, nullptr);
+
+    for (const auto& route : f.city.routes) {
+      for (std::size_t stop = 0; stop <= route.stop_count(); ++stop) {
+        // Spelled out rather than through arrives_before, so a broken
+        // rule cannot agree with itself.
+        const TripArrivals* expect = nullptr;
+        std::size_t at_min = 0;
+        for (const auto& [trip, ta] : snap->trips) {
+          if (ta->route != route.id() || stop >= ta->arrival.size()) continue;
+          const SimTime at = ta->arrival[stop];
+          if (expect != nullptr && at == expect->arrival[stop]) {
+            ++at_min;
+            if (trip < expect->trip) expect = ta.get();
+          } else if (expect == nullptr || at < expect->arrival[stop]) {
+            at_min = 1;
+            expect = ta.get();
+          }
+        }
+        if (at_min > 1) ++ties;
+        EXPECT_EQ(snap->best(route.id(), stop), expect)
+            << "round " << round << " route " << route.id() << " stop "
+            << stop;
+      }
+      EXPECT_EQ(snap->best(route.id(), route.stop_count()), nullptr);
+    }
+    EXPECT_EQ(snap->best(RouteId(99), 0), nullptr);
+    for (std::uint32_t id = 5; id <= kTrips; id += 5)
+      EXPECT_EQ(snap->find(TripId(id)), nullptr);
+
+    // End a few trips before the next refresh.
+    for (const std::uint32_t id : {1u + round, 16u + round}) {
+      f.table->drop(TripId(id));
+      std::erase(live, id);
+    }
+  }
+  EXPECT_GT(ties, 0u);
+}
+
+TEST(ArrivalTable, HeapBytesPerAnswerWorkBudget) {
+  // The snapshot holds numbers: one arrival time per (trip, stop), one
+  // shared route-best slot per (route, stop), and a fixed term per trip
+  // (the entry, its map node and bucket). Rendered bodies are not kept.
+  TableFixture f;
+  obs::Registry registry;
+  ArrivalTableMetrics metrics;
+  metrics.bytes = &registry.gauge("mem.arrival_table_bytes");
+  f.table->set_metrics(metrics);
+  const SimTime now = at_day_time(3, hms(9));
+  f.table->refresh(now, f.position_fn());  // traffic map only
+  const std::size_t empty_bytes = f.table->snapshot()->heap_bytes();
+
+  Rng rng(0x6d656d);
+  constexpr std::uint32_t kTrips = 40;
+  for (std::uint32_t id = 1; id <= kTrips; ++id) {
+    const roadnet::BusRoute& route = f.city.routes[id % 2];
+    f.table->track(TripId(id), &route);
+    f.offsets[id] = rng.uniform(0.0, route.length());
+  }
+  f.table->refresh(now + 30.0, f.position_fn());
+  const auto snap = f.table->snapshot();
+  std::size_t answers = 0;
+  for (const auto& [trip, ta] : snap->trips) answers += ta->arrival.size();
+  ASSERT_EQ(snap->trips.size(), kTrips);
+  EXPECT_EQ(snap->route_best.size(), f.city.route_a().stop_count() +
+                                         f.city.route_b().stop_count());
+  const std::size_t per_trip = sizeof(TripArrivals) + 64;
+  EXPECT_LE(snap->heap_bytes(),
+            empty_bytes + answers * sizeof(SimTime) +
+                snap->route_best.size() * sizeof(const TripArrivals*) +
+                snap->route_rows.size() * sizeof(ArrivalSnapshot::RouteRow) +
+                kTrips * per_trip);
+  EXPECT_EQ(registry.gauge("mem.arrival_table_bytes").value(),
+            static_cast<double>(snap->heap_bytes()));
 }
 
 TEST(ArrivalTable, WrappedSlotCoversCrossMidnightInvalidation) {
@@ -301,6 +422,45 @@ TEST(JsonNum, MatchesPrintf12gOnSeededBitPatterns) {
     const double v = rng.uniform(-2.0e6, 2.0e6);
     ASSERT_EQ(json_num(v), printf_12g(v)) << v;
   }
+}
+
+TEST(JsonNum, MatchesPrintf12gAtRoundingEdges) {
+  // The fixed-notation fast path rounds the exact binary value itself:
+  // probe where that can go wrong. Neighbours of every power of ten and
+  // of the 12-digit carry point 9.999999999995 * 10^X (rounding up a
+  // decade, or out of fixed notation at 1e12 and below 1e-4), exact
+  // half-way ties at the 13th digit (half to even), and a log-uniform
+  // sweep over the whole fixed range.
+  const auto check = [](double v) {
+    for (double s : {v, -v}) {
+      ASSERT_EQ(json_num(s), printf_12g(s)) << std::bit_cast<std::uint64_t>(s);
+    }
+  };
+  for (int x = -6; x <= 14; ++x) {
+    for (double edge : {std::pow(10.0, x), 9.999999999995 * std::pow(10.0, x),
+                        9.9999999999995 * std::pow(10.0, x)}) {
+      double up = edge, down = edge;
+      for (int i = 0; i < 64; ++i) {
+        check(up);
+        check(down);
+        up = std::nextafter(up, HUGE_VAL);
+        down = std::nextafter(down, 0.0);
+      }
+    }
+  }
+  // A tie at exponent X: v = t / 2^(q+1), t odd, q = 11 - X, so that
+  // v * 10^q = t * 5^q / 2 ends in exactly .5.
+  Rng rng(0x74696573);
+  for (int i = 0; i < 200'000; ++i) {
+    const int x = static_cast<int>(rng.uniform_int(-4, 11));
+    const int q = 11 - x;
+    const double lo = std::ldexp(std::pow(10.0, x), q + 1);
+    const auto t = static_cast<std::int64_t>(rng.uniform(lo, 10.0 * lo)) | 1;
+    check(std::ldexp(static_cast<double>(t), -(q + 1)));
+  }
+  for (int i = 0; i < 500'000; ++i)
+    check(std::pow(10.0, rng.uniform(-5.0, 13.0)));
+  check(0.0);
 }
 
 TEST(JsonNum, EdgeCases) {

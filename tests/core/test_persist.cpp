@@ -798,8 +798,8 @@ TEST(ServerPersist, TrafficMapRebuiltAfterRestart) {
   restarted->flush_arrivals();
   const auto snapshot = restarted->arrival_snapshot();
   ASSERT_NE(snapshot, nullptr);
-  EXPECT_FALSE(snapshot->traffic_body.empty());
-  EXPECT_EQ(snapshot->traffic_body,
+  ASSERT_NE(snapshot->traffic_body, nullptr);
+  EXPECT_EQ(*snapshot->traffic_body,
             encode_traffic_map_json(restarted->traffic_map(snapshot->now)));
 }
 

@@ -264,6 +264,91 @@ TEST(HttpService, NonJsonNumbersInScansAre400) {
   EXPECT_EQ(snap.counter("engine.enqueued"), 0u);
 }
 
+/// A present `now` that is not a finite sim time >= 0 is refused on both
+/// read endpoints, even when the trip has a fix and the snapshot could
+/// answer; nothing reaches the locked slow path.
+class HttpServiceBadNow : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(HttpServiceBadNow, ArrivalAndTrafficMapAre400) {
+  ServiceFixture f;
+  f.train(1);
+  WiLocatorService service(f.server);
+  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                            .body = R"({"trip":5,"route":0})"})
+                .status,
+            200);
+  const auto reports = f.live_reports(TripId(5), hms(9));
+  std::vector<core::ScanSubmission> batch;
+  for (std::size_t i = 0; i < std::min<std::size_t>(reports.size(), 50); ++i)
+    batch.push_back({reports[i].trip, reports[i].scan});
+  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/scans",
+                            .body = encode_scan_batch(batch)})
+                .status,
+            200);
+  ASSERT_TRUE(f.server.position(TripId(5)).has_value());
+
+  for (const char* key : {"trip", "route"}) {
+    HttpRequest arrival{.method = "GET", .path = "/v1/arrival"};
+    arrival.query = {{key, key == std::string("trip") ? "5" : "0"},
+                     {"stop", "3"},
+                     {"now", GetParam()}};
+    const HttpResponse r = service.handle(arrival);
+    EXPECT_EQ(r.status, 400) << key << " -> " << r.body;
+    EXPECT_EQ(r.body, R"({"error":"bad \"now\""})");
+  }
+  HttpRequest map{.method = "GET", .path = "/v1/traffic-map"};
+  map.query = {{"now", GetParam()}};
+  const HttpResponse r = service.handle(map);
+  EXPECT_EQ(r.status, 400) << r.body;
+  EXPECT_EQ(r.body, R"({"error":"bad \"now\""})");
+  const obs::Snapshot snap = f.server.metrics_snapshot();
+  EXPECT_EQ(snap.counter("service.arrivals_served"), 0u);
+  EXPECT_EQ(snap.counter("arrival_cache.hits"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Values, HttpServiceBadNow,
+                         ::testing::Values("abc", "1e400", "nan", "inf",
+                                           "-inf", "-1"),
+                         [](const auto& info) {
+                           const std::string v = info.param;
+                           if (v == "abc") return std::string("NotANumber");
+                           if (v == "1e400") return std::string("Overflow");
+                           if (v == "nan") return std::string("NaN");
+                           if (v == "inf") return std::string("Infinity");
+                           if (v == "-inf") return std::string("MinusInfinity");
+                           return std::string("Negative");
+                         });
+
+TEST(HttpService, PreconditionFailureNamesNoSourceFile) {
+  // A stop past the route's last stop trips the predictor's
+  // precondition on the slow path: 400 with a fixed text, counted in
+  // http.contract_violations.
+  ServiceFixture f;
+  f.train(1);
+  WiLocatorService service(f.server);
+  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                            .body = R"({"trip":5,"route":0})"})
+                .status,
+            200);
+  const auto reports = f.live_reports(TripId(5), hms(9));
+  std::vector<core::ScanSubmission> batch;
+  for (std::size_t i = 0; i < std::min<std::size_t>(reports.size(), 50); ++i)
+    batch.push_back({reports[i].trip, reports[i].scan});
+  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/scans",
+                            .body = encode_scan_batch(batch)})
+                .status,
+            200);
+  HttpRequest arrival{.method = "GET", .path = "/v1/arrival"};
+  arrival.query = {{"trip", "5"}, {"stop", "999"}, {"now", "0"}};
+  auto& violations = f.server.metrics_registry().counter(
+      "http.contract_violations");
+  EXPECT_EQ(violations.value(), 0u);
+  const HttpResponse r = service.handle(arrival);
+  EXPECT_EQ(r.status, 400);
+  EXPECT_EQ(r.body, R"({"error":"query outside the model's domain"})");
+  EXPECT_EQ(violations.value(), 1u);
+}
+
 TEST(HttpService, MetricsEndpointJsonAndPrometheus) {
   ServiceFixture f;
   WiLocatorService service(f.server);

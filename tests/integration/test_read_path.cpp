@@ -111,8 +111,8 @@ TEST(HttpReadPath, SnapshotServesRiderReadsWithoutLocks) {
   ASSERT_FALSE(reports.empty());
   post_scans(service, reports, 0, reports.size());
 
-  // Trip-level rider poll: pre-encoded bytes, no service lock, tagged
-  // headers.
+  // Trip-level rider poll: rendered from the snapshot, no service lock,
+  // tagged headers.
   const HttpResponse hit = service.handle(arrival_get("trip", "5", "3"));
   ASSERT_EQ(hit.status, 200) << hit.body;
   ASSERT_EQ(hit.headers.count("X-Cache"), 1u);
@@ -131,7 +131,7 @@ TEST(HttpReadPath, SnapshotServesRiderReadsWithoutLocks) {
   EXPECT_EQ(by_route.headers.at("X-Cache"), "hit");
   EXPECT_EQ(by_route.body, hit.body);  // only trip 5 is active
 
-  // Traffic map without `now`: the same snapshot's pre-encoded body.
+  // Traffic map without `now`: rendered from the same snapshot's map.
   const HttpResponse map =
       service.handle({.method = "GET", .path = "/v1/traffic-map"});
   ASSERT_EQ(map.status, 200);
