@@ -37,22 +37,24 @@ int main() {
     }
   }
 
-  // A live test day through one server (slot structure only affects the
-  // predictor side; tracking is identical), to fill the recent stores.
-  core::WiLocatorServer server(city.route_pointers(), city.ap_snapshot(),
-                               *city.rf_model,
-                               DaySlots::paper_five_slots());
-  for (const auto& obs : history) server.load_history(obs);
-  server.finalize_history();
+  // A live test day to fill the recent stores (slot structure only
+  // affects the predictor side; tracking is identical). Each trip runs
+  // through its own guard and tracker on its route's SVD index — the
+  // per-trip pipeline of a server's ingest engine — and its segment
+  // observations are harvested once, to be re-fed into each store.
+  const core::WiLocatorServer server(city.route_pointers(),
+                                     city.ap_snapshot(), *city.rf_model,
+                                     DaySlots::paper_five_slots());
   const auto day = bench::simulate_live_day(city, traffic, plan, 8, 0, rng);
-  bench::ingest_live_day(server, day);
-
-  // Harvest the test day's recents once; re-feed them into each store.
   std::vector<core::TravelObservation> recents;
   for (const auto& trip : day) {
-    for (const auto& obs :
-         server.tracker(trip.record.id).completed_segments())
-      recents.push_back(obs);
+    const svd::PositioningIndex& index = server.index_for(trip.record.route);
+    const core::SvdPositioner positioner(index);
+    core::BusTracker tracker(server.route(trip.record.route), positioner);
+    core::IngestGuard guard(tracker, index);
+    for (const auto& report : trip.reports) guard.submit(report.scan);
+    guard.flush();
+    for (const auto& obs : tracker.drain_segments()) recents.push_back(obs);
   }
 
   struct Variant {

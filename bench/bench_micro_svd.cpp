@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): SVD construction, the
 // rank-consistency kernel, `RouteSvd::locate` on its exact-signature and
-// degraded paths, and the full noisy-scan positioner — the back-end
+// degraded paths, the full noisy-scan positioner, and one trip through
+// a BusTracker (positioner, filter and fix append) — the back-end
 // server's hot paths. servebench's `svd.locate_ns` times
 // `RouteSvd::locate` itself.
 
@@ -9,6 +10,7 @@
 #include <span>
 
 #include "core/positioner.hpp"
+#include "core/tracker.hpp"
 #include "sim/city.hpp"
 #include "sim/crowd.hpp"
 #include "sim/traffic_model.hpp"
@@ -256,6 +258,36 @@ void BM_LocateNoisyScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocateNoisyScan);
+
+// One paper-city trip per iteration through a fresh tracker: locate,
+// mobility filter, boundary crossings and the fix-log append, per scan.
+void BM_TrackerIngestTrip(benchmark::State& state) {
+  const sim::City& city = shared_city();
+  const auto& route = city.route_by_name("Rapid");
+  const svd::RouteSvd index(route, city.ap_snapshot(), *city.rf_model, {});
+  const core::SvdPositioner positioner(index);
+  const sim::TrafficModel traffic(1);
+  Rng rng(3);
+  const auto trip =
+      sim::simulate_trip(roadnet::TripId(0), route,
+                         city.profile_of(route.id()), traffic,
+                         at_day_time(0, hms(9)), rng);
+  const rf::Scanner scanner;
+  const auto reports = sim::sense_trip(trip, route, city.aps,
+                                       *city.rf_model, scanner, rng);
+  std::size_t fixes = 0;
+  for (auto _ : state) {
+    core::BusTracker tracker(route, positioner);
+    for (const auto& report : reports) tracker.ingest(report.scan);
+    fixes = tracker.fixes().size();
+    benchmark::DoNotOptimize(tracker.drain_segments());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(reports.size()));
+  state.counters["scans"] = static_cast<double>(reports.size());
+  state.counters["fixes"] = static_cast<double>(fixes);
+}
+BENCHMARK(BM_TrackerIngestTrip);
 
 }  // namespace
 

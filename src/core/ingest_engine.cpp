@@ -339,7 +339,8 @@ std::optional<double> IngestEngine::position(roadnet::TripId trip) const {
 std::vector<Fix> IngestEngine::fixes(roadnet::TripId trip) const {
   const Shard& shard = shard_of(trip);
   std::lock_guard<std::mutex> lock(shard.state_mu);
-  return find_trip(shard.trips, trip).tracker->fixes();
+  const FixLog& log = find_trip(shard.trips, trip).tracker->fixes();
+  return {log.begin(), log.end()};
 }
 
 IngestStats IngestEngine::trip_stats(roadnet::TripId trip) const {
@@ -348,12 +349,16 @@ IngestStats IngestEngine::trip_stats(roadnet::TripId trip) const {
   return find_trip(shard.trips, trip).guard->stats();
 }
 
-IngestStats IngestEngine::total_stats() const {
-  IngestStats total;
+IngestEngine::Totals IngestEngine::totals() const {
+  Totals total;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->state_mu);
-    total += shard->orphan;
-    for (const auto& [id, tr] : shard->trips) total += tr.guard->stats();
+    total.stats += shard->orphan;
+    for (const auto& [id, tr] : shard->trips) {
+      total.stats += tr.guard->stats();
+      total.trip_state_bytes +=
+          tr.tracker->heap_bytes() + tr.guard->heap_bytes();
+    }
   }
   return total;
 }
@@ -362,6 +367,12 @@ const BusTracker& IngestEngine::tracker(roadnet::TripId trip) const {
   const Shard& shard = shard_of(trip);
   std::lock_guard<std::mutex> lock(shard.state_mu);
   return *find_trip(shard.trips, trip).tracker;
+}
+
+const IngestGuard& IngestEngine::guard(roadnet::TripId trip) const {
+  const Shard& shard = shard_of(trip);
+  std::lock_guard<std::mutex> lock(shard.state_mu);
+  return *find_trip(shard.trips, trip).guard;
 }
 
 std::vector<double> IngestEngine::take_latency_samples() {

@@ -141,13 +141,21 @@ class IngestEngine {
   std::optional<double> position(roadnet::TripId trip) const;
   std::vector<Fix> fixes(roadnet::TripId trip) const;  ///< snapshot copy
   IngestStats trip_stats(roadnet::TripId trip) const;
-  /// Aggregate over every trip plus orphan (unknown-/closed-trip)
-  /// rejections. accounted() holds whenever the engine is idle.
-  IngestStats total_stats() const;
+  /// Server-wide ingest state, gathered in one pass that takes each
+  /// shard's state mutex once.
+  struct Totals {
+    /// Aggregate over every trip plus orphan (unknown-/closed-trip)
+    /// rejections. accounted() holds whenever the engine is idle.
+    IngestStats stats;
+    /// Heap bytes of every trip's tracker and guard (heap_bytes()).
+    std::size_t trip_state_bytes = 0;
+  };
+  Totals totals() const;
 
-  /// Direct tracker access for tests/benches. Requires the engine to be
-  /// drained (no worker may be touching the trip).
+  /// Direct tracker and guard access for tests/benches. Requires the
+  /// engine to be drained (no worker may be touching the trip).
   const BusTracker& tracker(roadnet::TripId trip) const;
+  const IngestGuard& guard(roadnet::TripId trip) const;
 
   std::size_t shard_count() const { return shards_.size(); }
   bool threaded() const { return params_.workers > 0; }

@@ -184,6 +184,13 @@ std::optional<Fix> IngestGuard::release_front() {
   return fix;
 }
 
+std::size_t IngestGuard::heap_bytes() const {
+  std::size_t bytes = buffer_.capacity() * sizeof(Pending);
+  for (const Pending& pending : buffer_)
+    bytes += pending.scan.readings.capacity() * sizeof(rf::ApReading);
+  return bytes;
+}
+
 std::vector<Fix> IngestGuard::flush() {
   std::vector<Fix> fixes;
   fixes.reserve(buffer_.size());

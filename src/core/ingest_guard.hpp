@@ -140,6 +140,10 @@ class IngestGuard {
   std::size_t buffered() const { return buffer_.size(); }
   const IngestStats& stats() const { return stats_; }
 
+  /// Heap bytes held: the reorder buffer and its scans' readings (no
+  /// allocator overhead).
+  std::size_t heap_bytes() const;
+
  private:
   struct Pending {
     rf::WifiScan scan;

@@ -206,10 +206,10 @@ void WiLocatorServer::init_persistence() {
   recover_state();
   // A restarted node that recovered a finalized store skips training:
   // its set-up ends with the constructor.
-  if (store_.finalized()) release_setup_scratch();
+  if (store_.finalized()) end_setup();
 }
 
-void WiLocatorServer::release_setup_scratch() {
+void WiLocatorServer::end_setup() {
 #ifdef __GLIBC__
   // glibc keeps freed chunks resident: in the middle of the main heap,
   // where live learned state pins the top, and in each route-build
@@ -217,6 +217,7 @@ void WiLocatorServer::release_setup_scratch() {
   // arena and returns their whole free pages.
   malloc_trim(0);
 #endif
+  registry_.gauge("server.setup_s").set(wall_clock_s() - setup_start_wall_s_);
 }
 
 void WiLocatorServer::recover_state() {
@@ -434,12 +435,14 @@ StatePersistence::TailResult WiLocatorServer::tail_journal(
 }
 
 void WiLocatorServer::finalize_history() {
+  const double start = wall_clock_s();
   store_.finalize_history();
   // Raw history is frozen; the set is done. clear() would free its
   // nodes but keep the bucket array resident for the server's life.
   decltype(history_seen_)().swap(history_seen_);
   if (persist_ != nullptr) commit_prepared(seal_checkpoint());
-  release_setup_scratch();
+  end_setup();
+  registry_.gauge("server.finalize_s").set(wall_clock_s() - start);
 }
 
 void WiLocatorServer::begin_trip(roadnet::TripId trip,
@@ -582,12 +585,22 @@ IngestStats WiLocatorServer::trip_ingest_stats(roadnet::TripId trip) const {
 }
 
 IngestStats WiLocatorServer::ingest_stats() const {
-  return engine_->total_stats();
+  return engine_->totals().stats;
 }
 
 obs::Snapshot WiLocatorServer::metrics_snapshot() const {
   obs::Snapshot snap = registry_.snapshot();
-  render_ingest(ingest_stats(), snap);
+  const IngestEngine::Totals totals = engine_->totals();
+  render_ingest(totals.stats, snap);
+  snap.gauges["mem.trip_state_bytes"] =
+      static_cast<double>(totals.trip_state_bytes);
+#ifdef __GLIBC__
+  // Every arena's allocated chunks plus mmapped blocks: the total the
+  // mem.* owners are a part of.
+  const struct mallinfo2 heap = mallinfo2();
+  snap.gauges["mem.heap_in_use_bytes"] =
+      static_cast<double>(heap.uordblks + heap.hblkhd);
+#endif
   if (const auto published = arrival_table_.snapshot(); published != nullptr)
     snap.gauges["arrival_cache.snapshot_age_s"] =
         std::max(0.0, wall_clock_s() - published->built_wall_s);

@@ -96,7 +96,8 @@ class WiLocatorServer {
   void load_history(const TravelObservation& obs);
   /// Freezes history and computes residual statistics. Checkpoints when
   /// persistence is enabled (the finalized flag is part of the state).
-  /// Set-up ends here, so the heap it freed goes back to the OS.
+  /// Set-up ends here, so the heap it freed goes back to the OS. The
+  /// `server.finalize_s` gauge times this call, trim included.
   void finalize_history();
 
   // -- online operation --------------------------------------------------
@@ -288,9 +289,12 @@ class WiLocatorServer {
   /// registry (engine.*, locate.*, predictor.*, traffic.*, server.*,
   /// ...) plus what is rendered when metrics are read — `ingest.*` from
   /// ingest_stats() (counters, and the `ingest.deferred` gauge of
-  /// buffered scans) and the `arrival_cache.snapshot_age_s` gauge (wall
-  /// seconds since the published arrival snapshot was built; absent
-  /// before the first publish). Safe from any thread.
+  /// buffered scans), the `mem.trip_state_bytes` gauge (heap of every
+  /// trip's tracker and guard, summed in the same per-shard pass), the
+  /// `mem.heap_in_use_bytes` gauge (glibc's allocated heap, mallinfo2;
+  /// absent off glibc) and the `arrival_cache.snapshot_age_s` gauge
+  /// (wall seconds since the published arrival snapshot was built;
+  /// absent before the first publish). Safe from any thread.
   obs::Snapshot metrics_snapshot() const;
 
   /// The live registry (e.g. to register application-level metrics
@@ -352,11 +356,12 @@ class WiLocatorServer {
   void init_persistence();
   /// Applies snapshot + post-watermark journal records; sets recovered_.
   void recover_state();
-  /// Returns the heap set-up freed (route-build and history-load
-  /// scratch) to the OS, so the resident set is the learned state. Runs
-  /// once, when set-up completes: at finalize_history(), or at the end
-  /// of construction when recovery restored a finalized store.
-  static void release_setup_scratch();
+  /// Ends set-up: returns the heap it freed (route-build and
+  /// history-load scratch) to the OS, so the resident set is the learned
+  /// state, and sets the `server.setup_s` gauge (wall seconds since
+  /// construction began). Runs once: at finalize_history(), or at the
+  /// end of construction when recovery restored a finalized store.
+  void end_setup();
   /// Serializes [fingerprint][watermark][store].
   std::vector<std::byte> snapshot_body() const;
   /// Inverse of snapshot_body() for any readable version; returns the
@@ -376,6 +381,9 @@ class WiLocatorServer {
   /// the store epoch moved since the last refresh (cheap no-op else).
   void maybe_refresh_arrivals();
 
+  /// Wall time construction began (first member: set before any other
+  /// member is built).
+  double setup_start_wall_s_ = wall_clock_s();
   ServerConfig config_;
   std::unordered_map<roadnet::RouteId, RouteRuntime> routes_;
   // Declared before engine_: the engine (and everything downstream)

@@ -1,6 +1,6 @@
 #include "core/tracker.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/contracts.hpp"
 
@@ -47,6 +47,7 @@ void BusTracker::cross_boundaries(const Fix& prev, const Fix& cur) {
       if (travel > 0.0) {
         segments_.push_back({route_->edges()[edge], route_->id(), t_cross,
                              travel});
+        ++completed_;
       }
     }
     // The crossing is the entry into the next edge.
@@ -58,11 +59,12 @@ void BusTracker::cross_boundaries(const Fix& prev, const Fix& cur) {
 }
 
 std::vector<TravelObservation> BusTracker::drain_segments() {
-  std::vector<TravelObservation> out(segments_.begin() +
-                                         static_cast<std::ptrdiff_t>(drained_),
-                                     segments_.end());
-  drained_ = segments_.size();
-  return out;
+  return std::exchange(segments_, {});
+}
+
+std::size_t BusTracker::heap_bytes() const {
+  return fixes_.heap_bytes() +
+         segments_.capacity() * sizeof(TravelObservation);
 }
 
 std::optional<double> BusTracker::current_offset() const {

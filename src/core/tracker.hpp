@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/fix_log.hpp"
 #include "core/mobility_filter.hpp"
 #include "core/positioner.hpp"
 #include "core/travel_time.hpp"
@@ -33,18 +34,21 @@ class BusTracker {
   std::optional<Fix> ingest(const rf::WifiScan& scan);
 
   /// All fixes so far (time-ordered).
-  const std::vector<Fix>& fixes() const { return fixes_; }
+  const FixLog& fixes() const { return fixes_; }
 
-  /// Segment traversals completed so far. Grows as the bus crosses
-  /// intersections; each entry's travel time came from interpolated
-  /// boundary-crossing times.
-  const std::vector<TravelObservation>& completed_segments() const {
-    return segments_;
-  }
+  /// Segment traversals completed so far, drained or not. Grows as the
+  /// bus crosses intersections.
+  std::size_t completed_count() const { return completed_; }
 
-  /// Segment observations not yet handed over (and marks them so);
-  /// lets a server drain incrementally.
+  /// Moves out the segment traversals completed since the last drain;
+  /// each entry's travel time came from interpolated boundary-crossing
+  /// times. The tracker keeps no copy: a server drains incrementally
+  /// into its store, the one owner of every observation.
   std::vector<TravelObservation> drain_segments();
+
+  /// Heap bytes held: the fix log and the undrained segments (no
+  /// allocator overhead).
+  std::size_t heap_bytes() const;
 
   const roadnet::BusRoute& route() const { return *route_; }
 
@@ -57,9 +61,9 @@ class BusTracker {
   const roadnet::BusRoute* route_;
   const SvdPositioner* positioner_;
   MobilityFilter filter_;
-  std::vector<Fix> fixes_;
-  std::vector<TravelObservation> segments_;
-  std::size_t drained_ = 0;
+  FixLog fixes_;
+  std::vector<TravelObservation> segments_;  ///< not yet drained
+  std::size_t completed_ = 0;
 
   // Boundary-crossing state.
   std::size_t current_edge_ = 0;

@@ -46,8 +46,10 @@ struct Workload {
   std::vector<sim::ScanReport> trip_a;
   std::vector<sim::ScanReport> trip_b;
 
-  explicit Workload(double fault_rate = 0.15) {
+  explicit Workload(double fault_rate = 0.15, double scan_period_s = 10.0) {
     const sim::TrafficModel traffic(9);
+    sim::CrowdParams crowd;
+    crowd.scan_period_s = scan_period_s;
     Rng rng(41);
     const rf::Scanner scanner;
     const auto rec_a =
@@ -57,9 +59,9 @@ struct Workload {
         sim::simulate_trip(TripId(2), city.route_b(), city.profiles[1],
                            traffic, at_day_time(0, hms(8) + 60.0), rng);
     trip_a = sim::sense_trip(rec_a, city.route_a(), city.aps, city.model,
-                             scanner, rng);
+                             scanner, rng, crowd);
     trip_b = sim::sense_trip(rec_b, city.route_b(), city.aps, city.model,
-                             scanner, rng);
+                             scanner, rng, crowd);
     if (fault_rate > 0.0) {
       sim::FaultInjector inj_a(sim::FaultProfile::uniform(fault_rate), 5);
       sim::FaultInjector inj_b(sim::FaultProfile::uniform(fault_rate), 6);
@@ -407,6 +409,48 @@ TEST(IngestEngine, BatchedWorkerDrainMatchesOneAtATime) {
   }
   expect_same_stats(serial.ingest_stats(), unbatched.ingest_stats());
   expect_same_stats(serial.ingest_stats(), wide.ingest_stats());
+}
+
+TEST(IngestEngine, TripStateHeapBytesPerFixWorkBudget) {
+  // A trip's resident state is its fix log (24 B per fix in 64-fix
+  // chunks) and its guard's reorder buffer; drained segment observations
+  // belong to the store alone. /metrics sums these owners in the same
+  // per-shard pass that totals IngestStats. Scans every second give
+  // each trip a few hundred fixes, several chunks.
+  const Workload w(0.15, 1.0);
+  WiLocatorServer server({&w.city.route_a(), &w.city.route_b()},
+                         w.city.ap_snapshot(), w.city.model,
+                         DaySlots::paper_five_slots(), engine_config(2));
+  server.begin_trip(TripId(1), w.city.route_a().id());
+  server.begin_trip(TripId(2), w.city.route_b().id());
+  const auto submissions = w.interleaved();
+  server.ingest_batch(submissions);
+  server.drain();  // mid-trip: the guards still buffer scans
+
+  constexpr std::size_t kChunkBytes =
+      FixLog::kChunk * 3 * sizeof(double) + sizeof(std::uint64_t);
+  std::size_t owners = 0;
+  std::size_t buffered = 0;
+  for (const TripId trip : {TripId(1), TripId(2)}) {
+    const BusTracker& tracker = server.engine().tracker(trip);
+    const IngestGuard& guard = server.engine().guard(trip);
+    const std::size_t n = tracker.fixes().size();
+    ASSERT_GE(n, 150u) << "trip " << trip.value();
+    EXPECT_GT(tracker.completed_count(), 0u);
+    // Every completed segment went to the store: the tracker holds only
+    // its fixes.
+    EXPECT_EQ(tracker.heap_bytes(), tracker.fixes().heap_bytes());
+    const std::size_t chunks = (n + FixLog::kChunk - 1) / FixLog::kChunk;
+    EXPECT_LE(tracker.heap_bytes(),
+              n * 3 * sizeof(double) + chunks * sizeof(std::uint64_t) +
+                  kChunkBytes + 2 * chunks * sizeof(void*))
+        << "trip " << trip.value() << ", " << n << " fixes";
+    owners += tracker.heap_bytes() + guard.heap_bytes();
+    buffered += guard.buffered();
+  }
+  EXPECT_GT(buffered, 0u);
+  EXPECT_EQ(server.metrics_snapshot().gauge("mem.trip_state_bytes"),
+            static_cast<double>(owners));
 }
 
 }  // namespace

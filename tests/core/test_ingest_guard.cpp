@@ -67,11 +67,11 @@ TEST(IngestGuard, CleanStreamBitIdenticalToRawTracker) {
     EXPECT_EQ(raw.fixes()[i].degraded, guarded.fixes()[i].degraded);
   }
   // Segment observations are identical too (same fixes, same crossings).
-  ASSERT_EQ(raw.completed_segments().size(),
-            guarded.completed_segments().size());
-  for (std::size_t i = 0; i < raw.completed_segments().size(); ++i) {
-    EXPECT_EQ(raw.completed_segments()[i].travel_time,
-              guarded.completed_segments()[i].travel_time);
+  const auto raw_segments = raw.drain_segments();
+  const auto guarded_segments = guarded.drain_segments();
+  ASSERT_EQ(raw_segments.size(), guarded_segments.size());
+  for (std::size_t i = 0; i < raw_segments.size(); ++i) {
+    EXPECT_EQ(raw_segments[i].travel_time, guarded_segments[i].travel_time);
   }
 
   const auto& stats = guard.stats();

@@ -76,7 +76,8 @@ TEST(BusTracker, SegmentObservationsMatchGroundTruth) {
   BusTracker tracker(f.city.route_a(), f.positioner);
   for (const auto& report : reports) tracker.ingest(report.scan);
 
-  const auto& observed = tracker.completed_segments();
+  const auto observed = tracker.drain_segments();
+  EXPECT_EQ(observed.size(), tracker.completed_count());
   ASSERT_GE(observed.size(), 3u);
   for (const auto& obs : observed) {
     EXPECT_EQ(obs.route, f.city.route_a().id());
@@ -103,7 +104,8 @@ TEST(BusTracker, DrainSegmentsIsIncremental) {
     tracker.ingest(report.scan);
     drained_total += tracker.drain_segments().size();
   }
-  EXPECT_EQ(drained_total, tracker.completed_segments().size());
+  EXPECT_GT(drained_total, 0u);
+  EXPECT_EQ(drained_total, tracker.completed_count());
   EXPECT_TRUE(tracker.drain_segments().empty());
 }
 

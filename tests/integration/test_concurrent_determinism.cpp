@@ -133,8 +133,10 @@ TEST(ConcurrentDeterminism, RepeatedThreadedRunsAreStable) {
     auto server = schedule.make_server(config);
     for (const ChaosRound& round : schedule.rounds)
       testing::apply_batched(*server, round, schedule.batch_size);
-    for (const TripId trip : schedule.trips)
-      runs[run].push_back(server->tracker(trip).fixes());
+    for (const TripId trip : schedule.trips) {
+      const FixLog& log = server->tracker(trip).fixes();
+      runs[run].emplace_back(log.begin(), log.end());
+    }
     bytes[run] = testing::store_bytes(*server);
   }
   ASSERT_EQ(runs[0].size(), runs[1].size());

@@ -100,7 +100,7 @@ TEST(Deployment, SelfTrainedPredictionsMatchGroundTruthTraining) {
                                            city.model, scanner, rng);
       core::BusTracker tracker(city.route_a(), positioner);
       for (const auto& report : reports) tracker.ingest(report.scan);
-      for (const auto& obs : tracker.completed_segments())
+      for (const auto& obs : tracker.drain_segments())
         tracked_store.add_history(obs);
     }
   }

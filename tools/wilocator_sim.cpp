@@ -165,9 +165,10 @@ int main(int argc, char** argv) {
     if (trajectory_written.insert(route.name()).second) {
       std::ofstream traj(opts.out_dir + "/trajectory_" + route.name() +
                          ".csv");
+      const core::FixLog& fixes = server.tracker(trip.id).fixes();
       core::write_trajectory_csv(
-          traj, core::to_geo_trajectory(
-                    server.tracker(trip.id).fixes(), route, anchor));
+          traj, core::to_geo_trajectory({fixes.begin(), fixes.end()}, route,
+                                        anchor));
     }
     server.end_trip(trip.id);
   }
