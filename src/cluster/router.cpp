@@ -15,11 +15,8 @@ namespace wiloc::cluster {
 
 namespace {
 
-net::HttpResponse error_json(int status, std::string_view message) {
-  std::ostringstream out;
-  out << "{\"error\":" << net::json_quote(message) << "}";
-  return net::HttpResponse::json(status, out.str());
-}
+using net::error_json;
+using net::method_not_allowed;
 
 net::HttpResponse no_replica_503(double retry_after_s) {
   net::HttpResponse r =
@@ -109,14 +106,13 @@ net::HttpResponse ClusterRouter::handle(const net::HttpRequest& request) {
     if (request.path == "/v1/scans") return handle_scans(request);
     if (request.path == "/v1/trips") return handle_trips(request);
     if (request.path == "/v1/arrival") {
-      if (request.param_num("trip").has_value())
-        return handle_trip_read(request);
-      if (const auto route_num = request.param_num("route")) {
-        const auto route = net::checked_integer<std::uint32_t>(route_num);
-        if (!route.has_value()) return error_json(400, "bad \"route\"");
-        return handle_route_arrival(request, *route);
-      }
-      return handle_any_node(request);  // upstream explains the 400
+      if (request.param_num("trip").present) return handle_trip_read(request);
+      const net::QueryNumber route = request.param_num("route");
+      if (!route.present)
+        return handle_any_node(request);  // upstream explains the 400
+      if (!net::checked_integer<std::uint32_t>(route.value).has_value())
+        return error_json(400, "bad \"route\"");
+      return handle_route_arrival(request);
     }
     if (request.path == "/v1/position") return handle_trip_read(request);
     if (request.path == "/v1/traffic-map") return handle_any_node(request);
@@ -128,16 +124,12 @@ net::HttpResponse ClusterRouter::handle(const net::HttpRequest& request) {
 
 net::HttpResponse ClusterRouter::handle_scans(
     const net::HttpRequest& request) {
-  if (request.method != "POST") {
-    net::HttpResponse r = error_json(405, "method not allowed");
-    r.headers["Allow"] = "POST";
-    return r;
-  }
+  if (request.method != "POST") return method_not_allowed("POST");
   std::string decode_error;
   auto batch = net::decode_scan_batch(request.body, &decode_error);
   if (!batch.has_value()) return error_json(400, decode_error);
   if (batch->empty())
-    return net::HttpResponse::json(200, "{\"submitted\":0,\"enqueued\":0}");
+    return net::HttpResponse::json(200, net::encode_scan_ack({}));
 
   // Split by each trip's first live replica and forward per node. Nodes
   // that fail mid-request are excluded and their slice re-split — the
@@ -153,7 +145,7 @@ net::HttpResponse ClusterRouter::handle_scans(
     return std::nullopt;
   };
 
-  std::uint64_t submitted = 0, enqueued = 0;
+  net::ScanAck total;
   std::vector<std::uint64_t> acked(nodes_.size(), 0);
   std::vector<core::ScanSubmission> pending = std::move(*batch);
   for (std::size_t attempt = 0;
@@ -200,16 +192,10 @@ net::HttpResponse ClusterRouter::handle_scans(
         continue;
       }
       membership_.report_success(node);
-      std::string parse_error;
-      const auto doc = net::parse_json(upstream.body, &parse_error);
-      if (doc.has_value()) {
-        const auto count = [](std::optional<double> v) {
-          return net::checked_integer<std::uint64_t>(v).value_or(0);
-        };
-        submitted += count(doc->get_number("submitted"));
-        enqueued += count(doc->get_number("enqueued"));
-        acked[node] += count(doc->get_number("submitted"));
-      }
+      const net::ScanAck ack = net::decode_scan_ack(upstream.body);
+      total.submitted += ack.submitted;
+      total.enqueued += ack.enqueued;
+      acked[node] += ack.submitted;
     }
   }
   if (!pending.empty()) {
@@ -222,37 +208,25 @@ net::HttpResponse ClusterRouter::handle_scans(
   for (std::size_t node = 0; node < acked.size(); ++node)
     if (acked[node] != 0)
       acked_scans_[node]->fetch_add(acked[node], std::memory_order_relaxed);
-  std::ostringstream out;
-  out << "{\"submitted\":" << submitted << ",\"enqueued\":" << enqueued << "}";
-  return net::HttpResponse::json(200, out.str());
+  return net::HttpResponse::json(200, net::encode_scan_ack(total));
 }
 
 net::HttpResponse ClusterRouter::handle_trips(
     const net::HttpRequest& request) {
-  if (request.method != "POST") {
-    net::HttpResponse r = error_json(405, "method not allowed");
-    r.headers["Allow"] = "POST";
-    return r;
-  }
-  std::string parse_error;
-  const auto doc = net::parse_json(request.body, &parse_error);
-  if (!doc.has_value()) return error_json(400, "bad JSON: " + parse_error);
-  const auto trip_id =
-      net::checked_integer<std::uint32_t>(doc->get_number("trip"));
-  if (!trip_id.has_value()) return error_json(400, "missing or bad \"trip\"");
-  const std::uint64_t trip = *trip_id;
-  const net::JsonValue* end = doc->get("end");
-  const bool ending =
-      end != nullptr && end->as_bool().has_value() && *end->as_bool();
-  const auto route =
-      net::checked_integer<std::uint32_t>(doc->get_number("route"));
+  if (request.method != "POST") return method_not_allowed("POST");
+  // The node's own decoder: a body it would refuse is refused here with
+  // the same 400, before any hop.
+  std::string decode_error;
+  const auto decoded = net::decode_trip_request(request.body, &decode_error);
+  if (!decoded.has_value()) return error_json(400, decode_error);
+  const std::uint64_t trip = decoded->trip.value();
 
   // Registration is idempotent on the upstream (409 = already active),
   // so the POST rides the retry ladder like a read.
   std::size_t served_by = nodes_.size();
   net::HttpResponse response = forward_ladder(ring_.ranked(trip), request,
                                               true, trip, false, &served_by);
-  if (ending) {
+  if (decoded->end) {
     if (response.status == 200 || response.status == 404) {
       std::lock_guard<std::mutex> lock(routes_mu_);
       trip_routes_.erase(trip);
@@ -260,12 +234,12 @@ net::HttpResponse ClusterRouter::handle_trips(
     }
     return response;
   }
-  if (route.has_value() && (response.status == 200 || response.status == 409) &&
+  if ((response.status == 200 || response.status == 409) &&
       served_by < nodes_.size()) {
     // Remember the placement so scans/reads can lazily re-register the
     // trip on a failover target.
     std::lock_guard<std::mutex> lock(routes_mu_);
-    trip_routes_[trip] = *route;
+    trip_routes_[trip] = decoded->route->value();
     trip_registered_[trip].insert(served_by);
     if (response.status == 409) response.status = 200;
   }
@@ -274,15 +248,16 @@ net::HttpResponse ClusterRouter::handle_trips(
 
 net::HttpResponse ClusterRouter::handle_trip_read(
     const net::HttpRequest& request) {
-  const auto trip_num = request.param_num("trip");
+  // An absent or malformed trip: any node answers the 400 it deserves.
+  const net::QueryNumber trip_num = request.param_num("trip");
   if (!trip_num.has_value()) return handle_any_node(request);
-  const auto trip = net::checked_integer<std::uint32_t>(trip_num);
+  const auto trip = net::checked_integer<std::uint32_t>(trip_num.value);
   if (!trip.has_value()) return error_json(400, "bad \"trip\"");
   return forward_ladder(ring_.ranked(*trip), request, true, *trip, true);
 }
 
 net::HttpResponse ClusterRouter::handle_route_arrival(
-    const net::HttpRequest& request, std::uint64_t route) {
+    const net::HttpRequest& request) {
   // A route's trips shard across nodes, so the rider-facing "soonest
   // bus on my route" query scatters to every healthy node and keeps
   // the earliest predicted arrival.
@@ -308,17 +283,14 @@ net::HttpResponse ClusterRouter::handle_route_arrival(
         miss = relay(upstream);
       continue;
     }
-    std::string parse_error;
-    const auto doc = net::parse_json(upstream.body, &parse_error);
     const auto arrival =
-        doc.has_value() ? doc->get_number("arrival_time") : std::nullopt;
+        net::json_number_member(upstream.body, "arrival_time");
     if (!arrival.has_value()) continue;
     if (!best.has_value() || *arrival < best_arrival) {
       best = relay(upstream);
       best_arrival = *arrival;
     }
   }
-  (void)route;
   if (best.has_value()) return *std::move(best);
   if (miss.has_value()) return *std::move(miss);
   if (!any_answered) {
@@ -355,11 +327,7 @@ net::HttpResponse ClusterRouter::handle_readyz() {
 
 net::HttpResponse ClusterRouter::handle_metrics(
     const net::HttpRequest& request) {
-  if (request.method != "GET") {
-    net::HttpResponse r = error_json(405, "method not allowed");
-    r.headers["Allow"] = "GET";
-    return r;
-  }
+  if (request.method != "GET") return method_not_allowed("GET");
   const obs::Snapshot snap = registry_.snapshot();
   const auto format = request.param("format");
   if (format.has_value() && *format == "prometheus") {

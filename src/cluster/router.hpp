@@ -99,8 +99,7 @@ class ClusterRouter {
   net::HttpResponse handle_scans(const net::HttpRequest& request);
   net::HttpResponse handle_trips(const net::HttpRequest& request);
   net::HttpResponse handle_trip_read(const net::HttpRequest& request);
-  net::HttpResponse handle_route_arrival(const net::HttpRequest& request,
-                                         std::uint64_t route);
+  net::HttpResponse handle_route_arrival(const net::HttpRequest& request);
   net::HttpResponse handle_any_node(const net::HttpRequest& request);
   net::HttpResponse handle_readyz();
   net::HttpResponse handle_metrics(const net::HttpRequest& request);

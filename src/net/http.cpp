@@ -5,6 +5,8 @@
 #include <charconv>
 #include <sstream>
 
+#include "net/json.hpp"
+
 namespace wiloc::net {
 
 namespace {
@@ -51,14 +53,15 @@ std::optional<std::string> HttpRequest::param(
   return it->second;
 }
 
-std::optional<double> HttpRequest::param_num(const std::string& name) const {
-  const auto s = param(name);
-  if (!s.has_value() || s->empty()) return std::nullopt;
+QueryNumber HttpRequest::param_num(const std::string& name) const {
+  const auto it = query.find(name);
+  if (it == query.end()) return {};
+  QueryNumber out{.present = true};
   double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(s->data(), s->data() + s->size(), value);
-  if (ec != std::errc{} || ptr != s->data() + s->size()) return std::nullopt;
-  return value;
+  const std::string& text = it->second;
+  if (!text.empty() && read_json_number(text, &value) == text.size())
+    out.value = value;
+  return out;
 }
 
 HttpResponse HttpResponse::json(int status, std::string body) {
@@ -74,6 +77,17 @@ HttpResponse HttpResponse::text(int status, std::string body) {
   r.status = status;
   r.headers["Content-Type"] = "text/plain; charset=utf-8";
   r.body = std::move(body);
+  return r;
+}
+
+HttpResponse error_json(int status, std::string_view message) {
+  return HttpResponse::json(status,
+                            "{\"error\":" + json_quote(message) + "}");
+}
+
+HttpResponse method_not_allowed(std::string_view allow) {
+  HttpResponse r = error_json(405, "method not allowed");
+  r.headers["Allow"] = std::string(allow);
   return r;
 }
 

@@ -27,6 +27,21 @@ struct CaseInsensitiveLess {
 
 using HeaderMap = std::map<std::string, std::string, CaseInsensitiveLess>;
 
+/// A numeric query parameter has three outcomes: absent, malformed
+/// (present but not an RFC 8259 number, as read_json_number reads it),
+/// or a value. A handler answers 400 for a malformed one rather than
+/// read it as absent.
+struct QueryNumber {
+  bool present = false;
+  std::optional<double> value{};  ///< set iff present and well-formed
+
+  bool malformed() const { return present && !value.has_value(); }
+  bool has_value() const { return value.has_value(); }
+  /// Reads an absent *or malformed* parameter as `fallback`; a handler
+  /// that must refuse a malformed one checks malformed() instead.
+  double value_or(double fallback) const { return value.value_or(fallback); }
+};
+
 /// One parsed request. `target` is the raw request-target; `path` and
 /// `query` are its percent-decoded split at the first '?'.
 struct HttpRequest {
@@ -40,8 +55,8 @@ struct HttpRequest {
 
   /// Query parameter by name; nullopt when absent.
   std::optional<std::string> param(const std::string& name) const;
-  /// Query parameter parsed as double; nullopt when absent or malformed.
-  std::optional<double> param_num(const std::string& name) const;
+  /// Query parameter read with the JSON number grammar.
+  QueryNumber param_num(const std::string& name) const;
 };
 
 /// One response under construction. Content-Length and the status reason
@@ -54,6 +69,13 @@ struct HttpResponse {
   static HttpResponse json(int status, std::string body);
   static HttpResponse text(int status, std::string body);
 };
+
+/// The {"error": message} body every 4xx/5xx of the service and the
+/// router carries.
+HttpResponse error_json(int status, std::string_view message);
+
+/// 405 naming the one method the endpoint takes in its Allow header.
+HttpResponse method_not_allowed(std::string_view allow);
 
 /// Standard reason phrase for a status code ("OK", "Not Found", ...).
 std::string_view status_reason(int status);

@@ -1,5 +1,6 @@
-// A minimal JSON reader for the HTTP request bodies the service
-// accepts (scan batches, trip registrations).
+// The one JSON front end for what clients and peer nodes send in:
+// request bodies (scan batches, trip registrations) and the upstream
+// replies a router reads (scan acks, arrival answers).
 //
 // Parsing only — responses are rendered directly — plus the checked
 // double -> integer conversion every numeric request field needs. The
@@ -8,74 +9,38 @@
 // size are bounded by the HTTP layer's body limit plus an explicit
 // nesting cap, so a hostile payload cannot blow the stack.
 //
-// Two front ends share one lexer: parse_json builds a JsonValue tree,
-// and JsonReader lets a decoder walk a body in one pass and build only
-// its own output (the scan codec), with the same grammar, nesting cap
-// and error messages.
+// JsonReader walks a body in one pass and lets each decoder
+// (net/scan_codec: scan batches, trip bodies, acks) build only its own
+// output. Its number grammar is
+// read_json_number, which the query-string reader (HttpRequest::
+// param_num) calls too, so one grammar decides what a number is in
+// bodies and in query strings.
 #pragma once
 
 #include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <limits>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 namespace wiloc::net {
 
-/// One parsed JSON value. Objects/arrays own their children.
-class JsonValue {
- public:
-  enum class Type { null, boolean, number, string, array, object };
+/// RFC 8259's number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?:
+/// reads the one that starts `s` into `out` and returns its length, or
+/// 0 when `s` does not start with one or its value is out of a
+/// double's range. Every number read is therefore finite; from_chars
+/// alone would also take inf, nan, ".5" and "1.".
+std::size_t read_json_number(std::string_view s, double* out);
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::null; }
-
-  /// Typed accessors; each returns nullopt/nullptr on a type mismatch.
-  std::optional<bool> as_bool() const;
-  std::optional<double> as_number() const;
-  const std::string* as_string() const;
-  const std::vector<JsonValue>* as_array() const;
-
-  /// Object member by key; nullptr when absent or not an object.
-  const JsonValue* get(const std::string& key) const;
-  /// Convenience: member's numeric value, nullopt when missing/mistyped.
-  std::optional<double> get_number(const std::string& key) const;
-
-  // Construction (used by the parser; tests build values directly).
-  static JsonValue make_null();
-  static JsonValue make_bool(bool b);
-  static JsonValue make_number(double n);
-  static JsonValue make_string(std::string s);
-  static JsonValue make_array(std::vector<JsonValue> items);
-  static JsonValue make_object(std::map<std::string, JsonValue> members);
-
- private:
-  Type type_ = Type::null;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
-};
-
-/// Parses one JSON document. Returns nullopt on any syntax error or
-/// trailing garbage (the service answers 400 with `error` when set).
-std::optional<JsonValue> parse_json(std::string_view text,
-                                    std::string* error = nullptr);
-
-/// The lexer under parse_json, for a decoder that walks one document
-/// without a DOM. A value at nesting `depth` (the document is 0, an
-/// array item or member value its container's depth + 1) is read by
-/// open() followed by exactly one of skip(), array(), object() or a
-/// scalar read, or in one call by skip_value() or value(). Every call
-/// returns false on a syntax error; error() then holds the first one,
-/// worded and placed as parse_json reports it.
+/// A lexer for a decoder that walks one document without a DOM. A value
+/// at nesting `depth` (the document is 0, an array item or member value
+/// its container's depth + 1) is read by open() followed by exactly one
+/// of skip(), array(), object() or a scalar read, or in one call by
+/// skip_value() or value(). Every call returns false on a syntax error;
+/// error() then holds the first one, with its byte offset.
 class JsonReader {
  public:
   explicit JsonReader(std::string_view text) : text_(text) {}

@@ -14,14 +14,25 @@ namespace {
 constexpr const char* kNeedsFields = "scan needs trip, t and readings";
 constexpr const char* kBadReading = "reading must be [ap, rssi_dbm]";
 
-void append_uint(std::string& out, std::uint32_t v) {
-  char buf[16];
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
   out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void append_num(std::string& out, double v) {
   char buf[kJsonNumChars];
   out.append(buf, put_json_num(buf, v));
+}
+
+/// Reads one whole document, calling member(key, depth) for each member
+/// in document order when it is an object (any other value has none).
+/// False on a syntax error, which json.error() then names.
+template <typename Member>
+bool read_members(JsonReader& json, Member&& member) {
+  char c = 0;
+  if (!json.open(0, &c)) return false;
+  const bool ok = c == '{' ? json.object(0, member) : json.skip(c, 0);
+  return ok && json.finish();
 }
 
 /// One pass over a POST /v1/scans body that builds the batch directly.
@@ -40,15 +51,11 @@ class ScanBatchDecoder {
       if (error != nullptr) *error = std::move(message);
       return std::nullopt;
     };
-    char c = 0;
-    bool parsed = json_.open(0, &c);
-    if (parsed && c == '{')
-      parsed = json_.object(0, [this](const std::string& key, std::size_t d) {
-        return key == "scans" ? read_scans(d) : json_.skip_value(d);
-      });
-    else if (parsed)
-      parsed = json_.skip(c, 0);
-    if (!parsed || !json_.finish()) return fail("bad JSON: " + json_.error());
+    const bool parsed =
+        read_members(json_, [this](const std::string& key, std::size_t d) {
+          return key == "scans" ? read_scans(d) : json_.skip_value(d);
+        });
+    if (!parsed) return fail("bad JSON: " + json_.error());
     if (!has_scans_) return fail("missing \"scans\" array");
     if (bad_ != nullptr) return fail(bad_);
     return std::move(batch_);
@@ -186,6 +193,75 @@ std::string encode_scan_batch(std::span<const core::ScanSubmission> batch) {
 std::optional<std::vector<core::ScanSubmission>> decode_scan_batch(
     const std::string& body, std::string* error) {
   return ScanBatchDecoder(body).decode(error);
+}
+
+std::string encode_scan_ack(ScanAck ack) {
+  std::string out = "{\"submitted\":";
+  append_uint(out, ack.submitted);
+  out += ",\"enqueued\":";
+  append_uint(out, ack.enqueued);
+  out += '}';
+  return out;
+}
+
+ScanAck decode_scan_ack(std::string_view body) {
+  JsonReader json(body);
+  std::optional<double> submitted;
+  std::optional<double> enqueued;
+  const bool parsed =
+      read_members(json, [&](const std::string& key, std::size_t d) {
+        if (key == "submitted") return json.value(d, &submitted);
+        if (key == "enqueued") return json.value(d, &enqueued);
+        return json.skip_value(d);
+      });
+  if (!parsed) return {};
+  const auto count = [](std::optional<double> v) {
+    return checked_integer<std::uint64_t>(v).value_or(0);
+  };
+  return {count(submitted), count(enqueued)};
+}
+
+std::optional<TripRequest> decode_trip_request(std::string_view body,
+                                               std::string* error) {
+  const auto fail =
+      [error](std::string message) -> std::optional<TripRequest> {
+    if (error != nullptr) *error = std::move(message);
+    return std::nullopt;
+  };
+  JsonReader json(body);
+  std::optional<double> trip;
+  std::optional<double> route;
+  bool end = false;
+  const bool parsed =
+      read_members(json, [&](const std::string& key, std::size_t d) {
+        if (key == "trip") return json.value(d, &trip);
+        if (key == "route") return json.value(d, &route);
+        if (key != "end") return json.skip_value(d);
+        char c = 0;
+        if (!json.open(d, &c)) return false;
+        end = c == 't';  // only the literal true ends a trip
+        return json.skip(c, d);
+      });
+  if (!parsed) return fail("bad JSON: " + json.error());
+  const auto trip_id = checked_integer<std::uint32_t>(trip);
+  if (!trip_id.has_value()) return fail("missing or bad \"trip\"");
+  TripRequest request{.trip = roadnet::TripId(*trip_id), .end = end};
+  if (const auto route_id = checked_integer<std::uint32_t>(route))
+    request.route = roadnet::RouteId(*route_id);
+  else if (!end)
+    return fail("missing or bad \"route\" (or \"end\":true)");
+  return request;
+}
+
+std::optional<double> json_number_member(std::string_view body,
+                                         std::string_view key) {
+  JsonReader json(body);
+  std::optional<double> value;
+  const bool parsed =
+      read_members(json, [&](const std::string& name, std::size_t d) {
+        return name == key ? json.value(d, &value) : json.skip_value(d);
+      });
+  return parsed ? value : std::nullopt;
 }
 
 }  // namespace wiloc::net

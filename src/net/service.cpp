@@ -16,18 +16,6 @@ namespace wiloc::net {
 
 namespace {
 
-HttpResponse error_json(int status, std::string_view message) {
-  std::ostringstream out;
-  out << "{\"error\":" << json_quote(message) << "}";
-  return HttpResponse::json(status, out.str());
-}
-
-HttpResponse method_not_allowed(std::string_view allow) {
-  HttpResponse r = error_json(405, "method not allowed");
-  r.headers["Allow"] = std::string(allow);
-  return r;
-}
-
 /// Every 503 the service emits carries Retry-After and names the shed
 /// reason in the body, so clients can tell backoff-able overload from
 /// real failure.
@@ -52,9 +40,18 @@ HttpResponse shed_degraded() {
 /// absent). A present one must be a finite sim time >= 0; false
 /// otherwise.
 bool parse_now(const HttpRequest& request, std::optional<double>* now) {
-  if (!request.param("now").has_value()) return true;
-  *now = request.param_num("now");
-  return now->has_value() && std::isfinite(**now) && **now >= 0.0;
+  const QueryNumber q = request.param_num("now");
+  *now = q.value;
+  return !q.present || (q.value.has_value() && std::isfinite(*q.value) &&
+                        *q.value >= 0.0);
+}
+
+/// A numeric query parameter that reads `fallback` when absent (and
+/// nullopt when malformed).
+std::optional<double> param_or(const HttpRequest& request,
+                               const std::string& name, double fallback) {
+  const QueryNumber q = request.param_num(name);
+  return q.present ? q.value : fallback;
 }
 
 }  // namespace
@@ -214,37 +211,25 @@ HttpResponse WiLocatorService::handle_scans(const HttpRequest& request) {
     result = server_.ingest_batch(*batch);
   }
   if (scans_posted_ != nullptr) scans_posted_->inc(result.submitted);
-  std::ostringstream out;
-  out << "{\"submitted\":" << result.submitted
-      << ",\"enqueued\":" << result.enqueued << "}";
-  return HttpResponse::json(200, out.str());
+  return HttpResponse::json(
+      200, encode_scan_ack({result.submitted, result.enqueued}));
 }
 
 HttpResponse WiLocatorService::handle_trips(const HttpRequest& request) {
   if (request.method != "POST") return method_not_allowed("POST");
-  std::string parse_error;
-  const auto doc = parse_json(request.body, &parse_error);
-  if (!doc.has_value()) return error_json(400, "bad JSON: " + parse_error);
-  const auto trip_id = checked_integer<std::uint32_t>(doc->get_number("trip"));
-  if (!trip_id.has_value()) return error_json(400, "missing or bad \"trip\"");
-  const roadnet::TripId trip(*trip_id);
-
-  const JsonValue* end = doc->get("end");
-  const bool ending =
-      end != nullptr && end->as_bool().has_value() && *end->as_bool();
+  std::string decode_error;
+  const auto decoded = decode_trip_request(request.body, &decode_error);
+  if (!decoded.has_value()) return error_json(400, decode_error);
+  const roadnet::TripId trip = decoded->trip;
   std::ostringstream out;
   std::lock_guard<std::mutex> lock(mu_);
-  if (ending) {
+  if (decoded->end) {
     if (!server_.has_trip(trip)) return error_json(404, "unknown trip");
     server_.end_trip(trip);
     out << "{\"trip\":" << trip.value() << ",\"active\":false}";
     return HttpResponse::json(200, out.str());
   }
-  const auto route_id =
-      checked_integer<std::uint32_t>(doc->get_number("route"));
-  if (!route_id.has_value())
-    return error_json(400, "missing or bad \"route\" (or \"end\":true)");
-  const roadnet::RouteId route(*route_id);
+  const roadnet::RouteId route = *decoded->route;
   if (server_.has_trip(trip)) return error_json(409, "trip already active");
   server_.begin_trip(trip, route);  // throws NotFound on unknown route
   out << "{\"trip\":" << trip.value() << ",\"route\":" << route.value()
@@ -255,19 +240,23 @@ HttpResponse WiLocatorService::handle_trips(const HttpRequest& request) {
 HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
   if (request.method != "GET") return method_not_allowed("GET");
   const auto stop_index =
-      checked_integer<std::size_t>(request.param_num("stop"));
+      checked_integer<std::size_t>(request.param_num("stop").value);
   if (!stop_index.has_value())
     return error_json(400, "missing or bad \"stop\"");
   const std::size_t stop = *stop_index;
-  // A trip id wins over a route id when both are given.
+  // A trip id wins over a route id when both are given, but a present
+  // route must still be a number.
   std::optional<roadnet::TripId> trip_key;
   std::optional<roadnet::RouteId> route_key;
-  if (const auto trip_num = request.param_num("trip")) {
-    const auto id = checked_integer<std::uint32_t>(trip_num);
+  const QueryNumber trip_num = request.param_num("trip");
+  const QueryNumber route_num = request.param_num("route");
+  if (route_num.malformed()) return error_json(400, "bad \"route\"");
+  if (trip_num.present) {
+    const auto id = checked_integer<std::uint32_t>(trip_num.value);
     if (!id.has_value()) return error_json(400, "bad \"trip\"");
     trip_key = roadnet::TripId(*id);
-  } else if (const auto route_num = request.param_num("route")) {
-    const auto id = checked_integer<std::uint32_t>(route_num);
+  } else if (route_num.present) {
+    const auto id = checked_integer<std::uint32_t>(route_num.value);
     if (!id.has_value()) return error_json(400, "bad \"route\"");
     route_key = roadnet::RouteId(*id);
   } else {
@@ -352,7 +341,7 @@ std::optional<HttpResponse> WiLocatorService::traffic_from_snapshot(
 HttpResponse WiLocatorService::handle_position(const HttpRequest& request) {
   if (request.method != "GET") return method_not_allowed("GET");
   const auto trip_id =
-      checked_integer<std::uint32_t>(request.param_num("trip"));
+      checked_integer<std::uint32_t>(request.param_num("trip").value);
   if (!trip_id.has_value()) return error_json(400, "missing or bad \"trip\"");
   const roadnet::TripId trip(*trip_id);
   std::lock_guard<std::mutex> lock(mu_);
@@ -405,11 +394,11 @@ HttpResponse WiLocatorService::handle_replication(const HttpRequest& request) {
   const core::StatePersistence* persist = server_.persistence();
   if (persist == nullptr)
     return error_json(404, "persistence disabled: nothing to tail");
-  const auto after = checked_integer<std::uint64_t>(
-      request.param_num("after").value_or(0.0));
+  const auto after =
+      checked_integer<std::uint64_t>(param_or(request, "after", 0.0));
   if (!after.has_value()) return error_json(400, "bad \"after\"");
-  const auto want = checked_integer<std::size_t>(
-      request.param_num("max_bytes").value_or(0.0));
+  const auto want =
+      checked_integer<std::size_t>(param_or(request, "max_bytes", 0.0));
   if (!want.has_value()) return error_json(400, "bad \"max_bytes\"");
   std::size_t max_bytes = kReplicationPageBytes;
   if (*want > 0) max_bytes = std::min(max_bytes, *want);

@@ -22,11 +22,11 @@
 #include <vector>
 
 #include "../helpers.hpp"
+#include "../json_tree.hpp"
 #include "cluster/membership.hpp"
 #include "cluster/ring.hpp"
 #include "common.hpp"
 #include "net/http_client.hpp"
-#include "net/json.hpp"
 #include "net/load_driver.hpp"
 
 namespace wiloc::cluster {

@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "../helpers.hpp"
+#include "../json_tree.hpp"
 #include "common.hpp"
 #include "net/http_client.hpp"
-#include "net/json.hpp"
 #include "net/load_driver.hpp"
 
 namespace wiloc::net {

@@ -17,8 +17,9 @@
 #include <thread>
 
 #include "../helpers.hpp"
+#include "../json_tree.hpp"
+#include "cluster/router.hpp"
 #include "net/http_client.hpp"
-#include "net/json.hpp"
 #include "net/load_driver.hpp"
 #include "sim/bus_trip.hpp"
 
@@ -318,6 +319,159 @@ INSTANTIATE_TEST_SUITE_P(Values, HttpServiceBadNow,
                            if (v == "-inf") return std::string("MinusInfinity");
                            return std::string("Negative");
                          });
+
+/// A query parameter that is present but not an RFC 8259 number — the
+/// grammar of every JSON body — is refused with 400 `bad "<name>"`
+/// (`missing or bad` for the required `stop` and position `trip`). It
+/// used to be read as absent (the route-level answer, a page from
+/// sequence 0), and spellings JSON refuses (".5", "1.", "03") were read
+/// as numbers.
+struct BadQuery {
+  const char* name;
+  const char* target;
+  const char* body;  ///< the 400 answer
+};
+
+void PrintTo(const BadQuery& q, std::ostream* os) { *os << q.target; }
+
+/// Reads: the service and the router answer each the same way.
+const BadQuery kBadReads[] = {
+    {"TripNotANumber", "/v1/arrival?trip=abc&route=0&stop=3",
+     R"({"error":"bad \"trip\""})"},
+    {"TripHex", "/v1/arrival?trip=0x10&route=0&stop=3",
+     R"({"error":"bad \"trip\""})"},
+    {"TripEmpty", "/v1/arrival?trip=&route=0&stop=3",
+     R"({"error":"bad \"trip\""})"},
+    {"RouteNaNBesideTrip", "/v1/arrival?trip=5&route=nan&stop=3",
+     R"({"error":"bad \"route\""})"},
+    {"RouteNotANumber", "/v1/arrival?route=abc&stop=3",
+     R"({"error":"bad \"route\""})"},
+    {"StopTrailingPoint", "/v1/arrival?trip=5&stop=1.",
+     R"({"error":"missing or bad \"stop\""})"},
+    {"StopLeadingZero", "/v1/arrival?trip=5&stop=03",
+     R"({"error":"missing or bad \"stop\""})"},
+    {"NowLeadingPoint", "/v1/arrival?trip=5&stop=3&now=.5",
+     R"({"error":"bad \"now\""})"},
+    {"NowTrailingPoint", "/v1/arrival?trip=5&stop=3&now=1.",
+     R"({"error":"bad \"now\""})"},
+    {"TrafficNowTrailingPoint", "/v1/traffic-map?now=1.",
+     R"({"error":"bad \"now\""})"},
+    {"PositionTripTrailingPoint", "/v1/position?trip=5.",
+     R"({"error":"missing or bad \"trip\""})"},
+};
+
+/// Replication pages, which only a node serves.
+const BadQuery kBadPages[] = {
+    {"AfterNotANumber", "/v1/replication/segments?after=abc",
+     R"({"error":"bad \"after\""})"},
+    {"MaxBytesNotANumber", "/v1/replication/segments?max_bytes=abc",
+     R"({"error":"bad \"max_bytes\""})"},
+};
+
+std::string bad_query_name(const ::testing::TestParamInfo<BadQuery>& info) {
+  return info.param.name;
+}
+
+HttpRequest get(const std::string& target) {
+  HttpRequest request{.method = "GET", .target = target};
+  split_target(target, &request.path, &request.query);
+  return request;
+}
+
+/// A persisted node whose trip 5 on route 0 has a fix, so each bad query
+/// above, read leniently, would have an answer.
+struct FixedTripNode {
+  TempDir dir{"wiloc_bad_query"};
+  ServiceFixture f{persisted(dir)};
+  WiLocatorService service{f.server};
+
+  static core::ServerConfig persisted(const TempDir& dir) {
+    core::ServerConfig config;
+    config.persist.dir = dir.path();
+    return config;
+  }
+
+  FixedTripNode() {
+    f.train(1);
+    EXPECT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                              .body = R"({"trip":5,"route":0})"})
+                  .status,
+              200);
+    const auto reports = f.live_reports(TripId(5), hms(9));
+    std::vector<core::ScanSubmission> batch;
+    for (std::size_t i = 0; i < std::min<std::size_t>(reports.size(), 50);
+         ++i)
+      batch.push_back({reports[i].trip, reports[i].scan});
+    EXPECT_EQ(service.handle({.method = "POST", .path = "/v1/scans",
+                              .body = encode_scan_batch(batch)})
+                  .status,
+              200);
+    EXPECT_TRUE(f.server.position(TripId(5)).has_value());
+  }
+};
+
+class HttpServiceBadQuery : public ::testing::TestWithParam<BadQuery> {};
+
+TEST_P(HttpServiceBadQuery, Is400) {
+  FixedTripNode node;
+  const HttpResponse r = node.service.handle(get(GetParam().target));
+  EXPECT_EQ(r.status, 400) << r.body;
+  EXPECT_EQ(r.body, GetParam().body);
+}
+
+INSTANTIATE_TEST_SUITE_P(Reads, HttpServiceBadQuery,
+                         ::testing::ValuesIn(kBadReads), bad_query_name);
+INSTANTIATE_TEST_SUITE_P(Pages, HttpServiceBadQuery,
+                         ::testing::ValuesIn(kBadPages), bad_query_name);
+
+class ClusterRouterBadQuery : public ::testing::TestWithParam<BadQuery> {};
+
+TEST_P(ClusterRouterBadQuery, Is400) {
+  FixedTripNode node;
+  node.service.start();
+  node.service.set_ready(true);
+  cluster::ClusterRouter router({{"n0", "127.0.0.1", node.service.port()}});
+  const HttpResponse r = router.handle(get(GetParam().target));
+  EXPECT_EQ(r.status, 400) << r.body;
+  EXPECT_EQ(r.body, GetParam().body);
+  node.service.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Reads, ClusterRouterBadQuery,
+                         ::testing::ValuesIn(kBadReads), bad_query_name);
+
+TEST(ClusterRouter, RefusesABadTripBodyWithTheNodesOwn400) {
+  // The router decodes POST /v1/trips with the node's decoder, so a body
+  // the node would refuse is refused before any hop, byte for byte as
+  // the node words it; a good one still reaches the node.
+  FixedTripNode node;
+  node.service.start();
+  node.service.set_ready(true);
+  cluster::ClusterRouter router({{"n0", "127.0.0.1", node.service.port()}});
+  const auto post = [](const char* body) {
+    return HttpRequest{.method = "POST", .target = "/v1/trips",
+                       .path = "/v1/trips", .body = body};
+  };
+  for (const char* body :
+       {"{oops", "", R"({"route":0})", R"({"trip":7})", R"({"trip":7,"end":1})",
+        R"({"trip":7,"route":-1})", R"({"trip":7,"route":0.5})",
+        R"({"trip":1e10,"end":true})", R"([{"trip":7,"route":0}])",
+        R"({"trip":7,"route":0} x)", R"({"trip":7,"route":.5})"}) {
+    const HttpResponse want = node.service.handle(post(body));
+    const HttpResponse got = router.handle(post(body));
+    EXPECT_EQ(got.status, 400) << body;
+    EXPECT_EQ(got.status, want.status) << body;
+    EXPECT_EQ(got.body, want.body) << body;
+  }
+  const auto& node_requests =
+      node.f.server.metrics_registry().counter("http.requests");
+  EXPECT_EQ(node_requests.value(), 0u);
+  EXPECT_EQ(router.handle(post(R"({"trip":7,"route":0})")).status, 200);
+  EXPECT_TRUE(node.f.server.has_trip(TripId(7)));
+  EXPECT_EQ(router.handle(post(R"({"trip":7,"end":true})")).status, 200);
+  EXPECT_EQ(node_requests.value(), 2u);
+  node.service.stop();
+}
 
 TEST(HttpService, PreconditionFailureNamesNoSourceFile) {
   // A stop past the route's last stop trips the predictor's

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "../helpers.hpp"
-#include "net/json.hpp"
+#include "../json_tree.hpp"
 #include "net/load_driver.hpp"
 #include "net/service.hpp"
 #include "sim/bus_trip.hpp"

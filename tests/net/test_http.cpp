@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <regex>
+#include <string>
 
+#include "../json_tree.hpp"
 #include "net/json.hpp"
+#include "util/rng.hpp"
 
 namespace wiloc::net {
 namespace {
@@ -187,6 +195,124 @@ TEST(Json, CheckedIntegerAcceptsOnlyExactInRangeValues) {
   EXPECT_FALSE(checked_integer<std::size_t>(1e30).has_value());
   EXPECT_EQ(checked_integer<std::int32_t>(-2147483648.0), INT32_MIN);
   EXPECT_FALSE(checked_integer<std::int32_t>(2147483648.0).has_value());
+}
+
+TEST(Json, ReadJsonNumberTakesOnlyRfc8259Numbers) {
+  // (text, length read): the number that starts the text, or 0.
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"0", 1},      {"-0", 2},     {"12.5e-3", 7}, {"1E+2", 4},
+      {"1.5e3x", 5}, {"01", 1},     {"0x10", 1},    {"5.", 0},
+      {".5", 0},     {"-", 0},      {"1e", 0},      {"1e+", 0},
+      {"+1", 0},     {" 1", 0},     {"inf", 0},     {"-nan", 0},
+      {"1e400", 0},  {"-1e400", 0}, {"1e-400", 0},  {"", 0}};
+  for (const auto& [text, length] : cases) {
+    double value = 0.0;
+    EXPECT_EQ(read_json_number(text, &value), length) << text;
+  }
+  double value = 0.0;
+  ASSERT_EQ(read_json_number("-12.5e-1", &value), 8u);
+  EXPECT_EQ(value, -1.25);
+}
+
+TEST(HttpParser, QueryNumberIsAbsentMalformedOrAValue) {
+  HttpRequest request;
+  split_target("/v1/arrival?stop=3&now=1.&trip=&route=-0.5e1", &request.path,
+               &request.query);
+  const QueryNumber stop = request.param_num("stop");
+  EXPECT_TRUE(stop.present);
+  EXPECT_EQ(stop.value, 3.0);
+  for (const char* name : {"now", "trip"}) {
+    const QueryNumber bad = request.param_num(name);
+    EXPECT_TRUE(bad.present) << name;
+    EXPECT_TRUE(bad.malformed()) << name;
+  }
+  EXPECT_EQ(request.param_num("route").value, -5.0);
+  const QueryNumber absent = request.param_num("after");
+  EXPECT_FALSE(absent.present);
+  EXPECT_FALSE(absent.malformed());
+}
+
+// -- seeded mutation fuzz of the query reader -----------------------------
+
+/// The RFC 8259 check stated independently of read_json_number: the
+/// grammar as a regex, and the range as strtod sees it (overflow to
+/// infinity, or underflow of a nonzero mantissa to zero, is out).
+std::optional<double> rfc_number(const std::string& text) {
+  static const std::regex grammar(
+      R"(-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
+  if (!std::regex_match(text, grammar)) return std::nullopt;
+  const double value = std::strtod(text.c_str(), nullptr);
+  const std::string mantissa = text.substr(0, text.find_first_of("eE"));
+  const bool nonzero =
+      mantissa.find_first_of("123456789") != std::string::npos;
+  if (!std::isfinite(value) || (value == 0.0 && nonzero)) return std::nullopt;
+  return value;
+}
+
+TEST(HttpParser, QueryReaderMutationFuzzAgreesWithRfcNumberCheck) {
+  const std::vector<std::string> seeds = {
+      "/v1/arrival?trip=5&route=0&stop=3&now=12.5",
+      "/v1/arrival?route=0&stop=03&now=.5&trip=0x10",
+      "/v1/replication/segments?after=18446744073709551615&max_bytes=4096",
+      "/v1/position?trip=-0",
+      "/v1/traffic-map?now=1e308&now=-1E-5",
+      "/x?a=1e5&b=%2D1&c=1%2E5&d=+1&e=&f&=g&h=1e-320",
+      "/x?n=-12.5e%2B3&m=2e-324&k=1e309&j=nan&i=inf"};
+  const char* const tokens[] = {
+      "&",   "=",   "?",   "%",    "%2E", "%2D", "%2B", "%45", "%00", "%zz",
+      "+",   "-",   ".",   "e",    "E",   "0",   "1",   "9",   "nan", "inf",
+      "0x",  " ",   "trip", "now", "\xff", "1e400", "4.9e-324"};
+  const auto pick = [](Rng& rng, std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  Rng rng(0x9e7);
+  constexpr int kMutants = 20000;
+  std::size_t values = 0, malformed = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string target = seeds[pick(rng, seeds.size())];
+    for (std::size_t e = 1 + pick(rng, 3); e > 0; --e) {
+      const std::size_t at = pick(rng, target.size() + 1);
+      switch (pick(rng, 4)) {
+        case 0:  // insert a token
+          target.insert(at, tokens[pick(rng, std::size(tokens))]);
+          break;
+        case 1:  // delete a run
+          target.erase(at, 1 + pick(rng, 4));
+          break;
+        case 2:  // overwrite one byte with a number character
+          if (at < target.size()) target[at] = "0123456789.-eE+"[pick(rng, 15)];
+          break;
+        default:  // overwrite one byte
+          if (at < target.size())
+            target[at] = static_cast<char>(pick(rng, 256));
+      }
+    }
+    HttpRequest request;
+    ASSERT_NO_THROW(split_target(target, &request.path, &request.query))
+        << target;
+    for (const auto& [name, text] : request.query) {
+      QueryNumber q;
+      ASSERT_NO_THROW(q = request.param_num(name)) << target;
+      ASSERT_TRUE(q.present) << target;
+      const std::optional<double> want = rfc_number(text);
+      ASSERT_EQ(q.value.has_value(), want.has_value())
+          << "mutant " << i << ": " << target << "\n  " << name << "="
+          << text;
+      if (want.has_value()) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(*q.value),
+                  std::bit_cast<std::uint64_t>(*want))
+            << target;
+        ++values;
+      } else {
+        ++malformed;
+      }
+    }
+    ASSERT_FALSE(request.param_num("absent-name").present);
+  }
+  // The budget reaches both outcomes.
+  EXPECT_GT(values, static_cast<std::size_t>(kMutants));
+  EXPECT_GT(malformed, static_cast<std::size_t>(kMutants / 4));
 }
 
 }  // namespace

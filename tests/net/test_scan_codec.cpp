@@ -17,10 +17,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "../json_tree.hpp"
 #include "net/json.hpp"
 #include "util/json_num.hpp"
 #include "util/rng.hpp"
@@ -363,7 +365,8 @@ const char* const kTokens[] = {
     "true",     "-nan",  "inf",          "1e999",     "-0",      "4294967296",
     "0.5",      " ",     "[[1,-50]]",    "\x01",      "\xff"};
 
-std::string mutate(const std::vector<std::string>& seeds, Rng& rng) {
+std::string mutate(const std::vector<std::string>& seeds, Rng& rng,
+                   std::span<const char* const> tokens = kTokens) {
   std::string s = seeds[pick(rng, seeds.size())];
   const std::size_t edits = 1 + pick(rng, 3);
   for (std::size_t e = 0; e < edits; ++e) {
@@ -380,7 +383,7 @@ std::string mutate(const std::vector<std::string>& seeds, Rng& rng) {
         s.resize(at);
         break;
       case 3:  // insert a grammar token
-        s.insert(at, kTokens[pick(rng, std::size(kTokens))]);
+        s.insert(at, tokens[pick(rng, tokens.size())]);
         break;
       case 4:  // delete a run
         s.erase(at, 1 + pick(rng, 8));
@@ -449,6 +452,233 @@ TEST(ScanCodec, MutationFuzzKeepsParityAndRoundTrips) {
     const auto again = decode_scan_batch(wire, &error);
     ASSERT_TRUE(again.has_value()) << error << "\n  body: " << body;
     ASSERT_EQ(batch_diff(*again, wire_rounded(*batch)), "") << body;
+  }
+  // The budget reaches both outcomes.
+  EXPECT_GT(accepted, kMutants / 50);
+  EXPECT_LT(accepted, kMutants / 2);
+}
+
+// -- POST /v1/trips bodies and upstream replies ---------------------------
+
+/// The trip decoder before the streaming pass: parse_json, then the walk
+/// the service and the router each made of the tree.
+std::optional<TripRequest> reference_trip(const std::string& body,
+                                          std::string* error) {
+  const auto fail = [error](std::string message) -> std::optional<TripRequest> {
+    *error = std::move(message);
+    return std::nullopt;
+  };
+  std::string parse_error;
+  const auto doc = parse_json(body, &parse_error);
+  if (!doc.has_value()) return fail("bad JSON: " + parse_error);
+  const auto trip = checked_integer<std::uint32_t>(doc->get_number("trip"));
+  if (!trip.has_value()) return fail("missing or bad \"trip\"");
+  const JsonValue* end = doc->get("end");
+  TripRequest out{.trip = roadnet::TripId(*trip),
+                  .end = end != nullptr && end->as_bool().value_or(false)};
+  if (const auto route =
+          checked_integer<std::uint32_t>(doc->get_number("route")))
+    out.route = roadnet::RouteId(*route);
+  else if (!out.end)
+    return fail("missing or bad \"route\" (or \"end\":true)");
+  return out;
+}
+
+/// The router's ack read before: every count of a body that does not
+/// parse, or that is absent or not an integer, reads 0.
+ScanAck reference_ack(const std::string& body) {
+  const auto doc = parse_json(body);
+  if (!doc.has_value()) return {};
+  const auto count = [&](const char* key) {
+    return checked_integer<std::uint64_t>(doc->get_number(key)).value_or(0);
+  };
+  return {count("submitted"), count("enqueued")};
+}
+
+std::optional<double> reference_member(const std::string& body,
+                                       const std::string& key) {
+  const auto doc = parse_json(body);
+  return doc.has_value() ? doc->get_number(key) : std::nullopt;
+}
+
+/// Empty when the trip decoder, the ack reader and the member reader
+/// each answer `body` as the tree walk does.
+std::string reply_parity_diff(const std::string& body) {
+  std::string want_error, got_error;
+  const auto want = reference_trip(body, &want_error);
+  const auto got = decode_trip_request(body, &got_error);
+  if (want.has_value() != got.has_value())
+    return want.has_value() ? "trip: rejected (" + got_error +
+                                  ") a body the tree walk accepts"
+                            : "trip: accepted a body the tree walk rejects (" +
+                                  want_error + ")";
+  if (!want.has_value() && want_error != got_error)
+    return "trip: error \"" + got_error + "\", want \"" + want_error + "\"";
+  if (want.has_value() &&
+      (want->trip != got->trip || want->route != got->route ||
+       want->end != got->end))
+    return "trip: fields differ";
+  const ScanAck ack = decode_scan_ack(body);
+  const ScanAck want_ack = reference_ack(body);
+  if (ack.submitted != want_ack.submitted || ack.enqueued != want_ack.enqueued)
+    return "ack: counts differ";
+  for (const char* key : {"arrival_time", "trip", "submitted"}) {
+    const auto member = json_number_member(body, key);
+    const auto want_member = reference_member(body, key);
+    if (member.has_value() != want_member.has_value() ||
+        (member.has_value() && !bit_equal(*member, *want_member)))
+      return std::string("member ") + key + " differs";
+  }
+  return {};
+}
+
+/// Bodies that pin the tree walk's quirks and every error path.
+std::vector<std::string> reply_corpus() {
+  std::vector<std::string> out = {
+      // Accepted trip bodies.
+      R"({"trip":5,"route":0})",
+      R"({"trip":5,"end":true})",
+      R"( { "route" : 2 , "trip" : 4294967295 } )",
+      R"({"trip":5,"route":1,"end":false})",
+      R"({"trip":5,"end":true,"route":3})",
+      R"({"trip":5,"end":true,"route":-3})",
+      R"({"trip":-0,"route":0e0})",
+      R"({"trip":1e1,"route":2.0})",
+      R"({"trip":5,"route":0})",
+      R"({"trip":5,"route":0,"x":{"trip":9,"end":true,"route":[1]}})",
+      // A repeated key's last value wins.
+      R"({"trip":"5","trip":6,"route":0})",
+      R"({"trip":5,"trip":null,"route":0})",
+      R"({"trip":5,"end":true,"end":false,"route":1})",
+      R"({"trip":5,"end":false,"end":true})",
+      R"({"trip":5,"route":0,"route":"0"})",
+      // Rejected: each error, and their precedence.
+      R"({"trip":5})",
+      R"({"trip":5,"end":"true"})",
+      R"({"trip":5,"end":1})",
+      R"({"trip":5,"end":null})",
+      R"({"route":0})",
+      R"({"trip":4294967296,"route":0})",
+      R"({"trip":1.5,"end":true})",
+      R"({"trip":5,"route":-1})",
+      R"({"trip":5,"route":0.5})",
+      R"({})",
+      R"([])",
+      R"([{"trip":5,"route":0}])",
+      R"(5)",
+      R"("trip")",
+      R"(null)",
+      R"({"trip":5,"route":0} x)",
+      R"({"trip":5,"route":0,})",
+      R"({"trip":5,"route":.5})",
+      R"({"trip":5,"route":1.})",
+      R"({"trip":5,"route":nan})",
+      R"({"trip":5,"end":tru})",
+      R"({"trip":5 "route":0})",
+      "",
+      "{",
+      "{\"trip\":5,\"route\":0,\"x\":\"\x01\"}",
+      "{\"trip\":5,\"route\":0,\"x\":" + std::string(63, '[') +
+          std::string(63, ']') + "}",
+      "{\"trip\":5,\"route\":0,\"x\":" + std::string(64, '[') +
+          std::string(64, ']') + "}",
+      // Upstream replies: acks and arrival answers.
+      R"({"submitted":3,"enqueued":2})",
+      R"({"submitted":3})",
+      R"({"enqueued":1.5,"submitted":-1})",
+      R"({"submitted":1e30,"enqueued":0})",
+      R"({"submitted":3,"enqueued":2,"submitted":4})",
+      R"({"submitted":"3","enqueued":null})",
+      R"({"error":"no replica"})",
+      R"([3,2])",
+      R"({"trip":5,"stop":3,"now":100.5,"arrival_time":1234.25})",
+      R"({"trip":5,"stop":3,"arrival_time":-0.0,"arrival_time":7})",
+      R"({"trip":5,"stop":3,"arrival_time":"7"})",
+      R"({"arrival_time":1e308})",
+      R"({"arrival_time":1e309})",
+  };
+  Rng rng(0xac4);
+  const auto n = [&] {
+    return static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
+  };
+  for (int i = 0; i < 40; ++i) {
+    out.push_back("{\"trip\":" + std::to_string(n()) +
+                  ",\"route\":" + std::to_string(n()) + "}");
+    out.push_back("{\"trip\":" + std::to_string(n()) + ",\"end\":true}");
+    out.push_back(encode_scan_ack({n(), n()}));
+  }
+  return out;
+}
+
+TEST(TripCodec, DecodeMatchesTreeWalkOnCorpus) {
+  std::size_t accepted = 0;
+  for (const std::string& body : reply_corpus()) {
+    const std::string diff = reply_parity_diff(body);
+    EXPECT_TRUE(diff.empty()) << diff << "\n  body: " << body;
+    std::string error;
+    if (decode_trip_request(body, &error).has_value()) ++accepted;
+  }
+  EXPECT_EQ(accepted, 15u + 80u);
+}
+
+TEST(TripCodec, DecodesEachShape) {
+  std::string error;
+  const auto begin = decode_trip_request(R"({"trip":5,"route":2})", &error);
+  ASSERT_TRUE(begin.has_value()) << error;
+  EXPECT_EQ(begin->trip, roadnet::TripId(5));
+  EXPECT_EQ(begin->route, roadnet::RouteId(2));
+  EXPECT_FALSE(begin->end);
+  const auto end = decode_trip_request(R"({"trip":5,"end":true})", &error);
+  ASSERT_TRUE(end.has_value()) << error;
+  EXPECT_TRUE(end->end);
+  EXPECT_FALSE(end->route.has_value());
+  EXPECT_FALSE(decode_trip_request(R"({"trip":5})", &error));
+  EXPECT_EQ(error, R"(missing or bad "route" (or "end":true))");
+  EXPECT_FALSE(decode_trip_request(R"({"trip":5.5,"route":2})", &error));
+  EXPECT_EQ(error, R"(missing or bad "trip")");
+  EXPECT_FALSE(decode_trip_request(R"({"trip":5,"route":2.})", &error));
+  EXPECT_EQ(error, "bad JSON: bad number at offset 18");
+}
+
+TEST(ScanAck, EncodesTheOldBytesAndRoundTrips) {
+  Rng rng(0xac5);
+  for (int i = 0; i < 200; ++i) {
+    // Counts up to 2^53 are exact as JSON doubles.
+    const ScanAck ack{
+        static_cast<std::uint64_t>(rng.uniform_int(0, std::int64_t{1} << 53)),
+        static_cast<std::uint64_t>(rng.uniform_int(0, 1000))};
+    std::ostringstream old;
+    old << "{\"submitted\":" << ack.submitted
+        << ",\"enqueued\":" << ack.enqueued << "}";
+    const std::string wire = encode_scan_ack(ack);
+    ASSERT_EQ(wire, old.str());
+    const ScanAck back = decode_scan_ack(wire);
+    ASSERT_EQ(back.submitted, ack.submitted) << wire;
+    ASSERT_EQ(back.enqueued, ack.enqueued) << wire;
+  }
+  EXPECT_EQ(encode_scan_ack({}), R"({"submitted":0,"enqueued":0})");
+}
+
+/// Tokens that steer mutations into the trip body's and the replies'
+/// corners.
+const char* const kReplyTokens[] = {
+    "\"trip\"", "\"route\"", "\"end\"", "\"submitted\"", "\"enqueued\"",
+    "\"arrival_time\"", "true", "false", "null", "[", "]", "{", "}", ",",
+    ":", "\"", "\\", "\\u0074", "-0", "4294967296", "0.5", "1.", ".5",
+    "1e999", "nan", " ", "\x01", "\xff"};
+
+TEST(TripCodec, MutationFuzzKeepsParityWithTreeWalk) {
+  const std::vector<std::string> seeds = reply_corpus();
+  Rng rng(0x7219);
+  constexpr int kMutants = 20000;
+  int accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string body = mutate(seeds, rng, kReplyTokens);
+    std::string diff;
+    ASSERT_NO_THROW(diff = reply_parity_diff(body)) << body;
+    ASSERT_TRUE(diff.empty()) << diff << "\n  mutant " << i << ": " << body;
+    std::string error;
+    if (decode_trip_request(body, &error).has_value()) ++accepted;
   }
   // The budget reaches both outcomes.
   EXPECT_GT(accepted, kMutants / 50);
